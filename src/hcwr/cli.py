@@ -146,6 +146,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.mode != "exhaustive" and args.budget_seconds is not None:
+        raise ValueError("--budget-seconds applies only to --mode exhaustive")
     L, _ = read_scx(args.input)
     field = FieldSpec.parse(args.field)
     if args.mode == "exhaustive":

@@ -128,35 +128,40 @@ def induced_subcomplex(K: SimplicialComplex, S: Iterable[int]) -> Subcomplex:
     return Subcomplex(K, vs, simps)
 
 
-def connected_components(X: Union[SimplicialComplex, Subcomplex]) -> list:
-    """Vertex sets of the 1-skeleton components, sorted by smallest member."""
-    if isinstance(X, Subcomplex):
-        vertices = sorted(X.vertex_set)
-        edges = [s for s in X.simplices if len(s) == 2]
-    else:
-        vertices = list(range(X.vertex_count))
-        edges = X.edges
-    adj = {v: [] for v in vertices}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = set()
+def components(adjacency, vertices) -> list:
+    """Components of the graph ``adjacency`` induced on ``vertices``.
+
+    ``adjacency[v]`` lists the neighbours of ``v``; neighbours outside
+    ``vertices`` are ignored.  Returns vertex frozensets in order of their
+    first vertex in ``vertices``.
+    """
+    unseen = set(vertices)
     comps = []
     for root in vertices:
-        if root in seen:
+        if root not in unseen:
             continue
-        comp = {root}
-        seen.add(root)
+        unseen.remove(root)
+        comp = [root]
         stack = [root]
         while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
+            for w in adjacency[stack.pop()]:
+                if w in unseen:
+                    unseen.remove(w)
+                    comp.append(w)
                     stack.append(w)
         comps.append(frozenset(comp))
-    return sorted(comps, key=min)
+    return comps
+
+
+def connected_components(X: Union[SimplicialComplex, Subcomplex]) -> list:
+    """Vertex sets of the 1-skeleton components, sorted by smallest member."""
+    if not isinstance(X, Subcomplex):
+        return components(X.adjacency, range(X.vertex_count))
+    adj = {v: [] for v in X.vertex_set}
+    for a, b in X.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return components(adj, sorted(X.vertex_set))
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:

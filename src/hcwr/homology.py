@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .complexes import SimplicialComplex, Subcomplex
+from .complexes import SimplicialComplex, Subcomplex, connected_components
 
 
 class NotASubcomplex(ValueError):
@@ -189,14 +189,6 @@ def boundary_pair(K: SimplicialComplex) -> BoundaryPair:
         d2[eidx[(b, c)]][j] += 1
         d2[eidx[(a, c)]][j] -= 1
         d2[eidx[(a, b)]][j] += 1
-        # d1 . d2 = 0 on this column: each vertex appears in two of the
-        # three boundary edges with opposite signs.
-        for v in (a, b, c):
-            total = 0
-            for e, sign in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
-                if v in e:
-                    total += sign * (1 if v == e[1] else -1)
-            assert total == 0
     return BoundaryPair(
         edges=edges,
         triangles=triangles,
@@ -230,8 +222,7 @@ class H1Calculator:
         for col in _triangle_boundary_columns(K, self.edge_index):
             self._b1.add(col)
         self.rank_d2 = self._b1.rank
-        n_comps = _component_count(K.vertex_count, self.edges)
-        self.rank_d1 = K.vertex_count - n_comps
+        self.rank_d1 = K.vertex_count - len(connected_components(K))
         self.betti1 = len(self.edges) - self.rank_d1 - self.rank_d2
         self._cache = {}
 
@@ -249,24 +240,6 @@ class H1Calculator:
                     count += 1
         self._cache[vs] = count
         return count
-
-
-def _component_count(n: int, edges) -> int:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps
 
 
 def _fundamental_cycles(vs: frozenset, edges, edge_index) -> list:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .complexes import (SimplicialComplex, Subcomplex, connected_components,
-                        induced_subcomplex)
+from .complexes import (SimplicialComplex, Subcomplex, components,
+                        connected_components, induced_subcomplex)
 from .homology import FieldSpec, H1Calculator
 
 
@@ -85,6 +85,12 @@ def _require_valid(K, f):
         raise InvalidLabeling(bad)
 
 
+def require_connected(K: SimplicialComplex, purpose: str):
+    """Raise NotConnected unless the 1-skeleton of K is connected."""
+    if len(connected_components(K)) != 1:
+        raise NotConnected(f"{purpose} requires a connected complex")
+
+
 def level(K: SimplicialComplex, f: MorseLabeling, i: int) -> Subcomplex:
     """Full subcomplex on vertices labeled exactly ``i``."""
     return induced_subcomplex(K, [v for v in range(K.vertex_count) if f[v] == i])
@@ -94,6 +100,16 @@ def slab(K: SimplicialComplex, f: MorseLabeling, i: int) -> Subcomplex:
     """Full subcomplex on vertices labeled ``i`` or ``i+1``."""
     return induced_subcomplex(
         K, [v for v in range(K.vertex_count) if f[v] in (i, i + 1)])
+
+
+def slab_components(K: SimplicialComplex, labels, i: int) -> list:
+    """Vertex sets of the components of slab ``i``, by smallest member.
+
+    A slab is a full subcomplex, so its 1-skeleton is that of K restricted
+    to the slab's vertices and the subcomplex itself is never built.
+    """
+    return components(K.adjacency,
+                      [v for v, l in enumerate(labels) if l == i or l == i + 1])
 
 
 @dataclass(frozen=True)
@@ -135,28 +151,21 @@ def quotient_graph(K: SimplicialComplex, f: MorseLabeling) -> QuotientGraph:
     The graph may have parallel edges.
     """
     _require_valid(K, f)
-    if len(connected_components(K)) != 1:
-        raise NotConnected("quotient graph requires a connected complex")
+    require_connected(K, "quotient graph")
     lo, hi = f.min, f.max
     q_vertices = []
     theta_vertex = {}
-    qv_at = {}  # slab index -> list of qv indices
     for i in range(lo - 1, hi + 1):
-        sub = slab(K, f, i)
-        comps = connected_components(sub)
-        ids = []
-        for cid, comp in enumerate(comps):
+        for cid, comp in enumerate(slab_components(K, f.labels, i)):
             idx = len(q_vertices)
             q_vertices.append(QVertex(i, cid, comp))
-            ids.append(idx)
             for v in comp:
                 theta_vertex[(i, v)] = idx
-        qv_at[i] = ids
     q_edges = []
     theta_level = {}
     for i in range(lo, hi + 1):
-        sub = level(K, f, i)
-        for cid, comp in enumerate(connected_components(sub)):
+        members = [v for v, l in enumerate(f.labels) if l == i]
+        for cid, comp in enumerate(components(K.adjacency, members)):
             rep = min(comp)
             left = theta_vertex[(i - 1, rep)]
             right = theta_vertex[(i, rep)]
@@ -169,22 +178,34 @@ def quotient_graph(K: SimplicialComplex, f: MorseLabeling) -> QuotientGraph:
 
 def qf_betti1(Q: QuotientGraph) -> int:
     """#edges - #vertices + #components of the (multi)graph."""
-    n = Q.vertex_count
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n
+    adj = [[] for _ in range(Q.vertex_count)]
     for e in Q.q_edges:
-        a, b = find(e.endpoints[0]), find(e.endpoints[1])
-        if a != b:
-            parent[a] = b
-            comps -= 1
-    return Q.edge_count - n + comps
+        a, b = e.endpoints
+        adj[a].append(b)
+        adj[b].append(a)
+    n_comps = len(components(adj, range(Q.vertex_count)))
+    return Q.edge_count - Q.vertex_count + n_comps
+
+
+def slab_profile(calc: H1Calculator, labels) -> tuple:
+    """(max rank, #components attaining max, sum of ranks) over interior
+    slabs.  Boundary slabs repeat the extreme levels and cannot exceed the
+    adjacent interior slab by image-rank monotonicity, so they are skipped
+    except in the constant case."""
+    lo, hi = min(labels), max(labels)
+    slab_range = range(lo, hi) if hi > lo else (lo,)
+    best = 0
+    count = 0
+    total = 0
+    for i in slab_range:
+        for comp in slab_components(calc.K, labels, i):
+            r = calc.image_rank_of_vertices(comp)
+            total += r
+            if r > best:
+                best, count = r, 1
+            elif r == best:
+                count += 1
+    return best, count, total
 
 
 @dataclass(frozen=True)

@@ -36,19 +36,45 @@ def to_dict(K: SimplicialComplex, labeling: Optional[MorseLabeling] = None,
     return doc
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_dict(doc: dict):
-    """Returns (LabeledComplex, meta).  Labels, if present, are validated
-    against the morse constraint."""
+    """Returns (LabeledComplex, meta).  Raises ValueError on a malformed
+    document; labels, if present, are validated against the morse
+    constraint."""
+    if not isinstance(doc, dict):
+        raise ValueError("SCX document must be a JSON object")
     if doc.get("format") != FORMAT:
         raise ValueError(f"unsupported format {doc.get('format')!r}")
-    K = build_complex(doc["maximal_simplices"], doc["vertex_count"])
+    for key in ("vertex_count", "maximal_simplices"):
+        if key not in doc:
+            raise ValueError(f"SCX document lacks {key!r}")
+    n = doc["vertex_count"]
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"vertex_count must be a nonnegative integer, "
+                         f"not {n!r}")
+    simplices = doc["maximal_simplices"]
+    if not (isinstance(simplices, list)
+            and all(isinstance(s, list) and all(map(_is_int, s))
+                    for s in simplices)):
+        raise ValueError("maximal_simplices must be a list of lists of "
+                         "integer vertex ids")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("meta must be a JSON object")
+    K = build_complex(simplices, n)
     labeling = None
     if doc.get("labels") is not None:
-        labeling = MorseLabeling(tuple(doc["labels"]))
+        labels = doc["labels"]
+        if not (isinstance(labels, list) and all(map(_is_int, labels))):
+            raise ValueError("labels must be a list of integers")
+        labeling = MorseLabeling(tuple(labels))
         bad = validate_labeling(K, labeling)
         if bad:
             raise InvalidLabeling(bad)
-    return LabeledComplex(K, labeling), doc.get("meta", {})
+    return LabeledComplex(K, labeling), meta
 
 
 def write_scx(path, K: SimplicialComplex,

@@ -4,21 +4,22 @@ simulated annealing beyond it.
 
 Both searches are deterministic: the enumeration visits labelings in a
 fixed breadth-first/lexicographic order and annealing draws from a fully
-specified 64-bit linear congruential generator, so identical inputs,
-seeds and any worker count produce identical results.
+specified 64-bit linear congruential generator, so identical inputs
+and seeds produce identical results.  Both run in one thread: under the
+interpreter lock, thread pools over root branches and restarts measured
+no speed-up, so the ``workers`` keyword is accepted and has no effect.
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import SimplicialComplex, connected_components
+from .complexes import SimplicialComplex
 from .homology import FieldSpec, H1Calculator
-from .morse import MorseLabeling, NotConnected
+from .morse import MorseLabeling, require_connected, slab_profile
 
 _MASK64 = (1 << 64) - 1
 # Knuth MMIX multiplier / increment.
@@ -82,59 +83,6 @@ class SearchResult:
         }
 
 
-def _require_connected(K: SimplicialComplex):
-    if len(connected_components(K)) != 1:
-        raise NotConnected("search requires a connected complex")
-
-
-def _components_of(vertices, adjacency, member):
-    """Components of the induced subgraph; ``member`` is a membership mask."""
-    seen = set()
-    out = []
-    for root in vertices:
-        if root in seen:
-            continue
-        comp = [root]
-        seen.add(root)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if member[w] and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        out.append(frozenset(comp))
-    return out
-
-
-def _slab_profile(calc: H1Calculator, adjacency, labels):
-    """(max rank, #components attaining max, sum of ranks) over interior
-    slabs.  Boundary slabs repeat the extreme levels and cannot exceed the
-    adjacent interior slab by image-rank monotonicity, so they are skipped
-    except in the constant case."""
-    lo, hi = min(labels), max(labels)
-    slab_range = range(lo, hi) if hi > lo else (lo,)
-    member = bytearray(len(labels))
-    best = 0
-    count = 0
-    total = 0
-    for i in slab_range:
-        vertices = [v for v, l in enumerate(labels) if l == i or l == i + 1]
-        for v in vertices:
-            member[v] = 1
-        for comp in _components_of(vertices, adjacency, member):
-            r = calc.image_rank_of_vertices(comp)
-            total += r
-            if r > best:
-                best, count = r, 1
-            elif r == best:
-                count += 1
-        for v in vertices:
-            member[v] = 0
-    return best, count, total
-
-
 def _bfs_order(K: SimplicialComplex, root: int = 0):
     adjacency = K.adjacency
     order = [root]
@@ -160,9 +108,9 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     be nonnegative; the root label ranges over 0..ecc(vertex 0), which
     covers every translation-normalized labeling.  Returns exhaustive =
     False (best so far is only an upper bound) when the time budget runs
-    out first.
+    out first.  Runs in one thread; ``workers`` has no effect.
     """
-    _require_connected(K)
+    require_connected(K, "search")
     calc = H1Calculator(K, F)
     adjacency = K.adjacency
     order, dist = _bfs_order(K)
@@ -193,7 +141,7 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
                 if min(labels) != 0:
                     return
                 visited += 1
-                value = _slab_profile(calc, adjacency, labels)[0]
+                value = slab_profile(calc, labels)[0]
                 cand = (value, tuple(labels))
                 if best is None or cand < best:
                     best = cand
@@ -214,17 +162,10 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
         dfs(1)
         return best, visited, completed
 
-    branch_labels = list(range(ecc + 1))
-    if workers > 1 and len(branch_labels) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_branch, branch_labels))
-    else:
-        results = [run_branch(b) for b in branch_labels]
-
     best = None
     visited = 0
     completed = True
-    for b, vis, comp in results:
+    for b, vis, comp in map(run_branch, range(ecc + 1)):
         visited += vis
         completed = completed and comp
         if b is not None and (best is None or b < best):
@@ -232,7 +173,7 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     if best is None:
         # budget expired before any complete labeling: fall back to constant
         labels = (0,) * n
-        best = (_slab_profile(calc, adjacency, labels)[0], labels)
+        best = (slab_profile(calc, labels)[0], labels)
         completed = False
     return SearchResult(best_value=best[0],
                         certificate=MorseLabeling(best[1]),
@@ -252,12 +193,12 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     The energy is lexicographic (max rank, #components at max, sum of
     ranks) to smooth the plateaus of the raw objective; the reported
     value is always the plain max rank of the certificate.  Restarts use
-    independent LCG streams derived from the seed, so the result is
-    independent of the worker count.
+    independent LCG streams derived from the seed and run one after
+    another in one thread; ``workers`` has no effect.
     """
     if params is None:
         params = AnnealParams()
-    _require_connected(K)
+    require_connected(K, "search")
     calc = H1Calculator(K, F)
     adjacency = K.adjacency
     n = K.vertex_count
@@ -275,7 +216,7 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
         key = tuple(l - m for l in labels)
         prof = memo.get(key)
         if prof is None:
-            prof = _slab_profile(calc, adjacency, labels)
+            prof = slab_profile(calc, labels)
             memo[key] = prof
         return prof
 
@@ -310,13 +251,7 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
             temp *= rate
         return best
 
-    restarts = range(params.restarts)
-    if workers > 1 and params.restarts > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_restart, restarts))
-    else:
-        results = [run_restart(r) for r in restarts]
-    best = min(results)
+    best = min(map(run_restart, range(params.restarts)))
     return SearchResult(best_value=best[0],
                         certificate=MorseLabeling(best[1]),
                         exhaustive=False,

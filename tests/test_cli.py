@@ -160,3 +160,48 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert stdout == ""
     assert json.loads(dst.read_text())["max_rank"] == 1
+
+
+CYCLE3 = {"format": "scx-1", "vertex_count": 3,
+          "maximal_simplices": [[0, 1], [1, 2], [0, 2]]}
+
+
+def _without(key):
+    return {k: v for k, v in CYCLE3.items() if k != key}
+
+
+@pytest.mark.parametrize("doc, culprit", [
+    ([CYCLE3], "object"),
+    (_without("maximal_simplices"), "maximal_simplices"),
+    (_without("vertex_count"), "vertex_count"),
+    ({**CYCLE3, "maximal_simplices": [[0, "x"], [1, 2], [0, 2]]},
+     "maximal_simplices"),
+    ({**CYCLE3, "vertex_count": "3"}, "vertex_count"),
+    ({**CYCLE3, "vertex_count": -2, "maximal_simplices": []}, "vertex_count"),
+    ({**CYCLE3, "labels": [0, 0.5, 1]}, "labels"),
+    ({**CYCLE3, "labels": [True, False, True]}, "labels"),
+    ({**CYCLE3, "meta": []}, "meta"),
+], ids=["list", "no-simplices", "no-vertex-count", "str-vertex",
+        "str-vertex-count", "negative-vertex-count", "float-labels",
+        "bool-labels", "list-meta"])
+def test_malformed_scx_exit_2(tmp_path, capsys, doc, culprit):
+    path = tmp_path / "bad.scx"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "analyze", str(path),
+                               "--labels", "constant")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and culprit in stderr
+    assert stderr.count("\n") == 1
+    assert "Traceback" not in stderr
+
+
+def test_anneal_rejects_budget_seconds(tmp_path, capsys):
+    out = tmp_path / "c6.scx"
+    run(capsys, "generate", "circle", "--m", "6", "--out", str(out))
+    code, stdout, stderr = run(capsys, "search", str(out), "--mode", "anneal",
+                               "--budget-seconds", "5")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == ("error: --budget-seconds applies only to "
+                      "--mode exhaustive\n")

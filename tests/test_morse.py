@@ -1,12 +1,17 @@
 """Labelings, slabs, levels, quotient graphs and the width value."""
+import random
+
 import pytest
 from hypothesis import given
 
-from hcwr import (FieldSpec, betti1, build_complex, constant_labeling,
-                  generate_circle, hcwr_value, labeled_torus, level,
-                  qf_betti1, quotient_graph, slab, validate_labeling)
+from hcwr import (FieldSpec, H1Calculator, betti1, build_complex,
+                  constant_labeling, generate_circle, generate_torus,
+                  hcwr_value, labeled_torus, level, product_complex,
+                  pullback_labeling, qf_betti1, quotient_graph, slab,
+                  tent_labeling, validate_labeling)
 from hcwr.generators import circle_tent_labeling
-from hcwr.morse import InvalidLabeling, MorseLabeling, NotConnected
+from hcwr.morse import (InvalidLabeling, MorseLabeling, NotConnected,
+                        slab_profile)
 
 from conftest import labeled_circles
 
@@ -121,3 +126,41 @@ def test_hcwr_translation_and_reflection_invariant(pair):
 def test_hcwr_bounded_by_betti1(pair):
     K, f = pair
     assert 0 <= hcwr_value(K, f, Q).max_rank <= betti1(K, Q)
+
+
+@given(labeled_circles())
+def test_slab_profile_max_equals_report_on_circles(pair):
+    # the search objective skips boundary slabs; the report does not
+    K, f = pair
+    calc = H1Calculator(K, Q)
+    assert slab_profile(calc, f.labels)[0] == hcwr_value(K, f, Q, calc).max_rank
+
+
+def _walk_labelings(K, start, seed, steps=40, every=2):
+    """``start``, then snapshots of a seeded random walk of valid
+    single-vertex +-1 moves away from it."""
+    rng = random.Random(seed)
+    labels = list(start.labels)
+    yield start
+    for step in range(1, steps + 1):
+        v = rng.randrange(K.vertex_count)
+        new = labels[v] + rng.choice((-1, 1))
+        if all(abs(new - labels[w]) <= 1 for w in K.adjacency[v]):
+            labels[v] = new
+        if step % every == 0:
+            yield MorseLabeling(tuple(labels))
+
+
+@pytest.mark.parametrize("K, start", [
+    (generate_torus(2, 4), tent_labeling(2, 4)),
+    (generate_torus(3, 4), tent_labeling(3, 4)),
+    (product_complex(generate_circle(4), generate_circle(6)),
+     pullback_labeling(circle_tent_labeling(4), 6)),
+], ids=["torus(2,4)", "torus(3,4)", "circle(4)xcircle(6)"])
+def test_slab_profile_max_equals_report_on_walks(K, start):
+    # walks from a width-minimal family labeling reach ranks below betti1
+    calc = H1Calculator(K, Q)
+    for seed in range(2):
+        for f in _walk_labelings(K, start, seed):
+            assert slab_profile(calc, f.labels)[0] == \
+                hcwr_value(K, f, Q, calc).max_rank
