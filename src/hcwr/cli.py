@@ -19,7 +19,7 @@ from .generators import (ArcTooShort, BadAxis, EmptyRelator,
                          wedge, LabeledComplex)
 from .homology import FieldSpec, betti1
 from .morse import (InvalidLabeling, MorseLabeling, NotConnected,
-                    constant_labeling, hcwr_value, validate_labeling)
+                    constant_labeling, hcwr_value)
 from .scx import MissingLabels, read_scx, to_dict, write_scx
 from .search import AnnealParams, anneal_min, exhaustive_min
 from .verify import run_cases
@@ -123,22 +123,24 @@ def _resolve_labeling(args, L: LabeledComplex, meta: dict) -> MorseLabeling:
     if args.labels == "constant":
         return constant_labeling(K)
     if args.labels == "tent":
-        gen = meta.get("generator")
-        if gen == "torus":
-            return tent_labeling(meta["k"], meta["n"], meta.get("axis", 0))
-        if gen == "circle":
-            return circle_tent_labeling(meta["m"])
-        raise MissingLabels("--labels tent needs a file generated as a "
-                            "torus or circle (missing meta)")
+        gen, size = meta.get("generator"), K.vertex_count
+        meta = {"axis": 0, **meta}
+        keys = {"torus": ("k", "n", "axis"), "circle": ("m",)}.get(gen, ())
+        if not keys or not all(type(meta.get(key)) is int for key in keys):
+            raise MissingLabels("--labels tent needs the integer meta k, n "
+                                "(and axis) of a torus or m of a circle")
+        if gen == "circle" and meta["m"] == size:
+            return circle_tent_labeling(size)
+        if gen == "torus" and 0 < meta["k"] <= size == meta["n"] ** meta["k"]:
+            return tent_labeling(meta["k"], meta["n"], meta["axis"])
+        raise MissingLabels(f"{gen} meta does not match the {size} vertices "
+                            f"of the complex")
     raise ValueError(f"unknown labels source {args.labels!r}")
 
 
 def _cmd_analyze(args) -> int:
     L, meta = read_scx(args.input)
     f = _resolve_labeling(args, L, meta)
-    bad = validate_labeling(L.complex, f)
-    if bad:
-        raise InvalidLabeling(bad)
     field = FieldSpec.parse(args.field)
     rep = hcwr_value(L.complex, f, field)
     _emit(rep.to_json(), args.out)

@@ -2,15 +2,18 @@
 
 All arithmetic is integer-exact: rational ranks use fraction-free
 (Bareiss-style) elimination with gcd-normalized integer rows, prime-field
-ranks use modular elimination.  No floating point anywhere.
+ranks use modular elimination.  No floating point anywhere.  H1-image
+ranks come from edge annotations (arXiv:1107.3793): one reduction of the
+ambient complex, then a rank in F^betti1 per query.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
-from .complexes import SimplicialComplex, Subcomplex, connected_components
+from .complexes import SimplicialComplex, Subcomplex
 
 
 class NotASubcomplex(ValueError):
@@ -76,18 +79,12 @@ class Echelon:
     """Row space in sparse echelon form over a FieldSpec.
 
     Rows are dicts column->nonzero value; the pivot of a row is its
-    smallest column.  Stored rows are never mutated, so :meth:`branch`
-    can share them between copies.
+    smallest column.
     """
 
     def __init__(self, field: FieldSpec):
         self.field = field
         self.rows = {}  # pivot column -> row dict
-
-    def branch(self) -> "Echelon":
-        clone = Echelon(self.field)
-        clone.rows = dict(self.rows)
-        return clone
 
     @property
     def rank(self) -> int:
@@ -199,105 +196,106 @@ def boundary_pair(K: SimplicialComplex) -> BoundaryPair:
     )
 
 
-def _triangle_boundary_columns(K: SimplicialComplex, eidx: dict):
-    for (a, b, c) in K.triangles:
-        yield {eidx[(b, c)]: 1, eidx[(a, c)]: -1, eidx[(a, b)]: 1}
+def _bfs_parents(adjacency, vertices) -> dict:
+    """Parents in a breadth-first spanning forest of the graph induced on
+    ``vertices``, in visiting order; each root is its own parent."""
+    parent = {}
+    for root in vertices:
+        if root not in parent:
+            parent[root] = root
+            queue = [root]
+            for v in queue:
+                for w in adjacency[v]:
+                    if w in vertices and w not in parent:
+                        parent[w] = v
+                        queue.append(w)
+    return parent
 
 
 class H1Calculator:
     """Cached H1-image ranks of induced subcomplexes of a fixed complex.
 
-    Precomputes an echelon basis of B1(K) (the column space of d2) once;
-    each query reduces a fundamental-cycle basis of the subcomplex against
-    a branch of that echelon, so repeated queries over the same ambient
-    complex are cheap.  Results are memoized by vertex set.
+    Uses the edge annotations of Busaryev, Cabello, Chen, Dey and Wang,
+    "Annotating simplices with a homology basis and its applications"
+    (SWAT 2012, arXiv:1107.3793).  Once per (K, F), the triangle
+    boundaries restricted to the edges off a spanning forest of K are
+    reduced; back-substitution from each free column gives one of
+    ``betti1`` cocycles, and an edge's annotation is its vector of
+    cocycle values (0 on tree edges), so a cycle's annotation sum is its
+    class in H1(K; F).  A query takes a spanning forest of the vertex set
+    with potentials P(w) = P(v) + ann(v -> w) along it; every edge a -> b
+    of the set then closes a cycle of class ann(a -> b) + P(a) - P(b), and
+    the image rank is the rank of these vectors.  Memoized by vertex set.
     """
 
     def __init__(self, K: SimplicialComplex, field: FieldSpec):
         self.K = K
         self.field = field
-        self.edges = K.edges
-        self.edge_index = {e: j for j, e in enumerate(self.edges)}
-        self._b1 = Echelon(field)
-        for col in _triangle_boundary_columns(K, self.edge_index):
-            self._b1.add(col)
-        self.rank_d2 = self._b1.rank
-        self.rank_d1 = K.vertex_count - len(connected_components(K))
-        self.betti1 = len(self.edges) - self.rank_d1 - self.rank_d2
+        p = field.p
+        parent = _bfs_parents(K.adjacency, range(K.vertex_count))
+        column = {e: j for j, e in enumerate(
+            (a, b) for a, b in K.edges if a != parent[b] and b != parent[a])}
+        ech = Echelon(field)
+        for (a, b, c) in K.triangles:
+            ech.add({column[e]: x for e, x in
+                     (((b, c), 1), ((a, c), -1), ((a, b), 1)) if e in column})
+        self.rank_d1 = len(K.edges) - len(column)
+        self.rank_d2 = ech.rank
+        self.betti1 = len(column) - ech.rank
+        cocycles = []
+        for free in (j for j in range(len(column)) if j not in ech.rows):
+            phi = {free: 1}
+            for c in sorted(ech.rows, reverse=True):
+                row = ech.rows[c]
+                s = sum(x * phi.get(k, 0) for k, x in row.items() if k != c)
+                if s:
+                    phi[c] = (Fraction(-s, row[c]) if p is None
+                              else -s * pow(row[c], -1, p) % p)
+            cocycles.append(phi)
+        if p is None:
+            scale = lcm(*(Fraction(x).denominator
+                          for phi in cocycles for x in phi.values()))
+            cocycles = [{j: int(x * scale) for j, x in phi.items()}
+                        for phi in cocycles]
+        self._ann = [{} for _ in range(K.vertex_count)]
+        for (a, b), j in column.items():
+            vec = tuple(phi.get(j, 0) for phi in cocycles)
+            if any(vec):
+                self._ann[a][b] = vec
+                self._ann[b][a] = tuple(-x % p if p else -x for x in vec)
         self._cache = {}
 
     def image_rank_of_vertices(self, vs: frozenset) -> int:
         """Rank of im(H1(full subcomplex on vs; F) -> H1(K; F))."""
         cached = self._cache.get(vs)
-        if cached is not None:
-            return cached
-        cycles = _fundamental_cycles(vs, self.edges, self.edge_index)
-        count = 0
-        if cycles:
-            ech = self._b1.branch()
-            for cyc in cycles:
-                if ech.add(cyc):
-                    count += 1
-        self._cache[vs] = count
-        return count
+        if cached is None:
+            cached = self._cache[vs] = self._image_rank(vs)
+        return cached
 
+    def _image_rank(self, vs: frozenset) -> int:
+        dim = self.betti1
+        if dim == 0:
+            return 0
+        p = self.field.p
+        zero = (0,) * dim
 
-def _fundamental_cycles(vs: frozenset, edges, edge_index) -> list:
-    """Cycle-space basis of the induced graph on ``vs``, as sparse vectors
-    over the ambient edge coordinates (one per non-tree edge of a BFS
-    spanning forest; entries are +-1)."""
-    sub_edges = [e for e in edges if e[0] in vs and e[1] in vs]
-    adj = {v: [] for v in vs}
-    for a, b in sub_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = {}
-    depth = {}
-    tree_edges = set()
-    for root in sorted(vs):
-        if root in parent:
-            continue
-        parent[root] = root
-        depth[root] = 0
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    tree_edges.add((min(v, w), max(v, w)))
-                    queue.append(w)
-    cycles = []
-    for (a, b) in sub_edges:
-        if (a, b) in tree_edges:
-            continue
-        coeffs = {}
+        def step(pa, a, b):  # P(a) + ann(a -> b)
+            return tuple((x + y) % p if p else x + y
+                         for x, y in zip(pa, self._ann[a].get(b, zero)))
 
-        def step(u, v):
-            # traverse u -> v
-            if u < v:
-                coeffs[edge_index[(u, v)]] = coeffs.get(edge_index[(u, v)], 0) + 1
-            else:
-                coeffs[edge_index[(v, u)]] = coeffs.get(edge_index[(v, u)], 0) - 1
-
-        step(a, b)
-        # close up with the tree path b -> lca -> a
-        x, y = b, a
-        up_a = []
-        while x != y:
-            if depth[x] >= depth[y]:
-                step(x, parent[x])
-                x = parent[x]
-            else:
-                up_a.append(y)
-                y = parent[y]
-        for v in reversed(up_a):
-            step(parent[v], v)
-        cycles.append({k: v for k, v in coeffs.items() if v})
-    return cycles
+        potential = {}
+        for v, u in _bfs_parents(self.K.adjacency, vs).items():
+            potential[v] = zero if u == v else step(potential[u], u, v)
+        ech = Echelon(self.field)
+        for a, pa in potential.items():
+            for b in self.K.adjacency[a]:
+                if a < b and b in vs:
+                    cycle = {i: x - y for i, (x, y) in
+                             enumerate(zip(step(pa, a, b), potential[b]))
+                             if x != y}
+                    if cycle and ech.add(cycle) and ech.rank == dim:
+                        return dim
+        return ech.rank
 
 
 def betti1(K: SimplicialComplex, F: FieldSpec) -> int:

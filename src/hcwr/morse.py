@@ -66,17 +66,18 @@ def constant_labeling(K: SimplicialComplex, value: int = 0) -> MorseLabeling:
 
 
 def validate_labeling(K: SimplicialComplex, f: MorseLabeling) -> list:
-    """All simplices whose labels span more than one step (empty = ok)."""
+    """All simplices whose labels span more than one step (empty = ok).
+
+    A simplex's labels span as far as those of one of its edges, so the
+    simplices are scanned only when some edge spans more than one step.
+    """
     if len(f) != K.vertex_count:
         raise ValueError("labeling length does not match vertex count")
-    bad = []
-    for s in K.simplices:
-        if len(s) < 2:
-            continue
-        vals = [f[v] for v in s]
-        if max(vals) - min(vals) > 1:
-            bad.append(s)
-    return sorted(bad)
+    labels = f.labels
+    if all(-1 <= labels[a] - labels[b] <= 1 for a, b in K.edges):
+        return []
+    return sorted(s for s in K.simplices
+                  if max(labels[v] for v in s) - min(labels[v] for v in s) > 1)
 
 
 def _require_valid(K, f):

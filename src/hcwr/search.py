@@ -128,39 +128,37 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
         labels[order[0]] = root_label
         best = None  # (value, labels tuple)
         visited = 0
-        completed = True
-
-        def dfs(pos):
-            nonlocal best, visited, completed
-            if not completed or (best is not None and best[0] == 0):
-                return
-            if deadline is not None and time.monotonic() > deadline:
-                completed = False
-                return
-            if pos == n:
-                if min(labels) != 0:
-                    return
-                visited += 1
-                value = slab_profile(calc, labels)[0]
-                cand = (value, tuple(labels))
-                if best is None or cand < best:
-                    best = cand
-                return
-            v = order[pos]
-            nbrs = earlier[pos]
-            lo = max(labels[w] for w in nbrs) - 1
-            hi = min(labels[w] for w in nbrs) + 1
-            for l in range(max(lo, 0), hi + 1):
-                labels[v] = l
-                dfs(pos + 1)
-                if not completed:
-                    return
-
         if n == 1:
             # single vertex: the only slab is the vertex itself
             return ((0, (0,)), 1, True) if root_label == 0 else (None, 0, True)
-        dfs(1)
-        return best, visited, completed
+        # stack[i] yields the labels left to try at order[i + 1]; a loop,
+        # not recursion, so deep complexes stay under the recursion limit
+        stack = []
+        pos = 1
+        while best is None or best[0] != 0:
+            if deadline is not None and time.monotonic() > deadline:
+                return best, visited, False
+            if pos == n:
+                if min(labels) == 0:
+                    visited += 1
+                    cand = (slab_profile(calc, labels)[0], tuple(labels))
+                    if best is None or cand < best:
+                        best = cand
+            else:
+                nbrs = earlier[pos]
+                lo = max(labels[w] for w in nbrs) - 1
+                hi = min(labels[w] for w in nbrs) + 1
+                stack.append(iter(range(max(lo, 0), hi + 1)))
+            while stack:
+                label = next(stack[-1], None)
+                if label is not None:
+                    labels[order[len(stack)]] = label
+                    pos = len(stack) + 1
+                    break
+                stack.pop()
+            else:
+                break
+        return best, visited, True
 
     best = None
     visited = 0

@@ -196,6 +196,23 @@ def test_malformed_scx_exit_2(tmp_path, capsys, doc, culprit):
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("meta, culprit", [
+    ({"generator": "torus"}, "integer meta"),
+    ({"generator": "circle"}, "integer meta"),
+    ({"generator": "torus", "k": "2", "n": 4}, "integer meta"),
+    ({"generator": "torus", "k": 2, "n": 4, "axis": None}, "integer meta"),
+    ({"generator": "torus", "k": 3, "n": 4}, "does not match"),
+], ids=["torus-no-k-n", "circle-no-m", "str-k", "null-axis", "wrong-size"])
+def test_incomplete_tent_meta_exit_2(tmp_path, capsys, meta, culprit):
+    path = tmp_path / "meta.scx"
+    path.write_text(json.dumps({**CYCLE3, "meta": meta}))
+    code, stdout, stderr = run(capsys, "analyze", str(path), "--labels", "tent")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and culprit in stderr
+    assert stderr.count("\n") == 1
+
+
 def test_anneal_rejects_budget_seconds(tmp_path, capsys):
     out = tmp_path / "c6.scx"
     run(capsys, "generate", "circle", "--m", "6", "--out", str(out))

@@ -1,17 +1,23 @@
 """Exact rank, boundary maps and H1-image ranks, cross-checked against a
 fully independent sympy oracle."""
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hcwr import (FieldSpec, H1Calculator, betti1, boundary_pair,
                   build_complex, generate_circle, generate_torus,
-                  image_rank_h1, induced_subcomplex)
+                  image_rank_h1, induced_subcomplex, presentation_complex,
+                  product_complex)
+from hcwr.complexes import connected_components
+from hcwr.generators import parse_relator
 from hcwr.homology import Echelon, NotASubcomplex, rank
 
 from conftest import (oracle_betti1, oracle_image_rank, oracle_rank,
                       small_complexes)
 
 Q = FieldSpec.rationals()
+F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 
 
@@ -124,10 +130,67 @@ class TestImageRank:
             image_rank_h1(K1, Q)  # not a Subcomplex at all
 
 
-def test_branch_isolation():
-    # reducing against a branch must not pollute the parent echelon
-    K = generate_torus(2, 3)
-    calc = H1Calculator(K, Q)
-    base_rows = dict(calc._b1.rows)
-    calc.image_rank_of_vertices(frozenset(range(9)))
-    assert calc._b1.rows == base_rows
+def test_query_order_does_not_change_answers():
+    K = generate_torus(2, 4)
+    rng = random.Random(3)
+    sets = [frozenset(v for v in range(K.vertex_count) if rng.random() < 0.6)
+            for _ in range(40)]
+    forward = H1Calculator(K, Q)
+    backward = H1Calculator(K, Q)
+    ranks = [forward.image_rank_of_vertices(vs) for vs in sets]
+    assert ranks == [backward.image_rank_of_vertices(vs)
+                     for vs in reversed(sets)][::-1]
+
+
+# torus, product and torsion: <a|a^3> has betti1 0 over Q and F_2, 1 over F_3
+ANNOTATION_CASES = {
+    "torus(2,3)": generate_torus(2, 3),
+    "circle(4)xcircle(5)": product_complex(generate_circle(4),
+                                           generate_circle(5)),
+    "<a|a^3>": presentation_complex(1, [parse_relator("aaa", 1)]),
+}
+
+
+@pytest.mark.parametrize("F", [Q, F2, F3], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("name", sorted(ANNOTATION_CASES))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_annotation_kernel_matches_sympy(name, F, data):
+    K = ANNOTATION_CASES[name]
+    calc = H1Calculator(K, F)
+    vs = data.draw(st.sets(st.integers(min_value=0,
+                                       max_value=K.vertex_count - 1)))
+    assert calc.image_rank_of_vertices(frozenset(vs)) == \
+        oracle_image_rank(K, vs, F)
+    assert calc.image_rank_of_vertices(frozenset()) == 0
+
+
+def test_torsion_betti1_depends_on_field():
+    K = ANNOTATION_CASES["<a|a^3>"]
+    everything = frozenset(range(K.vertex_count))
+    for F, b in ((Q, 0), (F2, 0), (F3, 1)):
+        calc = H1Calculator(K, F)
+        assert calc.betti1 == oracle_betti1(K, F) == b
+        assert calc.image_rank_of_vertices(everything) == b
+
+
+@pytest.mark.parametrize("F", [Q, F2], ids=["Q", "F2"])
+def test_image_rank_of_disconnected_set(F):
+    # two disjoint {u} x circle(5) slices carry the same class: rank 1
+    K = ANNOTATION_CASES["circle(4)xcircle(5)"]
+    vs = {v for v in range(20) if v // 5 in (0, 2)}
+    assert H1Calculator(K, F).image_rank_of_vertices(frozenset(vs)) == \
+        oracle_image_rank(K, vs, F) == 1
+
+
+@given(small_complexes(), small_complexes(), st.sampled_from([Q, F2, F3]))
+def test_betti1_of_disjoint_union(K1, K2, F):
+    n1 = K1.vertex_count
+    union = build_complex(
+        list(K1.simplices) + [[v + n1 for v in s] for s in K2.simplices],
+        n1 + K2.vertex_count)
+    calc = H1Calculator(union, F)
+    assert calc.betti1 == oracle_betti1(union, F) == \
+        betti1(K1, F) + betti1(K2, F)
+    assert calc.rank_d1 == union.vertex_count - len(
+        connected_components(union))

@@ -2,7 +2,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from hcwr import (FieldSpec, H1Calculator, betti1, build_complex,
                   constant_labeling, generate_circle, generate_torus,
@@ -13,7 +13,7 @@ from hcwr.generators import circle_tent_labeling
 from hcwr.morse import (InvalidLabeling, MorseLabeling, NotConnected,
                         slab_profile)
 
-from conftest import labeled_circles
+from conftest import labeled_circles, small_complexes
 
 Q = FieldSpec.rationals()
 
@@ -23,6 +23,15 @@ def test_validate_flags_wide_simplices():
     bad = validate_labeling(K, MorseLabeling((0, 1, 2)))
     assert (0, 2) in bad and (0, 1, 2) in bad
     assert validate_labeling(K, MorseLabeling((0, 1, 1))) == []
+
+
+@given(small_complexes(), st.data())
+def test_validate_matches_full_scan(K, data):
+    f = MorseLabeling(data.draw(st.lists(
+        st.integers(min_value=0, max_value=2),
+        min_size=K.vertex_count, max_size=K.vertex_count)))
+    assert validate_labeling(K, f) == sorted(
+        s for s in K.simplices if max(f[v] for v in s) - min(f[v] for v in s) > 1)
 
 
 def test_validate_length_mismatch():

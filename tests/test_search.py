@@ -100,6 +100,13 @@ def test_budget_expiry_is_not_an_error():
     assert res.best_value >= 0  # upper bound only
 
 
+def test_budget_returns_on_deep_complexes():
+    # one labeling position per vertex: 3000 would overflow a recursion
+    res = exhaustive_min(generate_circle(3000), Q, time_budget=2)
+    assert not res.exhaustive
+    assert validate_labeling(generate_circle(3000), res.certificate) == []
+
+
 def test_disconnected_rejected():
     K = build_complex([(0, 1), (2, 3)], 4)
     with pytest.raises(NotConnected):
