@@ -3,7 +3,8 @@
 
 For each family member, report betti1, the tent/constant labeling values
 where applicable, and the searched minimum (exhaustive when it finishes
-inside the per-complex budget, annealing upper bound otherwise).
+inside the per-complex budget, else the best labeling the enumeration
+reached, an upper bound).
 
 Usage: python3 scripts/width_survey.py [--budget SECONDS] [--field Q|Fp:p]
 """

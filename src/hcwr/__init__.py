@@ -11,11 +11,10 @@ from .generators import (LabeledComplex, circle_tent_labeling, generate_circle,
                          generate_torus, labeled_torus, presentation_complex,
                          product_complex, pullback_labeling, spread_wedge,
                          tent_labeling, wedge)
-from .homology import (BoundaryPair, FieldSpec, H1Calculator, betti1,
-                       boundary_pair, image_rank_h1, rank)
+from .homology import FieldSpec, H1Calculator, betti1, boundary
 from .morse import (MorseLabeling, QuotientGraph, WidthReport,
-                    constant_labeling, hcwr_value, level, qf_betti1,
-                    quotient_graph, slab, validate_labeling)
+                    constant_labeling, hcwr_value, qf_betti1, quotient_graph,
+                    slab_components, validate_labeling)
 from .search import (AnnealParams, SearchResult, anneal_min, certified_bounds,
                      exhaustive_min)
 

@@ -166,7 +166,8 @@ def _cmd_verify(args) -> int:
     budget = args.budget_seconds if args.budget_seconds else 120.0
     summary = run_cases(case_filter=args.case, budget=budget)
     for case in summary["cases"]:
-        print(f"{case['name']}: {case['status']}", file=sys.stderr)
+        print(f"{case['name']}: {case['status']} ({case['seconds']:.2f}s)",
+              file=sys.stderr)
     _emit(summary, args.out)
     return 1 if summary["failures"] else 0
 

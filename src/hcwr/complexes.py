@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 
 class DegenerateSimplex(ValueError):
@@ -82,10 +82,6 @@ class Subcomplex:
     def vertex_count(self) -> int:
         return len(self.vertex_set)
 
-    @cached_property
-    def edges(self) -> tuple:
-        return tuple(sorted(s for s in self.simplices if len(s) == 2))
-
 
 def build_complex(maximal_simplices: Iterable[Sequence[int]],
                   vertex_count: int) -> SimplicialComplex:
@@ -153,15 +149,29 @@ def components(adjacency, vertices) -> list:
     return comps
 
 
-def connected_components(X: Union[SimplicialComplex, Subcomplex]) -> list:
+def bfs_parents(adjacency, vertices) -> dict:
+    """Parents in a breadth-first spanning forest of the graph induced on
+    ``vertices``, in visiting order; each root is its own parent.
+
+    Roots are taken in the order of ``vertices`` and neighbours in the
+    order of ``adjacency[v]``.
+    """
+    parent = {}
+    for root in vertices:
+        if root not in parent:
+            parent[root] = root
+            queue = [root]
+            for v in queue:
+                for w in adjacency[v]:
+                    if w in vertices and w not in parent:
+                        parent[w] = v
+                        queue.append(w)
+    return parent
+
+
+def connected_components(K: SimplicialComplex) -> list:
     """Vertex sets of the 1-skeleton components, sorted by smallest member."""
-    if not isinstance(X, Subcomplex):
-        return components(X.adjacency, range(X.vertex_count))
-    adj = {v: [] for v in X.vertex_set}
-    for a, b in X.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return components(adj, sorted(X.vertex_set))
+    return components(K.adjacency, range(K.vertex_count))
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from .complexes import (SimplicialComplex, VertexOutOfRange, build_complex,
                         maximal_simplices)
-from .morse import MorseLabeling, validate_labeling
+from .morse import InvalidLabeling, MorseLabeling, validate_labeling
 
 
 class TooFewVertices(ValueError):
@@ -44,7 +44,7 @@ class LabeledComplex:
         if self.labeling is not None:
             bad = validate_labeling(self.complex, self.labeling)
             if bad:
-                raise ValueError(f"labeling violates morse constraint on {bad[:3]}")
+                raise InvalidLabeling(bad)
 
 
 def generate_circle(m: int) -> SimplicialComplex:

@@ -13,11 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .complexes import SimplicialComplex, Subcomplex
-
-
-class NotASubcomplex(ValueError):
-    """The argument is not an induced subcomplex of the ambient complex."""
+from .complexes import SimplicialComplex, bfs_parents
 
 
 def _is_prime(p: int) -> bool:
@@ -143,73 +139,16 @@ class Echelon:
         return False
 
 
-def rank(M, F: FieldSpec) -> int:
-    """Exact rank of an integer matrix (list of rows) over ``F``."""
-    ech = Echelon(F)
-    r = 0
-    for row in M:
-        vec = {j: x for j, x in enumerate(row) if x}
-        if ech.add(vec):
-            r += 1
-    return r
+def boundary(s: tuple) -> list:
+    """Signed faces ``(face, +-1)`` of the simplex ``s``.
 
-
-@dataclass(frozen=True)
-class BoundaryPair:
-    """Dense d1 (vertices x edges) and d2 (edges x triangles) with index maps.
-
-    Orientation is induced by increasing vertex order: the column of edge
-    ``(a, b)`` has ``-1`` at ``a`` and ``+1`` at ``b``; the column of
-    triangle ``(a, b, c)`` has ``+1`` on ``(b, c)``, ``-1`` on ``(a, c)``
-    and ``+1`` on ``(a, b)``.
+    Orientation is induced by increasing vertex order:
+    d(v0 ... vk) = sum over i of (-1)^i (v0 ... vk without vi), so the edge
+    ``(a, b)`` has ``-1`` at ``a`` and ``+1`` at ``b``, and the triangle
+    ``(a, b, c)`` has ``+1`` on ``(b, c)``, ``-1`` on ``(a, c)`` and ``+1``
+    on ``(a, b)``.
     """
-
-    edges: tuple
-    triangles: tuple
-    d1: tuple
-    d2: tuple
-    edge_index: dict
-    triangle_index: dict
-
-
-def boundary_pair(K: SimplicialComplex) -> BoundaryPair:
-    edges = K.edges
-    triangles = K.triangles
-    eidx = {e: j for j, e in enumerate(edges)}
-    tidx = {t: j for j, t in enumerate(triangles)}
-    d1 = [[0] * len(edges) for _ in range(K.vertex_count)]
-    for j, (a, b) in enumerate(edges):
-        d1[a][j] = -1
-        d1[b][j] = 1
-    d2 = [[0] * len(triangles) for _ in range(len(edges))]
-    for j, (a, b, c) in enumerate(triangles):
-        d2[eidx[(b, c)]][j] += 1
-        d2[eidx[(a, c)]][j] -= 1
-        d2[eidx[(a, b)]][j] += 1
-    return BoundaryPair(
-        edges=edges,
-        triangles=triangles,
-        d1=tuple(tuple(r) for r in d1),
-        d2=tuple(tuple(r) for r in d2),
-        edge_index=eidx,
-        triangle_index=tidx,
-    )
-
-
-def _bfs_parents(adjacency, vertices) -> dict:
-    """Parents in a breadth-first spanning forest of the graph induced on
-    ``vertices``, in visiting order; each root is its own parent."""
-    parent = {}
-    for root in vertices:
-        if root not in parent:
-            parent[root] = root
-            queue = [root]
-            for v in queue:
-                for w in adjacency[v]:
-                    if w in vertices and w not in parent:
-                        parent[w] = v
-                        queue.append(w)
-    return parent
+    return [(s[:i] + s[i + 1:], -1 if i % 2 else 1) for i in range(len(s))]
 
 
 class H1Calculator:
@@ -232,13 +171,12 @@ class H1Calculator:
         self.K = K
         self.field = field
         p = field.p
-        parent = _bfs_parents(K.adjacency, range(K.vertex_count))
+        parent = bfs_parents(K.adjacency, range(K.vertex_count))
         column = {e: j for j, e in enumerate(
             (a, b) for a, b in K.edges if a != parent[b] and b != parent[a])}
         ech = Echelon(field)
-        for (a, b, c) in K.triangles:
-            ech.add({column[e]: x for e, x in
-                     (((b, c), 1), ((a, c), -1), ((a, b), 1)) if e in column})
+        for t in K.triangles:
+            ech.add({column[e]: x for e, x in boundary(t) if e in column})
         self.rank_d1 = len(K.edges) - len(column)
         self.rank_d2 = ech.rank
         self.betti1 = len(column) - ech.rank
@@ -284,7 +222,7 @@ class H1Calculator:
                          for x, y in zip(pa, self._ann[a].get(b, zero)))
 
         potential = {}
-        for v, u in _bfs_parents(self.K.adjacency, vs).items():
+        for v, u in bfs_parents(self.K.adjacency, vs).items():
             potential[v] = zero if u == v else step(potential[u], u, v)
         ech = Echelon(self.field)
         for a, pa in potential.items():
@@ -302,20 +240,3 @@ def betti1(K: SimplicialComplex, F: FieldSpec) -> int:
     """dim H1(K; F) = (#edges - rank d1) - rank d2."""
     return H1Calculator(K, F).betti1
 
-
-def image_rank_h1(C: Subcomplex, F: FieldSpec,
-                  calc: Optional[H1Calculator] = None) -> int:
-    """Rank of the image of H1(C; F) -> H1(parent; F).
-
-    Pass a precomputed ``calc`` for the parent to amortize the ambient
-    boundary reduction across many subcomplexes.
-    """
-    if not isinstance(C, Subcomplex):
-        raise NotASubcomplex("expected an induced Subcomplex")
-    if not C.simplices <= C.parent.simplices:
-        raise NotASubcomplex("simplices are not simplices of the parent")
-    if calc is None:
-        calc = H1Calculator(C.parent, F)
-    elif calc.K is not C.parent:
-        raise NotASubcomplex("calculator was built for a different parent")
-    return calc.image_rank_of_vertices(C.vertex_set)

@@ -10,11 +10,10 @@ over slab components C, of rank im(H1(C; F) -> H1(K; F)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import (SimplicialComplex, Subcomplex, components,
-                        connected_components, induced_subcomplex)
+from .complexes import SimplicialComplex, components, connected_components
 from .homology import FieldSpec, H1Calculator
 
 
@@ -92,17 +91,6 @@ def require_connected(K: SimplicialComplex, purpose: str):
         raise NotConnected(f"{purpose} requires a connected complex")
 
 
-def level(K: SimplicialComplex, f: MorseLabeling, i: int) -> Subcomplex:
-    """Full subcomplex on vertices labeled exactly ``i``."""
-    return induced_subcomplex(K, [v for v in range(K.vertex_count) if f[v] == i])
-
-
-def slab(K: SimplicialComplex, f: MorseLabeling, i: int) -> Subcomplex:
-    """Full subcomplex on vertices labeled ``i`` or ``i+1``."""
-    return induced_subcomplex(
-        K, [v for v in range(K.vertex_count) if f[v] in (i, i + 1)])
-
-
 def slab_components(K: SimplicialComplex, labels, i: int) -> list:
     """Vertex sets of the components of slab ``i``, by smallest member.
 
@@ -132,8 +120,6 @@ class QEdge:
 class QuotientGraph:
     q_vertices: list
     q_edges: list
-    theta_vertex: dict = dc_field(repr=False)  # (slab index, K-vertex) -> qv idx
-    theta_level: dict = dc_field(repr=False)   # (level index, K-vertex) -> qe idx
 
     @property
     def vertex_count(self) -> int:
@@ -155,7 +141,7 @@ def quotient_graph(K: SimplicialComplex, f: MorseLabeling) -> QuotientGraph:
     require_connected(K, "quotient graph")
     lo, hi = f.min, f.max
     q_vertices = []
-    theta_vertex = {}
+    theta_vertex = {}  # (slab index, K-vertex) -> index into q_vertices
     for i in range(lo - 1, hi + 1):
         for cid, comp in enumerate(slab_components(K, f.labels, i)):
             idx = len(q_vertices)
@@ -163,18 +149,14 @@ def quotient_graph(K: SimplicialComplex, f: MorseLabeling) -> QuotientGraph:
             for v in comp:
                 theta_vertex[(i, v)] = idx
     q_edges = []
-    theta_level = {}
     for i in range(lo, hi + 1):
         members = [v for v, l in enumerate(f.labels) if l == i]
         for cid, comp in enumerate(components(K.adjacency, members)):
             rep = min(comp)
             left = theta_vertex[(i - 1, rep)]
             right = theta_vertex[(i, rep)]
-            idx = len(q_edges)
             q_edges.append(QEdge(i, cid, comp, (left, right)))
-            for v in comp:
-                theta_level[(i, v)] = idx
-    return QuotientGraph(q_vertices, q_edges, theta_vertex, theta_level)
+    return QuotientGraph(q_vertices, q_edges)
 
 
 def qf_betti1(Q: QuotientGraph) -> int:
@@ -229,7 +211,6 @@ class WidthReport:
 
     per_slab: list
     max_rank: int
-    argmax: list
     qf_vertex_count: int
     qf_edge_count: int
     qf_betti1: int
@@ -275,10 +256,8 @@ def hcwr_value(K: SimplicialComplex, f: MorseLabeling,
         per_slab.append(SlabRank(qv.slab_index, qv.component_id,
                                  len(qv.members), r))
         max_rank = max(max_rank, r)
-    argmax = [(s.slab_index, s.component_id)
-              for s in per_slab if s.rank == max_rank]
     b1 = qf_betti1(Q)
-    return WidthReport(per_slab=per_slab, max_rank=max_rank, argmax=argmax,
+    return WidthReport(per_slab=per_slab, max_rank=max_rank,
                        qf_vertex_count=Q.vertex_count,
                        qf_edge_count=Q.edge_count,
                        qf_betti1=b1, qf_class=_qf_class(b1), field=F)

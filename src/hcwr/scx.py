@@ -13,9 +13,12 @@ from typing import Optional
 
 from .complexes import SimplicialComplex, build_complex, maximal_simplices
 from .generators import LabeledComplex
-from .morse import InvalidLabeling, MorseLabeling, validate_labeling
+from .morse import MorseLabeling
 
 FORMAT = "scx-1"
+# Largest vertex_count read: building a complex stores one 0-simplex per
+# vertex, so an unchecked count lets a few bytes of input exhaust memory.
+MAX_VERTICES = 1 << 20
 
 
 class MissingLabels(ValueError):
@@ -43,7 +46,7 @@ def _is_int(x) -> bool:
 def from_dict(doc: dict):
     """Returns (LabeledComplex, meta).  Raises ValueError on a malformed
     document; labels, if present, are validated against the morse
-    constraint."""
+    constraint by LabeledComplex (InvalidLabeling)."""
     if not isinstance(doc, dict):
         raise ValueError("SCX document must be a JSON object")
     if doc.get("format") != FORMAT:
@@ -55,6 +58,9 @@ def from_dict(doc: dict):
     if not _is_int(n) or n < 0:
         raise ValueError(f"vertex_count must be a nonnegative integer, "
                          f"not {n!r}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex_count {n} exceeds the limit of "
+                         f"{MAX_VERTICES}")
     simplices = doc["maximal_simplices"]
     if not (isinstance(simplices, list)
             and all(isinstance(s, list) and all(map(_is_int, s))
@@ -71,9 +77,6 @@ def from_dict(doc: dict):
         if not (isinstance(labels, list) and all(map(_is_int, labels))):
             raise ValueError("labels must be a list of integers")
         labeling = MorseLabeling(tuple(labels))
-        bad = validate_labeling(K, labeling)
-        if bad:
-            raise InvalidLabeling(bad)
     return LabeledComplex(K, labeling), meta
 
 

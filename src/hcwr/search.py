@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, bfs_parents
 from .homology import FieldSpec, H1Calculator
 from .morse import MorseLabeling, require_connected, slab_profile
 
@@ -83,21 +83,6 @@ class SearchResult:
         }
 
 
-def _bfs_order(K: SimplicialComplex, root: int = 0):
-    adjacency = K.adjacency
-    order = [root]
-    dist = {root: 0}
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for w in sorted(adjacency[v]):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                order.append(w)
-    return order, dist
-
-
 def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
                    time_budget: Optional[float] = None,
                    workers: int = 1) -> SearchResult:
@@ -112,14 +97,18 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     """
     require_connected(K, "search")
     calc = H1Calculator(K, F)
-    adjacency = K.adjacency
-    order, dist = _bfs_order(K)
-    ecc = max(dist.values()) if dist else 0
     n = K.vertex_count
+    adjacency = [sorted(nbrs) for nbrs in K.adjacency]
+    parent = bfs_parents(adjacency, range(n))  # K is connected: one root, 0
+    order = list(parent)
+    dist = {}
+    for v, u in parent.items():
+        dist[v] = 0 if u == v else dist[u] + 1
+    ecc = max(dist.values())
     earlier = []  # labeled neighbors of order[pos] at each position
     placed = set()
     for v in order:
-        earlier.append([w for w in sorted(adjacency[v]) if w in placed])
+        earlier.append([w for w in adjacency[v] if w in placed])
         placed.add(v)
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
@@ -261,20 +250,13 @@ def certified_bounds(K: SimplicialComplex, F: FieldSpec,
                      time_budget: Optional[float] = None):
     """(lower, upper, details) for the labeling-minimal width value.
 
-    Exhaustive completion pins both bounds; otherwise the lower bound is
-    the trivial 0 and the upper bound the best labeling found by either
-    the truncated enumeration or annealing.
+    Exhaustive completion pins both bounds; when the time budget cuts the
+    enumeration, the lower bound is the trivial 0 and the upper bound the
+    best labeling the enumeration reached (method ``"partial"``).
     """
     exh = exhaustive_min(K, F, time_budget=time_budget)
-    if exh.exhaustive:
-        details = {"method": "exhaustive", "visited": exh.labelings_visited,
-                   "certificate": list(exh.certificate.labels)}
-        return exh.best_value, exh.best_value, details
-    ann = anneal_min(K, F)
-    if ann.best_value <= exh.best_value:
-        upper, cert = ann.best_value, ann.certificate
-    else:
-        upper, cert = exh.best_value, exh.certificate
-    details = {"method": "partial+anneal", "visited": exh.labelings_visited,
-               "certificate": list(cert.labels)}
-    return 0, upper, details
+    details = {"method": "exhaustive" if exh.exhaustive else "partial",
+               "visited": exh.labelings_visited,
+               "certificate": list(exh.certificate.labels)}
+    lower = exh.best_value if exh.exhaustive else 0
+    return lower, exh.best_value, details

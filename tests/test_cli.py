@@ -1,8 +1,11 @@
 """End-to-end CLI runs through main(argv); exit codes 0/1/2."""
 import json
+import re
+import sys
 
 import pytest
 
+import hcwr
 from hcwr.cli import main
 from hcwr.scx import read_scx, write_scx
 
@@ -66,6 +69,27 @@ def test_analyze_tent_from_meta(tmp_path, capsys):
     rep = json.loads(stdout)
     assert rep["max_rank"] == 1
     assert rep["qf"]["class"] == "circle"
+
+
+def test_analyze_validates_file_labels_twice(tmp_path, capsys, monkeypatch):
+    # once when the file is read, once when the quotient graph is built
+    path = tmp_path / "t2.scx"
+    run(capsys, "generate", "torus", "--dim", "2", "--res", "4",
+        "--labels", "tent", "--out", str(path))
+    original = hcwr.morse.validate_labeling
+    calls = []
+
+    def counted(K, f):
+        calls.append(f)
+        return original(K, f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hcwr") and \
+                getattr(module, "validate_labeling", None) is original:
+            monkeypatch.setattr(module, "validate_labeling", counted)
+    code, _, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_analyze_missing_labels_exit_2(tmp_path, capsys):
@@ -141,7 +165,7 @@ def test_verify_single_case(capsys):
     summary = json.loads(stdout)
     assert summary["failures"] == 0
     assert summary["cases"][0]["status"] == "pass"
-    assert "infinite-abelian-z: pass" in stderr
+    assert re.fullmatch(r"infinite-abelian-z: pass \(\d+\.\d\ds\)\n", stderr)
 
 
 def test_verify_budget_skips(capsys):
@@ -178,12 +202,13 @@ def _without(key):
      "maximal_simplices"),
     ({**CYCLE3, "vertex_count": "3"}, "vertex_count"),
     ({**CYCLE3, "vertex_count": -2, "maximal_simplices": []}, "vertex_count"),
+    ({**CYCLE3, "vertex_count": 1000000000}, "vertex_count"),
     ({**CYCLE3, "labels": [0, 0.5, 1]}, "labels"),
     ({**CYCLE3, "labels": [True, False, True]}, "labels"),
     ({**CYCLE3, "meta": []}, "meta"),
 ], ids=["list", "no-simplices", "no-vertex-count", "str-vertex",
-        "str-vertex-count", "negative-vertex-count", "float-labels",
-        "bool-labels", "list-meta"])
+        "str-vertex-count", "negative-vertex-count", "huge-vertex-count",
+        "float-labels", "bool-labels", "list-meta"])
 def test_malformed_scx_exit_2(tmp_path, capsys, doc, culprit):
     path = tmp_path / "bad.scx"
     path.write_text(json.dumps(doc))

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from hcwr import (FieldSpec, H1Calculator, betti1, build_complex,
                   constant_labeling, generate_circle, generate_torus,
-                  hcwr_value, labeled_torus, level, product_complex,
-                  pullback_labeling, qf_betti1, quotient_graph, slab,
-                  tent_labeling, validate_labeling)
+                  hcwr_value, labeled_torus, product_complex,
+                  pullback_labeling, qf_betti1, quotient_graph,
+                  slab_components, tent_labeling, validate_labeling)
 from hcwr.generators import circle_tent_labeling
 from hcwr.morse import (InvalidLabeling, MorseLabeling, NotConnected,
                         slab_profile)
@@ -44,12 +44,14 @@ def test_hexagon_tent_decomposition():
     K = generate_circle(6)
     f = circle_tent_labeling(6)
     assert f.labels == (0, 1, 2, 3, 2, 1)
-    assert sorted(slab(K, f, 0).vertex_set) == [0, 1, 5]
-    assert sorted(level(K, f, 1).vertex_set) == [1, 5]
-    assert sorted(level(K, f, 3).vertex_set) == [3]
+    assert slab_components(K, f.labels, 0) == [frozenset({0, 1, 5})]
+    levels = {i: [e.members for e in quotient_graph(K, f).q_edges
+                  if e.level_index == i] for i in range(4)}
+    assert levels[1] == [frozenset({1}), frozenset({5})]
+    assert levels[3] == [frozenset({3})]
     # two arcs meet in the middle slab
-    from hcwr import connected_components
-    assert len(connected_components(slab(K, f, 1))) == 2
+    assert slab_components(K, f.labels, 1) == [frozenset({1, 2}),
+                                                 frozenset({4, 5})]
 
 
 def test_hexagon_tent_quotient_graph():

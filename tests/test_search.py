@@ -1,4 +1,5 @@
 """Labeling search: exhaustive enumeration, annealing, certified bounds."""
+import time
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -197,4 +198,11 @@ class TestCertifiedBounds:
         lo, hi, details = certified_bounds(K, Q, time_budget=0.0)
         assert lo == 0
         assert hi >= exhaustive_min(K, Q).best_value
-        assert details["method"] == "partial+anneal"
+        assert details["method"] == "partial"
+
+    def test_budget_is_honoured(self):
+        t0 = time.monotonic()
+        lo, hi, details = certified_bounds(generate_torus(2, 12), Q,
+                                           time_budget=1)
+        assert time.monotonic() - t0 < 10
+        assert lo == 0 and details["method"] == "partial"
