@@ -16,14 +16,37 @@ from typing import Optional
 from .complexes import SimplicialComplex, bfs_parents
 
 
+# Miller-Rabin with the thirteen prime bases up to 41 has no strong
+# pseudoprime below _PRIME_LIMIT, which is itself one (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017),
+# so the test is exact for every field size the library accepts.  The
+# twelve bases up to 37 would not do: 318665857834031151167461 =
+# 399165290221 * 798330580441 passes all of them.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for ``p < _PRIME_LIMIT``."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -39,7 +62,12 @@ class FieldSpec:
     p: Optional[int] = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is None:
+            return
+        if self.p >= _PRIME_LIMIT:
+            raise ValueError(f"field size {self.p} is not below the limit "
+                             f"of {_PRIME_LIMIT}")
+        if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
     @classmethod

@@ -19,6 +19,9 @@ FORMAT = "scx-1"
 # Largest vertex_count read: building a complex stores one 0-simplex per
 # vertex, so an unchecked count lets a few bytes of input exhaust memory.
 MAX_VERTICES = 1 << 20
+# Largest face closure read: a listed simplex on m vertices has 2^m - 1
+# faces, all of which the complex stores.
+MAX_FACES = 1 << 22
 
 
 class MissingLabels(ValueError):
@@ -67,6 +70,10 @@ def from_dict(doc: dict):
                     for s in simplices)):
         raise ValueError("maximal_simplices must be a list of lists of "
                          "integer vertex ids")
+    faces = sum((1 << len(s)) - 1 for s in simplices)
+    if faces > MAX_FACES:
+        raise ValueError(f"maximal_simplices have up to {faces} faces, over "
+                         f"the limit of {MAX_FACES}")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("meta must be a JSON object")

@@ -1,5 +1,5 @@
 """Minimize the homological width value over all morse labelings of a
-fixed complex: exhaustive enumeration with pruning at desk scale,
+fixed complex: branch-and-bound exhaustive search at desk scale,
 simulated annealing beyond it.
 
 Both searches are deterministic: the enumeration visits labelings in a
@@ -88,12 +88,28 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
                    workers: int = 1) -> SearchResult:
     """Proven minimum over all morse labelings, normalized to min label 0.
 
-    Labels are assigned in breadth-first order from vertex 0, each
-    constrained to the window forced by already-labeled neighbors and to
-    be nonnegative; the root label ranges over 0..ecc(vertex 0), which
-    covers every translation-normalized labeling.  Returns exhaustive =
-    False (best so far is only an upper bound) when the time budget runs
-    out first.  Runs in one thread; ``workers`` has no effect.
+    Labels are assigned in breadth-first order from vertex 0; the root
+    label ranges over 0..ecc(vertex 0), which covers every
+    translation-normalized labeling, and every later vertex takes the
+    labels, lowest first, of its *window*: the nonnegative labels within
+    one step of all its labeled neighbors.  The windows are kept per
+    vertex and restored on backtrack.
+
+    Branch and bound: after a vertex gets label l, its partial component
+    in slab l - 1 and in slab l is grown through the labeled vertices of
+    the slab and through the unlabeled ones whose window already lies in
+    the slab.  Every completion puts that set inside one slab component,
+    and image rank is monotone under vertex inclusion, so when its rank
+    reaches the best value found so far the subtree is skipped.  A
+    boundary slab lies inside the adjacent interior slab, so the bound
+    needs no special case for it.
+
+    The certificate is the first minimizer in this visiting order (not
+    necessarily the lexicographically smallest one), and
+    ``labelings_visited`` counts the complete labelings evaluated in the
+    pruned tree.  Returns exhaustive = False (best so far is only an
+    upper bound) when the time budget runs out first.  Runs in one
+    thread; ``workers`` has no effect.
     """
     require_connected(K, "search")
     calc = H1Calculator(K, F)
@@ -101,62 +117,75 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     adjacency = [sorted(nbrs) for nbrs in K.adjacency]
     parent = bfs_parents(adjacency, range(n))  # K is connected: one root, 0
     order = list(parent)
+    position = [0] * n
+    for k, v in enumerate(order):
+        position[v] = k
     dist = {}
     for v, u in parent.items():
         dist[v] = 0 if u == v else dist[u] + 1
-    ecc = max(dist.values())
-    earlier = []  # labeled neighbors of order[pos] at each position
-    placed = set()
-    for v in order:
-        earlier.append([w for w in adjacency[v] if w in placed])
-        placed.add(v)
+    ecc = dist[order[-1]]
+    # neighbors labeled after order[k], whose windows its label narrows
+    later = [[w for w in adjacency[v] if position[w] > k]
+             for k, v in enumerate(order)]
+    labels = [0] * n
+    lo = [0] * n
+    hi = [math.inf] * n  # no labeled neighbor yet: unbounded above
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
-    def run_branch(root_label):
-        labels = [0] * n
-        labels[order[0]] = root_label
-        best = None  # (value, labels tuple)
-        visited = 0
-        if n == 1:
-            # single vertex: the only slab is the vertex itself
-            return ((0, (0,)), 1, True) if root_label == 0 else (None, 0, True)
-        # stack[i] yields the labels left to try at order[i + 1]; a loop,
-        # not recursion, so deep complexes stay under the recursion limit
-        stack = []
-        pos = 1
-        while best is None or best[0] != 0:
-            if deadline is not None and time.monotonic() > deadline:
-                return best, visited, False
-            if pos == n:
-                if min(labels) == 0:
-                    visited += 1
-                    cand = (slab_profile(calc, labels)[0], tuple(labels))
-                    if best is None or cand < best:
-                        best = cand
-            else:
-                nbrs = earlier[pos]
-                lo = max(labels[w] for w in nbrs) - 1
-                hi = min(labels[w] for w in nbrs) + 1
-                stack.append(iter(range(max(lo, 0), hi + 1)))
-            while stack:
-                label = next(stack[-1], None)
-                if label is not None:
-                    labels[order[len(stack)]] = label
-                    pos = len(stack) + 1
-                    break
-                stack.pop()
-            else:
-                break
-        return best, visited, True
+    def forced_rank(v, k, a):
+        """Image rank of v's partial component in slab ``a`` while
+        positions 0..k are labeled."""
+        comp = {v}
+        todo = [v]
+        while todo:
+            for w in adjacency[todo.pop()]:
+                if w not in comp and (
+                        a <= labels[w] <= a + 1 if position[w] <= k
+                        else a <= lo[w] and hi[w] <= a + 1):
+                    comp.add(w)
+                    todo.append(w)
+        return calc.image_rank_of_vertices(frozenset(comp))
 
-    best = None
+    best = None  # (value, labels tuple)
     visited = 0
     completed = True
-    for b, vis, comp in map(run_branch, range(ecc + 1)):
-        visited += vis
-        completed = completed and comp
-        if b is not None and (best is None or b < best):
-            best = b
+    # stack[k] yields the labels left to try at order[k] and undo[k] the
+    # windows its current label overwrote; a loop, not recursion, so deep
+    # complexes stay under the recursion limit
+    stack = [iter(range(ecc + 1))]
+    undo = [[] for _ in range(n)]
+    while stack:
+        if deadline is not None and time.monotonic() > deadline:
+            completed = False
+            break
+        k = len(stack) - 1
+        for w, old_lo, old_hi in undo[k]:
+            lo[w] = old_lo
+            hi[w] = old_hi
+        undo[k].clear()
+        label = next(stack[k], None)
+        if label is None:
+            stack.pop()
+            continue
+        v = order[k]
+        labels[v] = label
+        for w in later[k]:
+            undo[k].append((w, lo[w], hi[w]))
+            lo[w] = max(lo[w], label - 1)
+            hi[w] = min(hi[w], label + 1)
+        if best is not None and (forced_rank(v, k, label - 1) >= best[0]
+                                 or forced_rank(v, k, label) >= best[0]):
+            continue
+        if k + 1 < n:
+            w = order[k + 1]
+            stack.append(iter(range(lo[w], hi[w] + 1)))
+        elif min(labels) == 0:
+            visited += 1
+            value = slab_profile(calc, labels)[0]
+            if best is None or value < best[0]:
+                best = (value, tuple(labels))
+                if value == 0:
+                    break
     if best is None:
         # budget expired before any complete labeling: fall back to constant
         labels = (0,) * n

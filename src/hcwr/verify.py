@@ -73,17 +73,28 @@ def _torus_k3(budget):
     return ({"max_rank": 2}, {"max_rank": rep.max_rank}, False)
 
 
-@_case("torus-lower-bound",
-       "the minimum width over all labelings of the 16-vertex 2-torus is "
-       "exactly rank(Z^2) - 1 = 1, proven by exhaustive search", 10)
-def _torus_lower(budget):
-    res = exhaustive_min(generate_torus(2, 4), FieldSpec.rationals(),
+def _torus_minimum(n, budget):
+    res = exhaustive_min(generate_torus(2, n), FieldSpec.rationals(),
                          time_budget=budget)
     if not res.exhaustive:
         return {}, {}, True
     return ({"best_value": 1, "exhaustive": True},
             {"best_value": res.best_value, "exhaustive": res.exhaustive},
             False)
+
+
+@_case("torus-lower-bound",
+       "the minimum width over all labelings of the 16-vertex 2-torus is "
+       "exactly rank(Z^2) - 1 = 1, proven by exhaustive search", 0.05)
+def _torus_lower(budget):
+    return _torus_minimum(4, budget)
+
+
+@_case("torus-2-5-lower-bound",
+       "the minimum width over all labelings of the 25-vertex 2-torus is "
+       "exactly rank(Z^2) - 1 = 1, proven by exhaustive search", 10)
+def _torus_lower_25(budget):
+    return _torus_minimum(5, budget)
 
 
 @_case("free-width-zero",
@@ -160,8 +171,8 @@ def _product_bound(budget):
 
 
 def all_cases() -> list:
-    return [_torus_k2, _torus_k3, _torus_lower, _free_zero, _inf_ab_z,
-            _moore, _abelian_search, _free_product, _product_bound]
+    return [_torus_k2, _torus_k3, _torus_lower, _torus_lower_25, _free_zero,
+            _inf_ab_z, _moore, _abelian_search, _free_product, _product_bound]
 
 
 def run_cases(case_filter: Optional[str] = None, budget: float = 120.0) -> dict:

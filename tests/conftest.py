@@ -98,9 +98,10 @@ def oracle_image_rank(K, vertex_set, F: FieldSpec) -> int:
 
 
 @st.composite
-def small_complexes(draw, max_vertices=7, connected=False):
-    """Random face-closed complexes on up to ``max_vertices`` vertices."""
-    n = draw(st.integers(min_value=1, max_value=max_vertices))
+def small_complexes(draw, max_vertices=7, connected=False, min_vertices=1):
+    """Random face-closed complexes on ``min_vertices`` to ``max_vertices``
+    vertices."""
+    n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
     simplex = st.lists(st.integers(min_value=0, max_value=n - 1),
                        min_size=1, max_size=3, unique=True)
     maximal = draw(st.lists(simplex, min_size=0, max_size=8))

@@ -111,9 +111,12 @@ def test_analyze_constant_equals_betti1(tmp_path, capsys):
 def test_analyze_bad_field_exit_2(tmp_path, capsys):
     out = tmp_path / "c5.scx"
     run(capsys, "generate", "circle", "--m", "5", "--out", str(out))
-    code, _, _ = run(capsys, "analyze", str(out), "--labels", "constant",
-                     "--field", "R")
-    assert code == 2
+    for field in ("R", "Fp:561", "Fp:3317044064679887385961981"):
+        code, stdout, stderr = run(capsys, "analyze", str(out),
+                                   "--labels", "constant", "--field", field)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
 
 
 def test_search_triangle(tmp_path, capsys):
@@ -203,12 +206,14 @@ def _without(key):
     ({**CYCLE3, "vertex_count": "3"}, "vertex_count"),
     ({**CYCLE3, "vertex_count": -2, "maximal_simplices": []}, "vertex_count"),
     ({**CYCLE3, "vertex_count": 1000000000}, "vertex_count"),
+    ({**CYCLE3, "vertex_count": 30, "maximal_simplices": [list(range(30))]},
+     "maximal_simplices"),
     ({**CYCLE3, "labels": [0, 0.5, 1]}, "labels"),
     ({**CYCLE3, "labels": [True, False, True]}, "labels"),
     ({**CYCLE3, "meta": []}, "meta"),
 ], ids=["list", "no-simplices", "no-vertex-count", "str-vertex",
         "str-vertex-count", "negative-vertex-count", "huge-vertex-count",
-        "float-labels", "bool-labels", "list-meta"])
+        "huge-simplex", "float-labels", "bool-labels", "list-meta"])
 def test_malformed_scx_exit_2(tmp_path, capsys, doc, culprit):
     path = tmp_path / "bad.scx"
     path.write_text(json.dumps(doc))

@@ -1,17 +1,19 @@
 """Exact rank, boundary maps and H1-image ranks, cross-checked against a
 fully independent sympy oracle."""
 import random
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import isprime
 
 from hcwr import (FieldSpec, H1Calculator, betti1, boundary, build_complex,
                   generate_circle, generate_torus, presentation_complex,
                   product_complex)
 from hcwr.complexes import connected_components
 from hcwr.generators import parse_relator
-from hcwr.homology import Echelon
+from hcwr.homology import Echelon, _is_prime
 
 from conftest import (oracle_betti1, oracle_image_rank, oracle_rank,
                       small_complexes)
@@ -36,6 +38,25 @@ class TestFieldSpec:
             FieldSpec.parse("F4")  # 4 is not prime
         with pytest.raises(ValueError):
             FieldSpec.prime(6)
+
+    def test_huge_primes(self):
+        t0 = time.monotonic()
+        assert FieldSpec.parse("Fp:2305843009213693951").p == 2 ** 61 - 1
+        assert time.monotonic() - t0 < 1
+        with pytest.raises(ValueError, match="not prime"):
+            FieldSpec.prime(561)  # Carmichael: every coprime base lies
+        with pytest.raises(ValueError, match="not prime"):
+            # a strong pseudoprime to all twelve prime bases up to 37
+            FieldSpec.prime(399165290221 * 798330580441)
+        with pytest.raises(ValueError, match="limit"):
+            FieldSpec.prime(3317044064679887385961981)
+
+    @given(st.one_of(st.integers(min_value=-5, max_value=10 ** 5),
+                     st.integers(min_value=2,
+                                 max_value=3317044064679887385961980)))
+    @settings(max_examples=200)
+    def test_primality_matches_sympy(self, p):
+        assert _is_prime(p) == isprime(p)
 
 
 matrices = st.lists(

@@ -1,35 +1,57 @@
 """Labeling search: exhaustive enumeration, annealing, certified bounds."""
 import time
 from fractions import Fraction
-from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hcwr import (AnnealParams, FieldSpec, anneal_min, betti1, build_complex,
-                  certified_bounds, exhaustive_min, generate_circle,
-                  generate_torus, hcwr_value, validate_labeling)
+from hcwr import (AnnealParams, FieldSpec, H1Calculator, anneal_min, betti1,
+                  build_complex, certified_bounds, exhaustive_min,
+                  generate_circle, generate_torus, hcwr_value,
+                  validate_labeling)
 from hcwr.morse import MorseLabeling, NotConnected
 from hcwr.search import Lcg, _derive_seed
 
+from conftest import small_complexes
+
 Q = FieldSpec.rationals()
+F2 = FieldSpec.prime(2)
+F3 = FieldSpec.prime(3)
 
 
 def brute_force_min(K, F):
-    """Unpruned reference: every labeling with values in [0, diam],
+    """Unpruned reference: every valid labeling with values in [0, diam],
     translation-normalized to min = 0, evaluated via the report path."""
-    diam = _diameter(K)
+    calc = H1Calculator(K, F)
     best = None
-    for labels in iproduct(range(diam + 1), repeat=K.vertex_count):
+    for labels in _labelings(K, _diameter(K)):
         if min(labels) != 0:
             continue
         f = MorseLabeling(labels)
-        if validate_labeling(K, f):
-            continue
-        value = hcwr_value(K, f, F).max_rank
+        assert validate_labeling(K, f) == []
+        value = hcwr_value(K, f, F, calc).max_rank
         if best is None or value < best:
             best = value
     return best
+
+
+def _labelings(K, top):
+    """Every labeling with values in [0, top] whose edges span at most
+    one step, labeling vertices in id order."""
+    labels = []
+
+    def extend(v):
+        if v == K.vertex_count:
+            yield tuple(labels)
+            return
+        for label in range(top + 1):
+            if all(abs(label - labels[w]) <= 1
+                   for w in K.adjacency[v] if w < v):
+                labels.append(label)
+                yield from extend(v + 1)
+                labels.pop()
+
+    return extend(0)
 
 
 def _diameter(K):
@@ -59,6 +81,9 @@ SMALL_CASES = [
     build_complex([(0, 1, 2), (1, 2, 3), (0, 3)], 4),  # pinched band
     build_complex([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4),  # theta
     generate_torus(2, 3),                         # 9-vertex torus: forced 2
+    # two squares sharing the edge (0, 3), one triangle filled: a bound
+    # grown in slab l + 1 instead of l - 1 misses the minimum 0 here
+    build_complex([(0, 1, 5), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5)], 6),
 ]
 
 
@@ -68,6 +93,18 @@ def test_normalization_soundness(K):
     res = exhaustive_min(K, Q)
     assert res.exhaustive
     assert res.best_value == brute_force_min(K, Q)
+
+
+@given(small_complexes(max_vertices=8, connected=True, min_vertices=4),
+       st.sampled_from([Q, F2, F3]))
+@settings(max_examples=100)
+def test_pruning_matches_unpruned_enumeration(K, F):
+    res = exhaustive_min(K, F)
+    assert res.exhaustive
+    assert res.best_value == brute_force_min(K, F)
+    assert validate_labeling(K, res.certificate) == []
+    assert min(res.certificate.labels) == 0
+    assert hcwr_value(K, res.certificate, F).max_rank == res.best_value
 
 
 def test_known_exhaustive_values():
@@ -103,9 +140,16 @@ def test_budget_expiry_is_not_an_error():
 
 def test_budget_returns_on_deep_complexes():
     # one labeling position per vertex: 3000 would overflow a recursion
-    res = exhaustive_min(generate_circle(3000), Q, time_budget=2)
+    C = generate_circle(3000)
+    res = exhaustive_min(C, Q, time_budget=10)
+    assert res.exhaustive and res.best_value == 0
+    assert validate_labeling(C, res.certificate) == []
+    # 1089 positions, and proving the minimum of torus(2,33) takes far
+    # longer than the budget
+    K = generate_torus(2, 33)
+    res = exhaustive_min(K, Q, time_budget=2)
     assert not res.exhaustive
-    assert validate_labeling(generate_circle(3000), res.certificate) == []
+    assert validate_labeling(K, res.certificate) == []
 
 
 def test_disconnected_rejected():
