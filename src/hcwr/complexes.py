@@ -11,6 +11,10 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
+# Largest face closure built: a simplex on m vertices has 2^m - 1 faces,
+# all of which the complex stores.
+MAX_FACES = 1 << 22
+
 
 class DegenerateSimplex(ValueError):
     """A simplex listed the same vertex twice."""
@@ -87,10 +91,13 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
                   vertex_count: int) -> SimplicialComplex:
     """Face closure of the given simplices; isolated vertices are kept.
 
-    Raises DegenerateSimplex on repeated vertices within a tuple and
-    VertexOutOfRange on ids outside ``0..vertex_count-1``.
+    Raises DegenerateSimplex on repeated vertices within a tuple,
+    VertexOutOfRange on ids outside ``0..vertex_count-1`` and ValueError
+    as soon as the simplices read so far have more than ``MAX_FACES``
+    faces, counting 2^m - 1 for each m-vertex simplex.
     """
     simps = set()
+    faces = 0
     for raw in maximal_simplices:
         t = tuple(sorted(raw))
         if len(set(t)) != len(t):
@@ -98,6 +105,10 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
         if t and (t[0] < 0 or t[-1] >= vertex_count):
             raise VertexOutOfRange(
                 f"simplex {tuple(raw)} has a vertex outside 0..{vertex_count - 1}")
+        faces += (1 << len(t)) - 1
+        if faces > MAX_FACES:
+            raise ValueError(f"maximal_simplices have more than {MAX_FACES} "
+                             f"faces")
         for r in range(1, len(t) + 1):
             simps.update(combinations(t, r))
     for v in range(vertex_count):

@@ -198,11 +198,12 @@ def product_complex(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialC
     the grid of its vertex pairs.
     """
     n2 = K2.vertex_count
-    simps = []
-    for s in maximal_simplices(K1):
-        for t in maximal_simplices(K2):
-            for path in _monotone_paths(len(s) - 1, len(t) - 1):
-                simps.append(tuple(s[i] * n2 + t[j] for i, j in path))
+    simps2 = maximal_simplices(K2)
+    # a generator, so build_complex's face limit stops it at the first
+    # simplex over the limit, before the remaining paths are listed
+    simps = (tuple(s[i] * n2 + t[j] for i, j in path)
+             for s in maximal_simplices(K1) for t in simps2
+             for path in _monotone_paths(len(s) - 1, len(t) - 1))
     return build_complex(simps, K1.vertex_count * n2)
 
 

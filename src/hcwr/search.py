@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .complexes import SimplicialComplex, bfs_parents
@@ -27,6 +26,9 @@ _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 # odd constant used to derive independent per-restart streams
 _STREAM_STEP = 0x9E3779B97F4A7C15
+# annealing schedule: temperature at step 0, multiplied by the rate per step
+_INITIAL_TEMPERATURE = 200.0
+_COOLING_RATE = 0.99999
 
 
 class Lcg:
@@ -51,18 +53,12 @@ class Lcg:
 @dataclass(frozen=True)
 class AnnealParams:
     steps: int = 200_000
-    initial_temperature: Fraction = Fraction(200)
-    cooling_rate: Fraction = Fraction(99_999, 100_000)
     restarts: int = 4
     seed: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if not 0 < self.cooling_rate < 1:
-            raise ValueError("cooling_rate must lie in (0, 1)")
-        if self.initial_temperature <= 0:
-            raise ValueError("initial_temperature must be positive")
 
 
 @dataclass
@@ -108,8 +104,9 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     necessarily the lexicographically smallest one), and
     ``labelings_visited`` counts the complete labelings evaluated in the
     pruned tree.  Returns exhaustive = False (best so far is only an
-    upper bound) when the time budget runs out first.  Runs in one
-    thread; ``workers`` has no effect.
+    upper bound) when the time budget runs out first; a budget of 0
+    runs out before the first label, whatever the clock's resolution.
+    Runs in one thread; ``workers`` has no effect.
     """
     require_connected(K, "search")
     calc = H1Calculator(K, F)
@@ -155,7 +152,7 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     stack = [iter(range(ecc + 1))]
     undo = [[] for _ in range(n)]
     while stack:
-        if deadline is not None and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             completed = False
             break
         k = len(stack) - 1
@@ -218,8 +215,6 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     calc = H1Calculator(K, F)
     adjacency = K.adjacency
     n = K.vertex_count
-    t0 = float(params.initial_temperature)
-    rate = float(params.cooling_rate)
 
     def energy(profile):
         mx, cnt, total = profile
@@ -242,7 +237,7 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
         cur = profile_of(labels)
         cur_e = energy(cur)
         best = (cur[0], tuple(labels))
-        temp = t0
+        temp = _INITIAL_TEMPERATURE
         for _ in range(params.steps):
             if best[0] == 0:
                 break
@@ -251,7 +246,7 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
             delta = 1 if rng.next_u64() >> 63 else -1
             new_l = labels[v] + delta
             if any(abs(new_l - labels[w]) > 1 for w in adjacency[v]):
-                temp *= rate
+                temp *= _COOLING_RATE
                 continue
             old_l = labels[v]
             labels[v] = new_l
@@ -264,7 +259,7 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
                     best = cand
             else:
                 labels[v] = old_l
-            temp *= rate
+            temp *= _COOLING_RATE
         return best
 
     best = min(map(run_restart, range(params.restarts)))

@@ -2,6 +2,7 @@
 import json
 import re
 import sys
+import time
 
 import pytest
 
@@ -173,9 +174,38 @@ def test_verify_single_case(capsys):
 
 def test_verify_budget_skips(capsys):
     code, stdout, _ = run(capsys, "verify", "--case", "abelian-f3-search",
-                          "--budget-seconds", "0.001")
+                          "--budget-seconds", "0")
     assert code == 0
     assert json.loads(stdout)["cases"][0]["status"] == "skipped(budget)"
+
+
+def test_verify_all_cases_pass(capsys):
+    code, stdout, _ = run(capsys, "verify")
+    assert code == 0
+    summary = json.loads(stdout)
+    assert summary["failures"] == 0
+    assert len(summary["cases"]) == 10
+    assert {c["status"] for c in summary["cases"]} == {"pass"}
+
+
+def test_verify_zero_budget_skips_only_searches(capsys):
+    code, stdout, _ = run(capsys, "verify", "--budget-seconds", "0")
+    assert code == 0
+    status = {c["name"]: c["status"] for c in json.loads(stdout)["cases"]}
+    searches = {"torus-lower-bound", "torus-2-5-lower-bound",
+                "free-width-zero", "infinite-abelian-z", "abelian-f3-search"}
+    assert {n for n, s in status.items() if s == "skipped(budget)"} == searches
+    assert {n for n, s in status.items() if s == "pass"} == \
+        set(status) - searches
+    assert len(status) == 10
+
+
+def test_verify_unknown_case_exit_2(capsys):
+    code, stdout, stderr = run(capsys, "verify", "--case", "torus-lowr-bound")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and "torus-lower-bound" in stderr
+    assert stderr.count("\n") == 1
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -240,6 +270,22 @@ def test_incomplete_tent_meta_exit_2(tmp_path, capsys, meta, culprit):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error:") and culprit in stderr
+    assert stderr.count("\n") == 1
+
+
+def test_product_over_face_limit_exit_2(tmp_path, capsys):
+    # one 8-vertex simplex has 255 faces, but its square has C(14, 7)
+    # 15-vertex simplices of 2^15 - 1 faces each
+    path = tmp_path / "s8.scx"
+    path.write_text(json.dumps({"format": "scx-1", "vertex_count": 8,
+                                "maximal_simplices": [list(range(8))]}))
+    t0 = time.monotonic()
+    code, stdout, stderr = run(capsys, "generate", "product",
+                               "--in1", str(path), "--in2", str(path))
+    assert time.monotonic() - t0 < 5
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and "maximal_simplices" in stderr
     assert stderr.count("\n") == 1
 
 

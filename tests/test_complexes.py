@@ -1,7 +1,7 @@
 """Complex construction, induced subcomplexes and components."""
 import pytest
 from hypothesis import given
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 from hcwr import (SimplicialComplex, build_complex, connected_components,
                   euler_characteristic, induced_subcomplex,
@@ -37,6 +37,13 @@ def test_vertex_out_of_range_rejected():
         build_complex([(0, 5)], 3)
     with pytest.raises(VertexOutOfRange):
         build_complex([(-1, 0)], 3)
+
+
+def test_face_limit_stops_at_first_simplex_over_it():
+    # an endless stream: only a count kept while reading can stop it
+    simplices = chain([(0, 1)], repeat(tuple(range(23))))
+    with pytest.raises(ValueError, match="maximal_simplices"):
+        build_complex(simplices, 23)
 
 
 @given(small_complexes())
