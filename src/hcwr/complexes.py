@@ -1,8 +1,9 @@
 """Finite simplicial complexes with dense integer vertex ids.
 
-A complex stores *every* face explicitly as a sorted vertex tuple, so face
-closure, dedup and induced subcomplexes are set operations.  Complexes are
-immutable after construction and safe to share across threads.
+A complex stores only its maximal simplices as sorted vertex tuples; edges
+and triangles are derived from them, and the full face closure is built
+only when something reads ``simplices``.  Complexes are immutable after
+construction and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-# Largest face closure built: a simplex on m vertices has 2^m - 1 faces,
-# all of which the complex stores.
+# Largest face count accepted: a simplex on m vertices has 2^m - 1 faces,
+# all of which the closure ``SimplicialComplex.simplices`` holds.
 MAX_FACES = 1 << 22
 
 
@@ -26,32 +27,36 @@ class VertexOutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A finite, face-closed simplicial complex.
+    """A finite simplicial complex given by its maximal simplices.
 
     Vertices are the integers ``0..vertex_count-1``; simplices are strictly
-    increasing tuples of vertex ids.  Every vertex is present as a
-    0-simplex and every face of every simplex is stored.
+    increasing tuples of vertex ids.  ``maximal`` lists, in sorted order,
+    the simplices that are not a proper face of another one; a vertex in
+    no other simplex appears as ``(v,)``.
     """
 
     vertex_count: int
-    simplices: frozenset
+    maximal: tuple
 
     @property
     def dim(self) -> int:
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
-
-    def simplices_of_dim(self, d: int) -> list:
-        return sorted(s for s in self.simplices if len(s) == d + 1)
+        return max(map(len, self.maximal), default=0) - 1
 
     @cached_property
     def edges(self) -> tuple:
-        return tuple(self.simplices_of_dim(1))
+        return tuple(sorted({e for s in self.maximal
+                             for e in combinations(s, 2)}))
 
     @cached_property
     def triangles(self) -> tuple:
-        return tuple(self.simplices_of_dim(2))
+        return tuple(sorted({t for s in self.maximal
+                             for t in combinations(s, 3)}))
+
+    @cached_property
+    def simplices(self) -> frozenset:
+        """Every face of every maximal simplex (the face closure)."""
+        return frozenset(f for s in self.maximal for r in range(1, len(s) + 1)
+                         for f in combinations(s, r))
 
     @cached_property
     def adjacency(self) -> tuple:
@@ -89,14 +94,15 @@ class Subcomplex:
 
 def build_complex(maximal_simplices: Iterable[Sequence[int]],
                   vertex_count: int) -> SimplicialComplex:
-    """Face closure of the given simplices; isolated vertices are kept.
+    """Complex of the given simplices; isolated vertices are kept.
 
+    A given simplex that is a proper face of another one is dropped.
     Raises DegenerateSimplex on repeated vertices within a tuple,
     VertexOutOfRange on ids outside ``0..vertex_count-1`` and ValueError
     as soon as the simplices read so far have more than ``MAX_FACES``
     faces, counting 2^m - 1 for each m-vertex simplex.
     """
-    simps = set()
+    simps = {(v,) for v in range(vertex_count)}
     faces = 0
     for raw in maximal_simplices:
         t = tuple(sorted(raw))
@@ -109,20 +115,18 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
         if faces > MAX_FACES:
             raise ValueError(f"maximal_simplices have more than {MAX_FACES} "
                              f"faces")
-        for r in range(1, len(t) + 1):
-            simps.update(combinations(t, r))
-    for v in range(vertex_count):
-        simps.add((v,))
-    return SimplicialComplex(vertex_count, frozenset(simps))
+        if t:
+            simps.add(t)
+    # only faces of a size some given simplex has can be given simplices
+    sizes = {len(s) for s in simps}
+    nonmax = {f for s in simps for r in sizes if r < len(s)
+              for f in combinations(s, r) if f in simps}
+    return SimplicialComplex(vertex_count, tuple(sorted(simps - nonmax)))
 
 
 def maximal_simplices(K: SimplicialComplex) -> list:
     """Simplices that are not a proper face of any other simplex."""
-    nonmax = set()
-    for s in K.simplices:
-        for r in range(1, len(s)):
-            nonmax.update(combinations(s, r))
-    return sorted(s for s in K.simplices if s not in nonmax)
+    return list(K.maximal)
 
 
 def induced_subcomplex(K: SimplicialComplex, S: Iterable[int]) -> Subcomplex:

@@ -1,18 +1,20 @@
 """Witness complexes and labelings: tori, circles, wedges, products,
 presentation complexes.
 
-Tori and products both use the staircase (Freudenthal / shuffle)
-triangulation, so one monotone-path kernel serves both.
+Tori use the Freudenthal triangulation, one simplex per coordinate order
+in each unit cube; products use the staircase (shuffle) triangulation,
+one simplex per monotone lattice path through each pair of maximal
+simplices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 from typing import Optional, Sequence
 
 from .complexes import (SimplicialComplex, VertexOutOfRange, build_complex,
                         maximal_simplices)
-from .morse import InvalidLabeling, MorseLabeling, validate_labeling
+from .morse import MorseLabeling, require_valid
 
 
 class TooFewVertices(ValueError):
@@ -42,9 +44,7 @@ class LabeledComplex:
 
     def __post_init__(self):
         if self.labeling is not None:
-            bad = validate_labeling(self.complex, self.labeling)
-            if bad:
-                raise InvalidLabeling(bad)
+            require_valid(self.complex, self.labeling)
 
 
 def generate_circle(m: int) -> SimplicialComplex:
@@ -174,20 +174,14 @@ def spread_wedge(L1: LabeledComplex, v1: int,
 
 
 def _monotone_paths(p: int, q: int):
-    """All staircase paths from (0,0) to (p,q) with unit steps."""
-    if p == 0 and q == 0:
-        yield [(0, 0)]
-        return
-    stack = [((0, 0), [(0, 0)])]
-    while stack:
-        (i, j), path = stack.pop()
-        if i == p and j == q:
-            yield path
-            continue
-        if i < p:
-            stack.append(((i + 1, j), path + [(i + 1, j)]))
-        if j < q:
-            stack.append(((i, j + 1), path + [(i, j + 1)]))
+    """All staircase paths from (0,0) to (p,q) with unit steps, one per
+    choice of the p steps taken along the first coordinate."""
+    for first in combinations(range(p + q), p):
+        path = [(0, 0)]
+        for step in range(p + q):
+            i, j = path[-1]
+            path.append((i + 1, j) if step in first else (i, j + 1))
+        yield path
 
 
 def product_complex(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:

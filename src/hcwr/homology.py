@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Optional
 
 from .complexes import SimplicialComplex, bfs_parents
@@ -126,9 +127,7 @@ class Echelon:
             r = self.rows.get(c)
             if r is None:
                 if p is None:
-                    g = 0
-                    for x in v.values():
-                        g = gcd(g, x)
+                    g = gcd(*v.values())
                     if g > 1:
                         v = {k: x // g for k, x in v.items()}
                 self.rows[c] = v
@@ -157,12 +156,9 @@ class Echelon:
                         new[k] = y
                     elif k in new:
                         del new[k]
-                if new:
-                    g = 0
-                    for x in new.values():
-                        g = gcd(g, x)
-                    if g > 1:
-                        new = {k: x // g for k, x in new.items()}
+                g = gcd(*new.values())
+                if g > 1:
+                    new = {k: x // g for k, x in new.items()}
                 v = new
         return False
 
@@ -228,7 +224,7 @@ class H1Calculator:
             vec = tuple(phi.get(j, 0) for phi in cocycles)
             if any(vec):
                 self._ann[a][b] = vec
-                self._ann[b][a] = tuple(-x % p if p else -x for x in vec)
+                self._ann[b][a] = tuple(-x for x in vec)
         self._cache = {}
 
     def image_rank_of_vertices(self, vs: frozenset) -> int:
@@ -242,12 +238,10 @@ class H1Calculator:
         dim = self.betti1
         if dim == 0:
             return 0
-        p = self.field.p
         zero = (0,) * dim
 
-        def step(pa, a, b):  # P(a) + ann(a -> b)
-            return tuple((x + y) % p if p else x + y
-                         for x, y in zip(pa, self._ann[a].get(b, zero)))
+        def step(pa, a, b):  # P(a) + ann(a -> b), reduced by Echelon.add
+            return tuple(map(add, pa, self._ann[a].get(b, zero)))
 
         potential = {}
         for v, u in bfs_parents(self.K.adjacency, vs).items():

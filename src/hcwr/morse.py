@@ -79,7 +79,9 @@ def validate_labeling(K: SimplicialComplex, f: MorseLabeling) -> list:
                   if max(labels[v] for v in s) - min(labels[v] for v in s) > 1)
 
 
-def _require_valid(K, f):
+def require_valid(K: SimplicialComplex, f: MorseLabeling):
+    """Raise InvalidLabeling unless every simplex of K spans at most one
+    step of f."""
     bad = validate_labeling(K, f)
     if bad:
         raise InvalidLabeling(bad)
@@ -137,7 +139,7 @@ def quotient_graph(K: SimplicialComplex, f: MorseLabeling) -> QuotientGraph:
     boundary slabs duplicate the extreme levels and are always leaves.
     The graph may have parallel edges.
     """
-    _require_valid(K, f)
+    require_valid(K, f)
     require_connected(K, "quotient graph")
     lo, hi = f.min, f.max
     q_vertices = []
@@ -160,14 +162,9 @@ def quotient_graph(K: SimplicialComplex, f: MorseLabeling) -> QuotientGraph:
 
 
 def qf_betti1(Q: QuotientGraph) -> int:
-    """#edges - #vertices + #components of the (multi)graph."""
-    adj = [[] for _ in range(Q.vertex_count)]
-    for e in Q.q_edges:
-        a, b = e.endpoints
-        adj[a].append(b)
-        adj[b].append(a)
-    n_comps = len(components(adj, range(Q.vertex_count)))
-    return Q.edge_count - Q.vertex_count + n_comps
+    """#edges - #vertices + 1: quotient_graph requires a connected complex,
+    and the quotient of a connected complex is connected."""
+    return Q.edge_count - Q.vertex_count + 1
 
 
 def slab_profile(calc: H1Calculator, labels) -> tuple:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from itertools import chain, combinations, repeat
 
-from hcwr import (SimplicialComplex, build_complex, connected_components,
-                  euler_characteristic, induced_subcomplex,
-                  maximal_simplices)
+from hcwr import (FieldSpec, build_complex, connected_components,
+                  constant_labeling, euler_characteristic, hcwr_value,
+                  induced_subcomplex, maximal_simplices)
 from hcwr.complexes import DegenerateSimplex, VertexOutOfRange
 
 from conftest import small_complexes
@@ -56,6 +56,30 @@ def test_face_closure(K):
         assert (v,) in K.simplices
 
 
+def test_build_drops_given_faces():
+    K = build_complex([(0, 1), (0, 1, 2), (1, 2)], 5)
+    assert K.maximal == ((0, 1, 2), (3,), (4,))
+
+
+@given(small_complexes())
+def test_skeleta_come_from_maximal_simplices(K):
+    closure = {f for s in K.maximal for r in range(1, len(s) + 1)
+               for f in combinations(s, r)}
+    assert K.simplices == closure
+    assert not any(set(s) < set(t) for s in K.maximal for t in K.maximal)
+    assert K.edges == tuple(sorted(s for s in closure if len(s) == 2))
+    assert K.triangles == tuple(sorted(s for s in closure if len(s) == 3))
+
+
+def test_width_of_a_simplex_never_builds_its_closure():
+    # 2^21 - 1 faces, of which the analysis reads 210 edges and 1330
+    # triangles
+    K = build_complex([range(21)], 21)
+    assert hcwr_value(K, constant_labeling(K),
+                      FieldSpec.rationals()).max_rank == 0
+    assert "simplices" not in vars(K)
+
+
 @given(small_complexes())
 def test_maximal_simplices_regenerate(K):
     assert build_complex(maximal_simplices(K), K.vertex_count) == K
@@ -90,6 +114,5 @@ def test_components_partition_vertices(K):
 def test_euler_characteristic_examples():
     triangle_disk = build_complex([(0, 1, 2)], 3)
     assert euler_characteristic(triangle_disk) == 1  # contractible
-    hollow = SimplicialComplex(3, frozenset(
-        {(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)}))
+    hollow = build_complex([(0, 1), (0, 2), (1, 2)], 3)
     assert euler_characteristic(hollow) == 0  # circle

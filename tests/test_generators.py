@@ -1,11 +1,12 @@
 """Witness families: circles, tori, wedges, products, presentations."""
 import pytest
 
-from hcwr import (FieldSpec, LabeledComplex, betti1, circle_tent_labeling,
-                  euler_characteristic, generate_circle, generate_torus,
-                  hcwr_value, labeled_torus, presentation_complex,
-                  product_complex, pullback_labeling, spread_wedge,
-                  tent_labeling, validate_labeling, wedge)
+from hcwr import (FieldSpec, LabeledComplex, betti1, build_complex,
+                  circle_tent_labeling, euler_characteristic, generate_circle,
+                  generate_torus, hcwr_value, labeled_torus,
+                  maximal_simplices, presentation_complex, product_complex,
+                  pullback_labeling, spread_wedge, tent_labeling,
+                  validate_labeling, wedge)
 from hcwr.generators import (ArcTooShort, BadAxis, EmptyRelator,
                              ResolutionTooSmall, TooFewVertices,
                              parse_relator, torus_coordinate)
@@ -113,6 +114,13 @@ class TestProduct:
         assert P.vertex_count == 16
         assert euler_characteristic(P) == 0
         assert betti1(P, Q) == 2
+
+    def test_simplex_product_staircases(self):
+        # one simplex per monotone path through a 3 x 4 grid: C(5, 2)
+        P = product_complex(build_complex([range(3)], 3),
+                            build_complex([range(4)], 4))
+        assert len(maximal_simplices(P)) == 10
+        assert P.dim == 5
 
     def test_pullback_labeling(self):
         c4 = generate_circle(4)

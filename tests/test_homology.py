@@ -176,7 +176,9 @@ ANNOTATION_CASES = {
 }
 
 
-@pytest.mark.parametrize("F", [Q, F2, F3], ids=["Q", "F2", "F3"])
+# F_(2^31 - 1) checks potentials left unreduced far above p
+@pytest.mark.parametrize("F", [Q, F2, F3, FieldSpec.prime(2147483647)],
+                         ids=["Q", "F2", "F3", "F2147483647"])
 @pytest.mark.parametrize("name", sorted(ANNOTATION_CASES))
 @settings(max_examples=10)
 @given(data=st.data())
