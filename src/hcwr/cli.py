@@ -126,8 +126,12 @@ def _resolve_labeling(args, L: LabeledComplex, meta: dict) -> MorseLabeling:
                                 "(and axis) of a torus or m of a circle")
         if gen == "circle" and meta["m"] == size:
             return circle_tent_labeling(size)
-        if gen == "torus" and 0 < meta["k"] <= size == meta["n"] ** meta["k"]:
-            return tent_labeling(meta["k"], meta["n"], meta["axis"])
+        if gen == "torus":
+            k, n = meta["k"], meta["n"]
+            # n^k = size forces k <= log2(size) unless |n| <= 1, so a
+            # larger k is refused before a huge n is raised to it
+            if 0 < k <= size.bit_length() and n ** k == size:
+                return tent_labeling(k, n, meta["axis"])
         raise MissingLabels(f"{gen} meta does not match the {size} vertices "
                             f"of the complex")
     raise ValueError(f"unknown labels source {args.labels!r}")

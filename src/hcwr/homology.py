@@ -3,8 +3,11 @@
 All arithmetic is integer-exact: rational ranks use fraction-free
 (Bareiss-style) elimination with gcd-normalized integer rows, prime-field
 ranks use modular elimination.  No floating point anywhere.  H1-image
-ranks come from edge annotations (arXiv:1107.3793): one reduction of the
-ambient complex, then a rank in F^betti1 per query.
+ranks come from edge annotations (arXiv:1107.3793), built once per
+complex and field: a spanning tree fixes its edges at zero, triangles
+with one unsolved edge are peeled off to solve that edge over a few free
+coordinates, and only the triangles left over as relations go through
+elimination.  A query is then a rank in F^betti1.
 """
 from __future__ import annotations
 
@@ -25,6 +28,10 @@ from .complexes import SimplicialComplex, bfs_parents
 # 399165290221 * 798330580441 passes all of them.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_LIMIT = 3317044064679887385961981
+
+# Vertex sets an H1Calculator remembers; the memo is emptied when full, so
+# a long search holds at most this many.  No benchmark op comes near it.
+CACHE_LIMIT = 1 << 16
 
 
 def _is_prime(p: int) -> bool:
@@ -180,32 +187,90 @@ class H1Calculator:
 
     Uses the edge annotations of Busaryev, Cabello, Chen, Dey and Wang,
     "Annotating simplices with a homology basis and its applications"
-    (SWAT 2012, arXiv:1107.3793).  Once per (K, F), the triangle
-    boundaries restricted to the edges off a spanning forest of K are
-    reduced; back-substitution from each free column gives one of
-    ``betti1`` cocycles, and an edge's annotation is its vector of
-    cocycle values (0 on tree edges), so a cycle's annotation sum is its
-    class in H1(K; F).  A query takes a spanning forest of the vertex set
-    with potentials P(w) = P(v) + ann(v -> w) along it; every edge a -> b
-    of the set then closes a cycle of class ann(a -> b) + P(a) - P(b), and
-    the image rank is the rank of these vectors.  Memoized by vertex set.
+    (SWAT 2012, arXiv:1107.3793), built once per (K, F) by a tree-and-peel
+    pass.  Every edge gets a vector over r *free* coordinates: edges of a
+    spanning forest get 0.  A triangle with exactly one edge still
+    unsolved fixes that edge's vector, since its boundary must sum to
+    zero, and solving an edge may leave further triangles with one
+    unsolved edge (peeling).  When none is left, the first unsolved edge
+    becomes a new free coordinate (its unit vector) and peeling resumes.
+    Each triangle not used to peel gives one leftover relation in F^r;
+    these are reduced, and back-substitution from each free column of the
+    reduction gives one of ``betti1`` cocycles on F^r.  An edge's
+    annotation is its vector's value under these cocycles, so a cycle's
+    annotation sum is its class in H1(K; F).  A query takes a spanning
+    forest of the vertex set with potentials P(w) = P(v) + ann(v -> w)
+    along it; every edge a -> b of the set then closes a cycle of class
+    ann(a -> b) + P(a) - P(b), and the image rank is the rank of these
+    vectors.  Memoized by vertex set, up to ``CACHE_LIMIT`` sets.
     """
 
     def __init__(self, K: SimplicialComplex, field: FieldSpec):
         self.K = K
         self.field = field
         p = field.p
+        edges = K.edges
         parent = bfs_parents(K.adjacency, range(K.vertex_count))
-        column = {e: j for j, e in enumerate(
-            (a, b) for a, b in K.edges if a != parent[b] and b != parent[a])}
+        vec = [{} if a == parent[b] or b == parent[a] else None
+               for a, b in edges]
+        self.rank_d1 = len(edges) - vec.count(None)
+        index = {e: i for i, e in enumerate(edges)}
+        # a face's sign depends only on its position in the boundary, so
+        # each triangle keeps just its three edge indices
+        signs = [x for _, x in boundary((0, 1, 2))]
+        faces = [tuple(index[e] for e, _ in boundary(t)) for t in K.triangles]
+        cofaces = [[] for _ in edges]
+        unsolved = [0] * len(faces)
+        for t, face in enumerate(faces):
+            for i in face:
+                cofaces[i].append(t)
+                unsolved[t] += vec[i] is None
+        ready = [t for t, u in enumerate(unsolved) if u == 1]
+        peeled = [False] * len(faces)
+
+        def combine(terms):  # sum of x * vec[i] over (i, x) in terms
+            total = {}
+            for i, x in terms:
+                for c, y in vec[i].items():
+                    total[c] = total.get(c, 0) + x * y
+            if p is not None:
+                return {c: y % p for c, y in total.items() if y % p}
+            return {c: y for c, y in total.items() if y}
+
+        def solve(i, v):
+            vec[i] = v
+            for t in cofaces[i]:
+                unsolved[t] -= 1
+                if unsolved[t] == 1:
+                    ready.append(t)
+
+        unsolved_edges = (i for i, v in enumerate(vec) if v is None)
+        r = 0
+        while True:
+            while ready:
+                t = ready.pop()
+                if unsolved[t] != 1:  # solved meanwhile: a relation
+                    continue
+                face = list(zip(faces[t], signs))
+                (j, s), = [(i, x) for i, x in face if vec[i] is None]
+                peeled[t] = True
+                # s * vec[j] = -(the rest), and s = 1/s since s is +-1
+                solve(j, combine((i, -s * x) for i, x in face if i != j))
+            j = next(unsolved_edges, None)
+            if j is None:
+                break
+            solve(j, {r: 1})
+            r += 1
         ech = Echelon(field)
-        for t in K.triangles:
-            ech.add({column[e]: x for e, x in boundary(t) if e in column})
-        self.rank_d1 = len(K.edges) - len(column)
-        self.rank_d2 = ech.rank
-        self.betti1 = len(column) - ech.rank
+        for t, face in enumerate(faces):
+            if not peeled[t]:
+                relation = combine(zip(face, signs))
+                if relation:
+                    ech.add(relation)
+        self.rank_d2 = sum(peeled) + ech.rank
+        self.betti1 = r - ech.rank
         cocycles = []
-        for free in (j for j in range(len(column)) if j not in ech.rows):
+        for free in (j for j in range(r) if j not in ech.rows):
             phi = {free: 1}
             for c in sorted(ech.rows, reverse=True):
                 row = ech.rows[c]
@@ -220,17 +285,24 @@ class H1Calculator:
             cocycles = [{j: int(x * scale) for j, x in phi.items()}
                         for phi in cocycles]
         self._ann = [{} for _ in range(K.vertex_count)]
-        for (a, b), j in column.items():
-            vec = tuple(phi.get(j, 0) for phi in cocycles)
-            if any(vec):
-                self._ann[a][b] = vec
-                self._ann[b][a] = tuple(-x for x in vec)
+        for (a, b), v in zip(edges, vec):
+            if not v:
+                continue
+            ann = tuple(sum(phi.get(c, 0) * y for c, y in v.items())
+                        for phi in cocycles)
+            if p is not None:
+                ann = tuple(x % p for x in ann)
+            if any(ann):
+                self._ann[a][b] = ann
+                self._ann[b][a] = tuple(-x for x in ann)
         self._cache = {}
 
     def image_rank_of_vertices(self, vs: frozenset) -> int:
         """Rank of im(H1(full subcomplex on vs; F) -> H1(K; F))."""
         cached = self._cache.get(vs)
         if cached is None:
+            if len(self._cache) >= CACHE_LIMIT:
+                self._cache.clear()
             cached = self._cache[vs] = self._image_rank(vs)
         return cached
 

@@ -55,9 +55,12 @@ def oracle_betti1(K, F: FieldSpec) -> int:
         d1[a][j] = -1
         d1[b][j] = 1
     r1 = oracle_rank(d1, F) if edges else 0
-    d2_rows = [list(r) for r in zip(*_boundary_columns(K))]
-    r2 = oracle_rank(d2_rows, F)
-    return len(edges) - r1 - r2
+    return len(edges) - r1 - oracle_rank_d2(K, F)
+
+
+def oracle_rank_d2(K, F: FieldSpec) -> int:
+    """Rank of the ambient d2 (triangles to edges), ranked by sympy."""
+    return oracle_rank([list(r) for r in zip(*_boundary_columns(K))], F)
 
 
 def oracle_image_rank(K, vertex_set, F: FieldSpec) -> int:

@@ -5,10 +5,14 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hcwr
+from hcwr import (generate_circle, generate_torus, presentation_complex,
+                  tent_labeling)
 from hcwr.cli import main
-from hcwr.scx import read_scx, write_scx
+from hcwr.generators import circle_tent_labeling, parse_relator
+from hcwr.scx import read_scx, to_dict, write_scx
 
 
 def run(capsys, *argv):
@@ -273,6 +277,21 @@ def test_incomplete_tent_meta_exit_2(tmp_path, capsys, meta, culprit):
     assert stderr.count("\n") == 1
 
 
+def test_huge_tent_meta_exit_2_at_once(tmp_path, capsys):
+    # n^k with k = 50,000 would have 2 * 10^8 digits
+    path = tmp_path / "meta.scx"
+    path.write_text(json.dumps({
+        "format": "scx-1", "vertex_count": 50000, "maximal_simplices": [],
+        "meta": {"generator": "torus", "k": 50000, "n": 10 ** 4000}}))
+    t0 = time.monotonic()
+    code, stdout, stderr = run(capsys, "analyze", str(path), "--labels", "tent")
+    assert time.monotonic() - t0 < 5
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and "does not match" in stderr
+    assert stderr.count("\n") == 1
+
+
 def test_product_over_face_limit_exit_2(tmp_path, capsys):
     # one 8-vertex simplex has 255 faces, but its square has C(14, 7)
     # 15-vertex simplices of 2^15 - 1 faces each
@@ -298,3 +317,86 @@ def test_anneal_rejects_budget_seconds(tmp_path, capsys):
     assert stdout == ""
     assert stderr == ("error: --budget-seconds applies only to "
                       "--mode exhaustive\n")
+
+
+# --- malformed SCX documents: exit 0 with a report or 2 with one line ------
+
+SCX_BASES = [
+    to_dict(generate_circle(6), circle_tent_labeling(6),
+            {"generator": "circle", "m": 6}),
+    to_dict(generate_torus(2, 4), tent_labeling(2, 4),
+            {"generator": "torus", "k": 2, "n": 4, "axis": 0}),
+    to_dict(presentation_complex(1, [parse_relator("aaA", 1)])),
+]
+SCX_KEYS = ("format", "vertex_count", "maximal_simplices", "labels", "meta")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-3, max_value=40)
+    | st.sampled_from([2 ** 20 + 1, 2 ** 64, -(10 ** 30)])
+    | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+vertex_ids = st.integers(min_value=-3, max_value=40) | st.sampled_from(
+    [2 ** 20, 2 ** 64, -(2 ** 64)])
+
+
+def _mutate(doc, data):
+    """Apply one drawn mutation to the (deep-copied) SCX document."""
+    kind = data.draw(st.sampled_from(
+        ["drop", "retype", "vertex", "repeat", "nest", "labels", "meta"]))
+    simplices = doc.get("maximal_simplices")
+    has_simplices = isinstance(simplices, list) and any(
+        isinstance(s, list) and s for s in simplices)
+    if kind == "drop":
+        doc.pop(data.draw(st.sampled_from(SCX_KEYS)), None)
+    elif kind == "retype":
+        doc[data.draw(st.sampled_from(SCX_KEYS))] = data.draw(json_values)
+    elif kind in ("vertex", "repeat", "nest") and has_simplices:
+        s = data.draw(st.sampled_from(
+            [s for s in simplices if isinstance(s, list) and s]))
+        j = data.draw(st.integers(min_value=0, max_value=len(s) - 1))
+        if kind == "vertex":
+            s[j] = data.draw(vertex_ids)
+        elif kind == "repeat":
+            s.append(s[j])
+        elif data.draw(st.booleans()):
+            s[j] = data.draw(json_values)
+        else:
+            simplices[simplices.index(s)] = data.draw(json_values)
+    elif kind == "labels" and isinstance(doc.get("labels"), list):
+        labels = doc["labels"]
+        if labels and data.draw(st.booleans()):
+            j = data.draw(st.integers(min_value=0, max_value=len(labels) - 1))
+            labels[j] = data.draw(json_values | vertex_ids)
+        else:
+            doc["labels"] = labels[:data.draw(st.integers(
+                min_value=0, max_value=len(labels) + 2))]
+    elif kind == "meta":
+        meta = doc.setdefault("meta", {})
+        if isinstance(meta, dict):
+            meta[data.draw(st.sampled_from(
+                ["generator", "k", "n", "m", "axis"]))] = data.draw(
+                json_values | st.sampled_from(["torus", "circle"]))
+
+
+@settings(max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_scx_exits_0_or_2(tmp_path, capsys, data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(SCX_BASES))))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        _mutate(doc, data)
+    path = tmp_path / "fuzz.scx"
+    path.write_text(json.dumps(doc))
+    labels = data.draw(st.sampled_from([[], ["--labels", "constant"],
+                                        ["--labels", "tent"]]))
+    field = data.draw(st.sampled_from(["Q", "F2", "F3"]))
+    code, stdout, stderr = run(capsys, "analyze", str(path), "--field", field,
+                               *labels)
+    if code == 0:
+        assert isinstance(json.loads(stdout), dict)
+    else:
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
