@@ -14,8 +14,10 @@ Pairs whose two sides took ``op_tail_s`` at different percentiles are
 listed, since their tail values are not comparable.  With ``--trace``,
 one traced run per side adds the per-layer metrics.
 
-Usage: python3 scripts/bench_pairs.py --parent REV [--workloads analyze,...]
-           [--pairs N] [--seconds S] [--seed0 N] [--trace] [--workdir DIR]
+The workloads and the length of each run are those of ``BENCHMARK.json``.
+
+Usage: python3 scripts/bench_pairs.py --parent REV [--pairs N] [--seed0 N]
+           [--trace] [--workdir DIR]
 """
 import argparse
 import json
@@ -91,9 +93,7 @@ def summarise(pairs, end_to_end):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision to compare")
-    ap.add_argument("--workloads", default="analyze,exhaustive,anneal")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--seed0", type=int, default=1001,
                     help="pair i runs seed seed0 + i on both sides")
     ap.add_argument("--trace", action="store_true",
@@ -102,6 +102,7 @@ def main() -> int:
                     help="where the parent tree is exported (a temp dir)")
     args = ap.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     parent_sha = git("rev-parse", args.parent)
     change_sha = git("rev-parse", "HEAD")
     work = Path(tempfile.mkdtemp(prefix="bench-parent-", dir=args.workdir))
@@ -109,14 +110,14 @@ def main() -> int:
     doc = {"parent": parent_sha, "change": change_sha,
            "change_dirty": bool(git("status", "--porcelain", "--", "src",
                                     "perfbench")),
-           "python": sys.version.split()[0], "seconds": args.seconds,
+           "python": sys.version.split()[0], "seconds": seconds,
            "workloads": {}}
     try:
         export(parent_sha, work)
         for tree in trees.values():
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src"],
                            cwd=tree, check=True)
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for i in range(args.pairs):
                 seed = args.seed0 + i
@@ -125,7 +126,7 @@ def main() -> int:
                 pair = {"seed": seed, "first": order[0]}
                 for name in order:
                     pair[name] = side(bench(trees[name], workload, seed,
-                                            args.seconds, False))
+                                            seconds, False))
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: " + "  ".join(
                     f"{n} {pair[n]['metrics']['ops_per_s']:.4g} ops/s "
@@ -140,7 +141,8 @@ def main() -> int:
                 "pairs": pairs}
             if args.trace:
                 entry["trace"] = {
-                    name: side(bench(tree, workload, args.seed0, 0, True))
+                    name: side(bench(tree, workload, args.seed0, seconds,
+                                     True))
                     ["metrics"] for name, tree in trees.items()}
     finally:
         shutil.rmtree(work, ignore_errors=True)

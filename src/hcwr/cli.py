@@ -120,7 +120,8 @@ def _resolve_labeling(args, L: LabeledComplex, meta: dict) -> MorseLabeling:
     if args.labels == "tent":
         gen, size = meta.get("generator"), K.vertex_count
         meta = {"axis": 0, **meta}
-        keys = {"torus": ("k", "n", "axis"), "circle": ("m",)}.get(gen, ())
+        keys = ({"torus": ("k", "n", "axis"), "circle": ("m",)}.get(gen, ())
+                if isinstance(gen, str) else ())
         if not keys or not all(type(meta.get(key)) is int for key in keys):
             raise MissingLabels("--labels tent needs the integer meta k, n "
                                 "(and axis) of a torus or m of a circle")

@@ -70,8 +70,6 @@ def from_dict(doc: dict):
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("meta must be a JSON object")
-    if not isinstance(meta.get("generator", ""), str):
-        raise ValueError("meta generator must be a string")
     K = build_complex(simplices, n)
     labeling = None
     if doc.get("labels") is not None:

@@ -266,7 +266,9 @@ def test_malformed_scx_exit_2(tmp_path, capsys, doc, culprit):
     ({"generator": "torus", "k": "2", "n": 4}, "integer meta"),
     ({"generator": "torus", "k": 2, "n": 4, "axis": None}, "integer meta"),
     ({"generator": "torus", "k": 3, "n": 4}, "does not match"),
-], ids=["torus-no-k-n", "circle-no-m", "str-k", "null-axis", "wrong-size"])
+    ({"generator": ["torus"], "k": 1, "n": 3}, "integer meta"),
+], ids=["torus-no-k-n", "circle-no-m", "str-k", "null-axis", "wrong-size",
+        "list-generator"])
 def test_incomplete_tent_meta_exit_2(tmp_path, capsys, meta, culprit):
     path = tmp_path / "meta.scx"
     path.write_text(json.dumps({**CYCLE3, "meta": meta}))
@@ -275,6 +277,13 @@ def test_incomplete_tent_meta_exit_2(tmp_path, capsys, meta, culprit):
     assert stdout == ""
     assert stderr.startswith("error:") and culprit in stderr
     assert stderr.count("\n") == 1
+
+
+def test_unread_meta_is_not_checked(tmp_path, capsys):
+    path = tmp_path / "meta.scx"
+    path.write_text(json.dumps({**CYCLE3, "meta": {"generator": ["torus"]}}))
+    code, stdout, _ = run(capsys, "analyze", str(path), "--labels", "constant")
+    assert code == 0 and json.loads(stdout)
 
 
 def test_huge_tent_meta_exit_2_at_once(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hcwr import (FieldSpec, H1Calculator, betti1, boundary, build_complex,
                   product_complex)
 from hcwr.complexes import connected_components
 from hcwr.generators import parse_relator
+from hcwr import homology
 from hcwr.homology import Echelon, _is_prime
 
 from conftest import (oracle_betti1, oracle_image_rank, oracle_rank,
@@ -165,6 +166,20 @@ def test_query_order_does_not_change_answers():
     ranks = [forward.image_rank_of_vertices(vs) for vs in sets]
     assert ranks == [backward.image_rank_of_vertices(vs)
                      for vs in reversed(sets)][::-1]
+
+
+def test_full_cache_is_emptied(monkeypatch):
+    monkeypatch.setattr(homology, "CACHE_LIMIT", 2)
+    K = generate_torus(2, 4)
+    rng = random.Random(5)
+    sets = [frozenset(v for v in range(K.vertex_count) if rng.random() < 0.6)
+            for _ in range(8)]
+    assert len(set(sets)) > 2
+    calc = H1Calculator(K, Q)
+    # the second pass asks again for sets the cap has already evicted
+    for vs in sets + sets:
+        assert calc.image_rank_of_vertices(vs) == oracle_image_rank(K, vs, Q)
+        assert len(calc._cache) <= 2
 
 
 # torus, product and torsion: <a|a^3> has betti1 0 over Q and F_2, 1 over
