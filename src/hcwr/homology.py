@@ -310,21 +310,33 @@ class H1Calculator:
         dim = self.betti1
         if dim == 0:
             return 0
-        zero = (0,) * dim
-
-        def step(pa, a, b):  # P(a) + ann(a -> b), reduced by Echelon.add
-            return tuple(map(add, pa, self._ann[a].get(b, zero)))
-
+        ann = self._ann
+        adjacency = self.K.adjacency
+        # P(w) = P(v) + ann(v -> w), left unreduced for Echelon.add; an
+        # edge without annotation passes its parent's tuple on unchanged
         potential = {}
-        for v, u in bfs_parents(self.K.adjacency, vs).items():
-            potential[v] = zero if u == v else step(potential[u], u, v)
+        for v, u in bfs_parents(adjacency, vs).items():
+            if u == v:
+                potential[v] = (0,) * dim
+            else:
+                step = ann[u].get(v)
+                potential[v] = (potential[u] if step is None
+                                else tuple(map(add, potential[u], step)))
         ech = Echelon(self.field)
         for a, pa in potential.items():
-            for b in self.K.adjacency[a]:
+            ann_a = ann[a]
+            for b in adjacency[a]:
                 if a < b and b in vs:
+                    pb = potential[b]
+                    step = ann_a.get(b)
+                    if step is None:
+                        if pa == pb:  # a zero cycle
+                            continue
+                        reach = pa
+                    else:
+                        reach = tuple(map(add, pa, step))
                     cycle = {i: x - y for i, (x, y) in
-                             enumerate(zip(step(pa, a, b), potential[b]))
-                             if x != y}
+                             enumerate(zip(reach, pb)) if x != y}
                     if cycle and ech.add(cycle) and ech.rank == dim:
                         return dim
         return ech.rank

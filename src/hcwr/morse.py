@@ -167,25 +167,61 @@ def qf_betti1(Q: QuotientGraph) -> int:
     return Q.edge_count - Q.vertex_count + 1
 
 
-def slab_profile(calc: H1Calculator, labels) -> tuple:
-    """(max rank, #components attaining max, sum of ranks) over interior
-    slabs.  Boundary slabs repeat the extreme levels and cannot exceed the
-    adjacent interior slab by image-rank monotonicity, so they are skipped
-    except in the constant case."""
-    lo, hi = min(labels), max(labels)
-    slab_range = range(lo, hi) if hi > lo else (lo,)
-    best = 0
-    count = 0
-    total = 0
-    for i in slab_range:
-        for comp in slab_components(calc.K, labels, i):
-            r = calc.image_rank_of_vertices(comp)
-            total += r
-            if r > best:
-                best, count = r, 1
-            elif r == best:
-                count += 1
+def level_masks(labels) -> dict:
+    """label -> bitmask of the vertices carrying it (bit v is vertex v)."""
+    level = {}
+    for v, l in enumerate(labels):
+        level[l] = level.get(l, 0) | 1 << v
+    return level
+
+
+def slab_masks(level: dict) -> list:
+    """Vertex masks of the interior slabs ``range(lo, hi)`` of a labeling
+    given by its ``level_masks``; the one level of a constant labeling.
+
+    The labeling must be of a connected complex, so that every label
+    between lo and hi occurs.  Boundary slabs repeat the extreme levels
+    and cannot exceed the adjacent interior slab by image-rank
+    monotonicity, so they are skipped.
+    """
+    lo, hi = min(level), max(level)
+    if hi == lo:
+        return [level[lo]]
+    return [level[i] | level[i + 1] for i in range(lo, hi)]
+
+
+def slab_state(calc: H1Calculator, mask: int) -> tuple:
+    """(max rank, #components attaining max, sum of ranks) over the
+    components of the full subcomplex on the vertices of ``mask``."""
+    vertices = []
+    while mask:
+        low = mask & -mask
+        vertices.append(low.bit_length() - 1)
+        mask ^= low
+    ranks = map(calc.image_rank_of_vertices,
+                components(calc.K.adjacency, vertices))
+    return combine_slab_states((r, 1, r) for r in ranks)
+
+
+def combine_slab_states(states) -> tuple:
+    """(max rank, #components attaining max, sum of ranks) over the
+    components of all the given states, each a triple of that form."""
+    best = count = total = 0
+    for mx, cnt, tot in states:
+        total += tot
+        if mx > best:
+            best, count = mx, cnt
+        elif mx == best:
+            count += cnt
     return best, count, total
+
+
+def slab_profile(calc: H1Calculator, labels) -> tuple:
+    """(max rank, #components attaining max, sum of ranks) over the
+    interior slabs of a labeling of a connected complex (``slab_masks``);
+    the max is the labeling's width value."""
+    return combine_slab_states(slab_state(calc, mask)
+                               for mask in slab_masks(level_masks(labels)))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ unknown keys are ignored on read.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from typing import Optional
 
 from .complexes import SimplicialComplex, build_complex, maximal_simplices
@@ -39,8 +40,10 @@ def to_dict(K: SimplicialComplex, labeling: Optional[MorseLabeling] = None,
     return doc
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _all_ints(items) -> bool:
+    """Every item is a plain ``int``, not a ``bool`` or other subclass;
+    one pass in C rather than a Python call per item."""
+    return set(map(type, items)) <= {int}
 
 
 def from_dict(doc: dict):
@@ -55,7 +58,7 @@ def from_dict(doc: dict):
         if key not in doc:
             raise ValueError(f"SCX document lacks {key!r}")
     n = doc["vertex_count"]
-    if not _is_int(n) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"vertex_count must be a nonnegative integer, "
                          f"not {n!r}")
     if n > MAX_VERTICES:
@@ -63,8 +66,8 @@ def from_dict(doc: dict):
                          f"{MAX_VERTICES}")
     simplices = doc["maximal_simplices"]
     if not (isinstance(simplices, list)
-            and all(isinstance(s, list) and all(map(_is_int, s))
-                    for s in simplices)):
+            and all(map(isinstance, simplices, repeat(list)))
+            and _all_ints(chain.from_iterable(simplices))):
         raise ValueError("maximal_simplices must be a list of lists of "
                          "integer vertex ids")
     meta = doc.get("meta", {})
@@ -74,7 +77,7 @@ def from_dict(doc: dict):
     labeling = None
     if doc.get("labels") is not None:
         labels = doc["labels"]
-        if not (isinstance(labels, list) and all(map(_is_int, labels))):
+        if not (isinstance(labels, list) and _all_ints(labels)):
             raise ValueError("labels must be a list of integers")
         labeling = MorseLabeling(tuple(labels))
     return LabeledComplex(K, labeling), meta

@@ -2,6 +2,12 @@
 fixed complex: branch-and-bound exhaustive search at desk scale,
 simulated annealing beyond it.
 
+Both score a labeling with the one objective of ``morse``: the states
+(max rank, #components at max, sum of ranks) of its interior slabs,
+combined.  Annealing keeps each labeling as level bitmasks and looks
+each slab state up by its vertex mask, in a memo bounded like the
+image-rank memo of ``homology.H1Calculator``; a move changes two slabs.
+
 Both searches are deterministic: the enumeration visits labelings in a
 fixed breadth-first/lexicographic order and annealing draws from a fully
 specified 64-bit linear congruential generator, so identical inputs
@@ -16,9 +22,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from . import homology
 from .complexes import SimplicialComplex, bfs_parents
 from .homology import FieldSpec, H1Calculator
-from .morse import MorseLabeling, require_connected, slab_profile
+from .morse import (MorseLabeling, combine_slab_states, require_connected,
+                    slab_masks, slab_profile, slab_state)
 
 _MASK64 = (1 << 64) - 1
 # Knuth MMIX multiplier / increment.
@@ -198,6 +206,21 @@ def _derive_seed(seed: int, restart: int) -> int:
     return (seed + _STREAM_STEP * (restart + 1)) & _MASK64
 
 
+class _SlabMemo(dict):
+    """Slab states by slab mask for one calculator; emptied when it holds
+    ``homology.CACHE_LIMIT`` masks, like the calculator's image-rank memo."""
+
+    def __init__(self, calc: H1Calculator):
+        super().__init__()
+        self.calc = calc
+
+    def __missing__(self, mask):
+        if len(self) >= homology.CACHE_LIMIT:
+            self.clear()
+        state = self[mask] = slab_state(self.calc, mask)
+        return state
+
+
 def anneal_min(K: SimplicialComplex, F: FieldSpec,
                params: Optional[AnnealParams] = None,
                workers: int = 1) -> SearchResult:
@@ -208,35 +231,37 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     value is always the plain max rank of the certificate.  Restarts use
     independent LCG streams derived from the seed and run one after
     another in one thread; ``workers`` has no effect.
+
+    A restart keeps the labeling as level bitmasks (label -> vertex
+    mask), so a move is two mask updates and a rejected move undoes
+    them.  A move of v from l by delta is invalid iff a neighbour of v
+    has label l - delta.  The energy's three integers combine the states
+    of the interior slabs (``morse.slab_masks``), each looked up by its
+    vertex mask in a memo shared by the restarts and emptied when it
+    holds ``homology.CACHE_LIMIT`` masks; a move changes two slab masks,
+    and long runs revisit slab states far more often than labelings.
     """
     if params is None:
         params = AnnealParams()
     require_connected(K, "search")
-    calc = H1Calculator(K, F)
-    adjacency = K.adjacency
+    states = _SlabMemo(H1Calculator(K, F))
     n = K.vertex_count
+    neighbours = [sum(1 << w for w in nbrs) for nbrs in K.adjacency]
 
     def energy(profile):
         mx, cnt, total = profile
         return mx * 100_000 + min(cnt, 999) * 100 + min(total, 99)
 
-    memo = {}  # translation-normalized labels -> slab profile
-
-    def profile_of(labels):
-        m = min(labels)
-        key = tuple(l - m for l in labels)
-        prof = memo.get(key)
-        if prof is None:
-            prof = slab_profile(calc, labels)
-            memo[key] = prof
-        return prof
+    def profile_of(level):
+        return combine_slab_states(map(states.__getitem__, slab_masks(level)))
 
     def run_restart(r):
         rng = Lcg(_derive_seed(params.seed, r))
         labels = [0] * n
-        cur = profile_of(labels)
-        cur_e = energy(cur)
-        best = (cur[0], tuple(labels))
+        level = {0: (1 << n) - 1}
+        start = profile_of(level)
+        cur_e = energy(start)
+        best = (start[0], tuple(labels))
         temp = _INITIAL_TEMPERATURE
         for _ in range(params.steps):
             if best[0] == 0:
@@ -244,21 +269,32 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
             v = rng.next_below(n)
             # top bit: the low bits of an LCG modulo 2^64 are short-period
             delta = 1 if rng.next_u64() >> 63 else -1
-            new_l = labels[v] + delta
-            if any(abs(new_l - labels[w]) > 1 for w in adjacency[v]):
+            old_l = labels[v]
+            if level.get(old_l - delta, 0) & neighbours[v]:
                 temp *= _COOLING_RATE
                 continue
-            old_l = labels[v]
-            labels[v] = new_l
-            prof = profile_of(labels)
+            new_l = old_l + delta
+            bit = 1 << v
+            level[new_l] = level.get(new_l, 0) | bit
+            rest = level[old_l] ^ bit
+            if rest:
+                level[old_l] = rest
+            else:
+                del level[old_l]
+            prof = profile_of(level)
             e = energy(prof)
             if e <= cur_e or rng.next_unit() < math.exp((cur_e - e) / max(temp, 1e-9)):
-                cur, cur_e = prof, e
-                cand = (prof[0], tuple(labels))
-                if cand < best:
-                    best = cand
+                cur_e = e
+                labels[v] = new_l
+                if prof[0] <= best[0]:
+                    best = min(best, (prof[0], tuple(labels)))
             else:
-                labels[v] = old_l
+                level[old_l] = rest | bit
+                rest = level[new_l] ^ bit
+                if rest:
+                    level[new_l] = rest
+                else:
+                    del level[new_l]
             temp *= _COOLING_RATE
         return best
 

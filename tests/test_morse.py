@@ -2,7 +2,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hcwr import (FieldSpec, H1Calculator, betti1, build_complex,
                   constant_labeling, generate_circle, generate_torus,
@@ -11,7 +11,8 @@ from hcwr import (FieldSpec, H1Calculator, betti1, build_complex,
                   slab_components, tent_labeling, validate_labeling)
 from hcwr.generators import circle_tent_labeling
 from hcwr.morse import (InvalidLabeling, MorseLabeling, NotConnected,
-                        slab_profile)
+                        combine_slab_states, level_masks, slab_masks,
+                        slab_profile, slab_state)
 
 from conftest import labeled_circles, small_complexes
 
@@ -175,3 +176,54 @@ def test_slab_profile_max_equals_report_on_walks(K, start):
         for f in _walk_labelings(K, start, seed):
             assert slab_profile(calc, f.labels)[0] == \
                 hcwr_value(K, f, Q, calc).max_rank
+
+
+def _reference_profile(calc, labels):
+    """(max rank, #components at max, sum of ranks) over the interior
+    slabs, one component rank at a time from ``slab_components``."""
+    lo, hi = min(labels), max(labels)
+    ranks = [calc.image_rank_of_vertices(comp)
+             for i in (range(lo, hi) if hi > lo else (lo,))
+             for comp in slab_components(calc.K, labels, i)]
+    best = max(ranks)
+    return best, ranks.count(best), sum(ranks)
+
+
+def test_combine_slab_states_counts_every_component_at_the_max():
+    # a tie adds the other slab's count; a new max replaces the count
+    assert combine_slab_states([(1, 2, 2), (0, 3, 0), (1, 3, 4)]) == (1, 5, 6)
+    assert combine_slab_states([(0, 4, 0), (2, 2, 5), (1, 1, 1)]) == (2, 2, 6)
+    assert combine_slab_states([(0, 2, 0)]) == (0, 2, 0)
+
+@pytest.mark.parametrize("K", [generate_torus(2, 4), generate_torus(3, 3)],
+                         ids=["torus(2,4)", "torus(3,3)"])
+@settings(max_examples=15)
+@given(moves=st.lists(st.tuples(st.integers(min_value=0, max_value=80),
+                                st.sampled_from((-1, 1))), max_size=80))
+def test_slab_states_of_level_masks_combine_to_profile(K, moves):
+    # the anneal's route: level masks kept up to date move by move, one
+    # state per interior slab mask, combined
+    calc = H1Calculator(K, Q)
+    n = K.vertex_count
+    labels = [0] * n
+    level = {0: (1 << n) - 1}
+
+    def check():
+        assert level == level_masks(labels)
+        combined = combine_slab_states(slab_state(calc, mask)
+                                       for mask in slab_masks(level))
+        assert combined == slab_profile(calc, labels) == \
+            _reference_profile(calc, labels)
+
+    check()
+    for v, delta in moves:
+        v %= n
+        old, new = labels[v], labels[v] + delta
+        if any(abs(new - labels[w]) > 1 for w in K.adjacency[v]):
+            continue
+        level[old] ^= 1 << v
+        if not level[old]:
+            del level[old]
+        level[new] = level.get(new, 0) | 1 << v
+        labels[v] = new
+        check()

@@ -1,4 +1,5 @@
 """Labeling search: exhaustive enumeration, annealing, certified bounds."""
+import random
 import time
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hcwr import (AnnealParams, FieldSpec, H1Calculator, anneal_min, betti1,
                   build_complex, certified_bounds, exhaustive_min,
                   generate_circle, generate_torus, hcwr_value,
-                  validate_labeling)
+                  maximal_simplices, product_complex, validate_labeling)
+from hcwr import homology, search
 from hcwr.morse import MorseLabeling, NotConnected
 from hcwr.search import Lcg, _derive_seed
 
@@ -218,6 +220,66 @@ class TestAnneal:
         res = anneal_min(generate_circle(6), Q,
                          AnnealParams(steps=5000, restarts=2, seed=seed))
         assert res.best_value == 0
+
+
+def _relabelled(K, seed):
+    perm = list(range(K.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return build_complex([[perm[v] for v in s] for s in maximal_simplices(K)],
+                         K.vertex_count)
+
+
+# seeded anneal results, recorded before the search kept per-slab state;
+# every draw, accept/reject decision and certificate must stay the same
+ANNEAL_GOLDEN = [
+    ("torus(2,4)", lambda: generate_torus(2, 4), Q, AnnealParams(seed=7),
+     1, [-7, -7, -7, -7, -6, -6, -6, -6, -5, -5, -5, -5, -6, -6, -6, -6]),
+    ("torus(2,5)", lambda: generate_torus(2, 5), Q,
+     AnnealParams(steps=3000, restarts=2, seed=7),
+     2, [-2, -1, -1, -1, -1, -1, -1, 0, -1, 0, -1, 0, 0, -1, 0, -1, -1, 0,
+         0, 0, -1, -1, 0, 0, -1]),
+    ("torus(2,4) F3", lambda: generate_torus(2, 4), F3,
+     AnnealParams(steps=20000, restarts=2, seed=7),
+     2, [-6, -6, -6, -6, -6, -6, -5, -6, -6, -5, -6, -6, -5, -6, -5, -5]),
+    ("relabelled circle(3)xcircle(5)",
+     lambda: _relabelled(product_complex(generate_circle(3),
+                                         generate_circle(5)), 11), Q,
+     AnnealParams(steps=3000, restarts=2, seed=7),
+     1, [-2, -2, -2, -2, 0, -1, -1, -1, -2, -1, 0, 0, -1, -2, -1]),
+    # reaches 0 in its first restart and takes the early break
+    ("circle(6)", lambda: generate_circle(6), Q, AnnealParams(seed=7),
+     0, [0, -1, 0, 0, 1, 0]),
+]
+
+
+@pytest.mark.parametrize("name, make, F, params, value, certificate",
+                         ANNEAL_GOLDEN, ids=[c[0] for c in ANNEAL_GOLDEN])
+def test_anneal_matches_recorded_results(name, make, F, params, value,
+                                         certificate):
+    assert anneal_min(make(), F, params).to_json() == {
+        "best_value": value, "certificate": certificate,
+        "exhaustive": False,
+        "labelings_visited": params.steps * params.restarts,
+        "seed": params.seed}
+
+
+def test_full_slab_memo_is_emptied(monkeypatch):
+    K = generate_torus(2, 4)
+    params = AnnealParams(steps=3000, restarts=2, seed=7)
+    uncapped = anneal_min(K, Q, params).to_json()
+    sizes = []
+    fill = search._SlabMemo.__missing__
+
+    def recording_fill(memo, mask):
+        state = fill(memo, mask)
+        sizes.append(len(memo))
+        return state
+
+    monkeypatch.setattr(search._SlabMemo, "__missing__", recording_fill)
+    monkeypatch.setattr(homology, "CACHE_LIMIT", 2)
+    assert anneal_min(K, Q, params).to_json() == uncapped
+    # only a miss adds a mask; the memo fills to the cap and is emptied
+    assert max(sizes) == 2 and sizes.count(1) > 1
 
 
 class TestCertifiedBounds:
