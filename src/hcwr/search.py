@@ -290,10 +290,8 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
                     best = min(best, (prof[0], tuple(labels)))
             else:
                 level[old_l] = rest | bit
-                rest = level[new_l] ^ bit
-                if rest:
-                    level[new_l] = rest
-                else:
+                level[new_l] ^= bit
+                if not level[new_l]:
                     del level[new_l]
             temp *= _COOLING_RATE
         return best
