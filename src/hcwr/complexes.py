@@ -4,6 +4,11 @@ A complex stores only its maximal simplices as sorted vertex tuples; edges
 and triangles are derived from them, and the full face closure is built
 only when something reads ``simplices``.  Complexes are immutable after
 construction and safe to share across threads.
+
+A vertex set is an ``int`` bitmask, bit v standing for vertex v, and this
+module is the only one that walks the bits of a mask: ``components`` and
+``bfs_parents`` grow a component or a search from the ``neighbours``
+masks of a complex.
 """
 from __future__ import annotations
 
@@ -67,6 +72,11 @@ class SimplicialComplex:
             adj[b].add(a)
         return tuple(frozenset(s) for s in adj)
 
+    @cached_property
+    def neighbours(self) -> tuple:
+        """Neighbour masks of the 1-skeleton, indexed by vertex id."""
+        return tuple(sum(1 << w for w in nbrs) for nbrs in self.adjacency)
+
     def __contains__(self, simplex) -> bool:
         return tuple(simplex) in self.simplices
 
@@ -100,9 +110,13 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
     Raises DegenerateSimplex on repeated vertices within a tuple,
     VertexOutOfRange on ids outside ``0..vertex_count-1`` and ValueError
     as soon as the simplices read so far have more than ``MAX_FACES``
-    faces, counting 2^m - 1 for each m-vertex simplex.
+    faces, counting 2^m - 1 for each m-vertex simplex, or at once when
+    ``vertex_count`` does, since every vertex is a face.
     """
-    simps = {(v,) for v in range(vertex_count)}
+    if vertex_count > MAX_FACES:
+        raise ValueError(f"{vertex_count} vertices are more than {MAX_FACES} "
+                         f"faces")
+    simps = set()
     faces = 0
     for raw in maximal_simplices:
         t = tuple(sorted(raw))
@@ -117,6 +131,7 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
                              f"faces")
         if t:
             simps.add(t)
+    simps.update((v,) for v in range(vertex_count))
     # only faces of a size some given simplex has can be given simplices
     sizes = {len(s) for s in simps}
     nonmax = {f for s in simps for r in sizes if r < len(s)
@@ -139,54 +154,57 @@ def induced_subcomplex(K: SimplicialComplex, S: Iterable[int]) -> Subcomplex:
     return Subcomplex(K, vs, simps)
 
 
-def components(adjacency, vertices) -> list:
-    """Components of the graph ``adjacency`` induced on ``vertices``.
+def components(neighbours, mask: int) -> list:
+    """Vertex masks of the components of the graph induced on ``mask``,
+    in order of their smallest vertex.
 
-    ``adjacency[v]`` lists the neighbours of ``v``; neighbours outside
-    ``vertices`` are ignored.  Returns vertex frozensets in order of their
-    first vertex in ``vertices``.
+    ``neighbours[v]`` is the neighbour mask of ``v``; neighbours outside
+    ``mask`` are ignored.
     """
-    unseen = set(vertices)
     comps = []
-    for root in vertices:
-        if root not in unseen:
-            continue
-        unseen.remove(root)
-        comp = [root]
-        stack = [root]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w in unseen:
-                    unseen.remove(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
+    while mask:
+        comp = frontier = mask & -mask
+        mask ^= comp
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = neighbours[low.bit_length() - 1] & mask
+            mask ^= new
+            comp |= new
+            frontier |= new
+        comps.append(comp)
     return comps
 
 
-def bfs_parents(adjacency, vertices) -> dict:
+def bfs_parents(neighbours, mask: int) -> dict:
     """Parents in a breadth-first spanning forest of the graph induced on
-    ``vertices``, in visiting order; each root is its own parent.
+    ``mask``, in visiting order; each root is its own parent.
 
-    Roots are taken in the order of ``vertices`` and neighbours in the
-    order of ``adjacency[v]``.
+    Roots are taken in ascending order, and each vertex's unvisited
+    neighbours are visited in ascending order.
     """
     parent = {}
-    for root in vertices:
-        if root not in parent:
-            parent[root] = root
-            queue = [root]
-            for v in queue:
-                for w in adjacency[v]:
-                    if w in vertices and w not in parent:
-                        parent[w] = v
-                        queue.append(w)
+    unseen = mask
+    while unseen:
+        root = (unseen & -unseen).bit_length() - 1
+        unseen ^= 1 << root
+        parent[root] = root
+        queue = [root]
+        for v in queue:
+            new = neighbours[v] & unseen
+            unseen ^= new
+            while new:
+                low = new & -new
+                new ^= low
+                w = low.bit_length() - 1
+                parent[w] = v
+                queue.append(w)
     return parent
 
 
 def connected_components(K: SimplicialComplex) -> list:
-    """Vertex sets of the 1-skeleton components, sorted by smallest member."""
-    return components(K.adjacency, range(K.vertex_count))
+    """Vertex masks of the 1-skeleton components, by smallest member."""
+    return components(K.neighbours, (1 << K.vertex_count) - 1)
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:

@@ -83,16 +83,16 @@ def generate_torus(k: int, n: int) -> SimplicialComplex:
         raise ValueError(f"torus dimension must be >= 1, got {k}")
     if n < 3:
         raise ResolutionTooSmall(f"torus grid needs n >= 3, got {n}")
-    maximal = []
-    for base in iproduct(range(n), repeat=k):
-        for perm in permutations(range(k)):
-            cur = list(base)
-            chain = [_torus_vertex(cur, n)]
-            for ax in perm:
-                cur[ax] = (cur[ax] + 1) % n
-                chain.append(_torus_vertex(cur, n))
-            maximal.append(chain)
-    return build_complex(maximal, n ** k)
+    def chains():
+        for base in iproduct(range(n), repeat=k):
+            for perm in permutations(range(k)):
+                cur = list(base)
+                chain = [_torus_vertex(cur, n)]
+                for ax in perm:
+                    cur[ax] = (cur[ax] + 1) % n
+                    chain.append(_torus_vertex(cur, n))
+                yield chain
+    return build_complex(chains(), n ** k)
 
 
 def tent_labeling(k: int, n: int, axis: int = 0) -> MorseLabeling:

@@ -7,7 +7,9 @@ ranks come from edge annotations (arXiv:1107.3793), built once per
 complex and field: a spanning tree fixes its edges at zero, triangles
 with one unsolved edge are peeled off to solve that edge over a few free
 coordinates, and only the triangles left over as relations go through
-elimination.  A query is then a rank in F^betti1.
+elimination.  A query takes a vertex set as an ``int`` bitmask (bit v is
+vertex v) and is a rank in F^betti1, a pure function of the precompute;
+the searches keep their own memo of it.
 """
 from __future__ import annotations
 
@@ -28,10 +30,6 @@ from .complexes import SimplicialComplex, bfs_parents
 # 399165290221 * 798330580441 passes all of them.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_LIMIT = 3317044064679887385961981
-
-# Vertex sets an H1Calculator remembers; the memo is emptied when full, so
-# a long search holds at most this many.  No benchmark op comes near it.
-CACHE_LIMIT = 1 << 16
 
 
 def _is_prime(p: int) -> bool:
@@ -123,51 +121,36 @@ class Echelon:
         return len(self.rows)
 
     def add(self, vec: dict) -> bool:
-        """Reduce ``vec`` against the stored rows; True iff rank grew."""
+        """Reduce ``vec`` against the stored rows; True iff rank grew.
+
+        One fraction-free step for both fields: the pivot column c of
+        ``v`` is cleared by ``r[c] * v - v[c] * r``, then reduced mod p
+        over F_p or divided by its gcd over Q.  A stored row is thus a
+        nonzero multiple of the one exact division would give.
+        """
         p = self.field.p
-        if p is not None:
-            v = {c: x % p for c, x in vec.items() if x % p}
-        else:
-            v = {c: x for c, x in vec.items() if x}
-        while v:
+        v = vec
+        while True:
+            if p is not None:
+                v = {k: x % p for k, x in v.items() if x % p}
+            else:
+                v = {k: x for k, x in v.items() if x}
+                g = gcd(*v.values())
+                if g > 1:
+                    v = {k: x // g for k, x in v.items()}
+            if not v:
+                return False
             c = min(v)
             r = self.rows.get(c)
             if r is None:
-                if p is None:
-                    g = gcd(*v.values())
-                    if g > 1:
-                        v = {k: x // g for k, x in v.items()}
                 self.rows[c] = v
                 return True
-            if p is not None:
-                factor = v[c] * pow(r[c], -1, p) % p
-                new = dict(v)
-                del new[c]
-                for k, x in r.items():
-                    if k == c:
-                        continue
-                    y = (new.get(k, 0) - factor * x) % p
-                    if y:
-                        new[k] = y
-                    elif k in new:
-                        del new[k]
-                v = new
-            else:
-                a, b = r[c], v[c]
-                new = {k: a * x for k, x in v.items() if k != c}
-                for k, x in r.items():
-                    if k == c:
-                        continue
-                    y = new.get(k, 0) - b * x
-                    if y:
-                        new[k] = y
-                    elif k in new:
-                        del new[k]
-                g = gcd(*new.values())
-                if g > 1:
-                    new = {k: x // g for k, x in new.items()}
-                v = new
-        return False
+            a, b = r[c], v[c]
+            new = {k: a * x for k, x in v.items() if k != c}
+            for k, x in r.items():
+                if k != c:
+                    new[k] = new.get(k, 0) - b * x
+            v = new
 
 
 def boundary(s: tuple) -> list:
@@ -183,7 +166,7 @@ def boundary(s: tuple) -> list:
 
 
 class H1Calculator:
-    """Cached H1-image ranks of induced subcomplexes of a fixed complex.
+    """H1-image ranks of induced subcomplexes of a fixed complex.
 
     Uses the edge annotations of Busaryev, Cabello, Chen, Dey and Wang,
     "Annotating simplices with a homology basis and its applications"
@@ -202,7 +185,7 @@ class H1Calculator:
     forest of the vertex set with potentials P(w) = P(v) + ann(v -> w)
     along it; every edge a -> b of the set then closes a cycle of class
     ann(a -> b) + P(a) - P(b), and the image rank is the rank of these
-    vectors.  Memoized by vertex set, up to ``CACHE_LIMIT`` sets.
+    vectors.
     """
 
     def __init__(self, K: SimplicialComplex, field: FieldSpec):
@@ -210,7 +193,7 @@ class H1Calculator:
         self.field = field
         p = field.p
         edges = K.edges
-        parent = bfs_parents(K.adjacency, range(K.vertex_count))
+        parent = bfs_parents(K.neighbours, (1 << K.vertex_count) - 1)
         vec = [{} if a == parent[b] or b == parent[a] else None
                for a, b in edges]
         self.rank_d1 = len(edges) - vec.count(None)
@@ -295,18 +278,10 @@ class H1Calculator:
             if any(ann):
                 self._ann[a][b] = ann
                 self._ann[b][a] = tuple(-x for x in ann)
-        self._cache = {}
 
-    def image_rank_of_vertices(self, vs: frozenset) -> int:
-        """Rank of im(H1(full subcomplex on vs; F) -> H1(K; F))."""
-        cached = self._cache.get(vs)
-        if cached is None:
-            if len(self._cache) >= CACHE_LIMIT:
-                self._cache.clear()
-            cached = self._cache[vs] = self._image_rank(vs)
-        return cached
-
-    def _image_rank(self, vs: frozenset) -> int:
+    def image_rank_of_vertices(self, mask: int) -> int:
+        """Rank of im(H1(full subcomplex on the vertices of ``mask``; F)
+        -> H1(K; F))."""
         dim = self.betti1
         if dim == 0:
             return 0
@@ -315,7 +290,7 @@ class H1Calculator:
         # P(w) = P(v) + ann(v -> w), left unreduced for Echelon.add; an
         # edge without annotation passes its parent's tuple on unchanged
         potential = {}
-        for v, u in bfs_parents(adjacency, vs).items():
+        for v, u in bfs_parents(self.K.neighbours, mask).items():
             if u == v:
                 potential[v] = (0,) * dim
             else:
@@ -326,7 +301,7 @@ class H1Calculator:
         for a, pa in potential.items():
             ann_a = ann[a]
             for b in adjacency[a]:
-                if a < b and b in vs:
+                if a < b and b in potential:
                     pb = potential[b]
                     step = ann_a.get(b)
                     if step is None:

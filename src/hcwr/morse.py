@@ -6,7 +6,8 @@ simplex condition).  A slab is the full subcomplex on labels {i, i+1}, a
 level the full subcomplex on label i.  The quotient graph has a vertex
 per slab component and an edge per level component, glued by inclusion;
 the homological connected width rank of a labeled complex is the max,
-over slab components C, of rank im(H1(C; F) -> H1(K; F)).
+over slab components C, of rank im(H1(C; F) -> H1(K; F)).  Slabs, levels
+and their components are vertex bitmasks built from ``level_masks``.
 """
 from __future__ import annotations
 
@@ -93,28 +94,18 @@ def require_connected(K: SimplicialComplex, purpose: str):
         raise NotConnected(f"{purpose} requires a connected complex")
 
 
-def slab_components(K: SimplicialComplex, labels, i: int) -> list:
-    """Vertex sets of the components of slab ``i``, by smallest member.
-
-    A slab is a full subcomplex, so its 1-skeleton is that of K restricted
-    to the slab's vertices and the subcomplex itself is never built.
-    """
-    return components(K.adjacency,
-                      [v for v, l in enumerate(labels) if l == i or l == i + 1])
-
-
 @dataclass(frozen=True)
 class QVertex:
     slab_index: int
     component_id: int
-    members: frozenset
+    members: int  # vertex mask
 
 
 @dataclass(frozen=True)
 class QEdge:
     level_index: int
     component_id: int
-    members: frozenset
+    members: int  # vertex mask
     endpoints: tuple  # indices into q_vertices: (slab i-1 side, slab i side)
 
 
@@ -141,23 +132,22 @@ def quotient_graph(K: SimplicialComplex, f: MorseLabeling) -> QuotientGraph:
     """
     require_valid(K, f)
     require_connected(K, "quotient graph")
+    level = level_masks(f.labels)
     lo, hi = f.min, f.max
-    q_vertices = []
-    theta_vertex = {}  # (slab index, K-vertex) -> index into q_vertices
-    for i in range(lo - 1, hi + 1):
-        for cid, comp in enumerate(slab_components(K, f.labels, i)):
-            idx = len(q_vertices)
-            q_vertices.append(QVertex(i, cid, comp))
-            for v in comp:
-                theta_vertex[(i, v)] = idx
-    q_edges = []
-    for i in range(lo, hi + 1):
-        members = [v for v, l in enumerate(f.labels) if l == i]
-        for cid, comp in enumerate(components(K.adjacency, members)):
-            rep = min(comp)
-            left = theta_vertex[(i - 1, rep)]
-            right = theta_vertex[(i, rep)]
-            q_edges.append(QEdge(i, cid, comp, (left, right)))
+    q_vertices = [QVertex(i, cid, comp) for i in range(lo - 1, hi + 1)
+                  for cid, comp in enumerate(components(
+                      K.neighbours, level.get(i, 0) | level.get(i + 1, 0)))]
+    # a level component lies in one component of each adjacent slab:
+    # level component -> [its slab i-1 vertex, its slab i vertex]
+    sides = {}
+    for idx, qv in enumerate(q_vertices):
+        for i in (qv.slab_index, qv.slab_index + 1):
+            if i in level:
+                for comp in components(K.neighbours, qv.members & level[i]):
+                    sides.setdefault(comp, []).append(idx)
+    q_edges = [QEdge(i, cid, comp, tuple(sides[comp]))
+               for i in range(lo, hi + 1)
+               for cid, comp in enumerate(components(K.neighbours, level[i]))]
     return QuotientGraph(q_vertices, q_edges)
 
 
@@ -193,13 +183,8 @@ def slab_masks(level: dict) -> list:
 def slab_state(calc: H1Calculator, mask: int) -> tuple:
     """(max rank, #components attaining max, sum of ranks) over the
     components of the full subcomplex on the vertices of ``mask``."""
-    vertices = []
-    while mask:
-        low = mask & -mask
-        vertices.append(low.bit_length() - 1)
-        mask ^= low
     ranks = map(calc.image_rank_of_vertices,
-                components(calc.K.adjacency, vertices))
+                components(calc.K.neighbours, mask))
     return combine_slab_states((r, 1, r) for r in ranks)
 
 
@@ -287,7 +272,7 @@ def hcwr_value(K: SimplicialComplex, f: MorseLabeling,
     for qv in Q.q_vertices:
         r = calc.image_rank_of_vertices(qv.members)
         per_slab.append(SlabRank(qv.slab_index, qv.component_id,
-                                 len(qv.members), r))
+                                 qv.members.bit_count(), r))
         max_rank = max(max_rank, r)
     b1 = qf_betti1(Q)
     return WidthReport(per_slab=per_slab, max_rank=max_rank,

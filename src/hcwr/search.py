@@ -4,9 +4,10 @@ simulated annealing beyond it.
 
 Both score a labeling with the one objective of ``morse``: the states
 (max rank, #components at max, sum of ranks) of its interior slabs,
-combined.  Annealing keeps each labeling as level bitmasks and looks
-each slab state up by its vertex mask, in a memo bounded like the
-image-rank memo of ``homology.H1Calculator``; a move changes two slabs.
+combined.  Vertex sets are bitmasks, and each search keeps one memo of
+``_Memo``, bounded at ``CACHE_LIMIT`` keys: the enumeration remembers
+the image ranks of the forced components it bounds by, annealing the
+slab states of its level bitmasks (a move changes two slabs).
 
 Both searches are deterministic: the enumeration visits labelings in a
 fixed breadth-first/lexicographic order and annealing draws from a fully
@@ -22,7 +23,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import homology
 from .complexes import SimplicialComplex, bfs_parents
 from .homology import FieldSpec, H1Calculator
 from .morse import (MorseLabeling, combine_slab_states, require_connected,
@@ -37,6 +37,9 @@ _STREAM_STEP = 0x9E3779B97F4A7C15
 # annealing schedule: temperature at step 0, multiplied by the rate per step
 _INITIAL_TEMPERATURE = 200.0
 _COOLING_RATE = 0.99999
+# Keys a search memo holds; it is emptied when full, so a long search
+# holds at most this many.  No benchmark op comes near it.
+CACHE_LIMIT = 1 << 16
 
 
 class Lcg:
@@ -67,6 +70,8 @@ class AnnealParams:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
 
 
 @dataclass
@@ -106,7 +111,8 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     and image rank is monotone under vertex inclusion, so when its rank
     reaches the best value found so far the subtree is skipped.  A
     boundary slab lies inside the adjacent interior slab, so the bound
-    needs no special case for it.
+    needs no special case for it.  The ranks of these sets are memoized
+    by vertex mask: most of them recur across sibling subtrees.
 
     The certificate is the first minimizer in this visiting order (not
     necessarily the lexicographically smallest one), and
@@ -118,9 +124,12 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     """
     require_connected(K, "search")
     calc = H1Calculator(K, F)
+    ranks = _Memo(calc.image_rank_of_vertices)
     n = K.vertex_count
-    adjacency = [sorted(nbrs) for nbrs in K.adjacency]
-    parent = bfs_parents(adjacency, range(n))  # K is connected: one root, 0
+    adjacency = K.adjacency
+    bit = [1 << v for v in range(n)]
+    # K is connected: one root, 0
+    parent = bfs_parents(K.neighbours, (1 << n) - 1)
     order = list(parent)
     position = [0] * n
     for k, v in enumerate(order):
@@ -140,16 +149,16 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     def forced_rank(v, k, a):
         """Image rank of v's partial component in slab ``a`` while
         positions 0..k are labeled."""
-        comp = {v}
+        comp = bit[v]
         todo = [v]
         while todo:
             for w in adjacency[todo.pop()]:
-                if w not in comp and (
+                if not comp & bit[w] and (
                         a <= labels[w] <= a + 1 if position[w] <= k
                         else a <= lo[w] and hi[w] <= a + 1):
-                    comp.add(w)
+                    comp |= bit[w]
                     todo.append(w)
-        return calc.image_rank_of_vertices(frozenset(comp))
+        return ranks[comp]
 
     best = None  # (value, labels tuple)
     visited = 0
@@ -206,19 +215,18 @@ def _derive_seed(seed: int, restart: int) -> int:
     return (seed + _STREAM_STEP * (restart + 1)) & _MASK64
 
 
-class _SlabMemo(dict):
-    """Slab states by slab mask for one calculator; emptied when it holds
-    ``homology.CACHE_LIMIT`` masks, like the calculator's image-rank memo."""
+class _Memo(dict):
+    """``fn(key)`` by key; emptied when it holds ``CACHE_LIMIT`` keys."""
 
-    def __init__(self, calc: H1Calculator):
+    def __init__(self, fn):
         super().__init__()
-        self.calc = calc
+        self.fn = fn
 
-    def __missing__(self, mask):
-        if len(self) >= homology.CACHE_LIMIT:
+    def __missing__(self, key):
+        if len(self) >= CACHE_LIMIT:
             self.clear()
-        state = self[mask] = slab_state(self.calc, mask)
-        return state
+        value = self[key] = self.fn(key)
+        return value
 
 
 def anneal_min(K: SimplicialComplex, F: FieldSpec,
@@ -238,15 +246,16 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     has label l - delta.  The energy's three integers combine the states
     of the interior slabs (``morse.slab_masks``), each looked up by its
     vertex mask in a memo shared by the restarts and emptied when it
-    holds ``homology.CACHE_LIMIT`` masks; a move changes two slab masks,
+    holds ``CACHE_LIMIT`` masks; a move changes two slab masks,
     and long runs revisit slab states far more often than labelings.
     """
     if params is None:
         params = AnnealParams()
     require_connected(K, "search")
-    states = _SlabMemo(H1Calculator(K, F))
+    calc = H1Calculator(K, F)
+    states = _Memo(lambda mask: slab_state(calc, mask))
     n = K.vertex_count
-    neighbours = [sum(1 << w for w in nbrs) for nbrs in K.adjacency]
+    neighbours = K.neighbours
 
     def energy(profile):
         mx, cnt, total = profile

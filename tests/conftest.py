@@ -23,6 +23,16 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+def mask_of(vertices) -> int:
+    """The bitmask of a vertex collection (bit v is vertex v)."""
+    return sum(1 << v for v in set(vertices))
+
+
+def members(mask: int) -> frozenset:
+    """The vertices of a bitmask."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def oracle_rank(M, F: FieldSpec) -> int:
     """Exact matrix rank via sympy, independent of the package echelon."""
     if not M or not M[0]:

@@ -14,6 +14,7 @@ from hcwr import (AnnealParams, FieldSpec, LabeledComplex, anneal_min, betti1,
                   spread_wedge, validate_labeling)
 from hcwr.generators import parse_relator
 from hcwr.morse import MorseLabeling
+from hcwr.verify import run_cases
 
 Q = FieldSpec.rationals()
 F3 = FieldSpec.prime(3)
@@ -133,9 +134,9 @@ def test_8_property_suite_spot_checks():
         from hcwr import H1Calculator
         T = generate_torus(2, 3)
         calc = H1Calculator(T, Q)
-        inner = frozenset(range(5))
+        inner = (1 << 5) - 1
         assert calc.image_rank_of_vertices(inner) <= \
-            calc.image_rank_of_vertices(frozenset(range(9)))
+            calc.image_rank_of_vertices((1 << 9) - 1)
         # translation / reflection invariance
         f = circle_tent_labeling(6)
         C6 = generate_circle(6)
@@ -164,3 +165,14 @@ def test_9_annealing_reaches_known_optima():
         assert t2.best_value == 1
         c6 = anneal_min(generate_circle(6), Q, AnnealParams(seed=7))
         assert c6.best_value == 0
+
+
+def test_10_torus_k3_desk_scale_lower_bound():
+    with Budget(60):
+        # w(Z^3) = 2, proven on the 64-vertex torus through the verify case
+        case, = run_cases("torus-k3-lower-bound")["cases"]
+        assert case["status"] == "pass"
+        assert case["actual"] == {"best_value": 2, "exhaustive": True}
+        # resolution artifacts: at n = 3 the minima exceed k - 1
+        assert exhaustive_min(generate_torus(3, 3), Q).best_value == 3
+        assert exhaustive_min(generate_torus(2, 3), Q).best_value == 2

@@ -188,7 +188,7 @@ def test_verify_all_cases_pass(capsys):
     assert code == 0
     summary = json.loads(stdout)
     assert summary["failures"] == 0
-    assert len(summary["cases"]) == 10
+    assert len(summary["cases"]) == 11
     assert {c["status"] for c in summary["cases"]} == {"pass"}
 
 
@@ -197,11 +197,12 @@ def test_verify_zero_budget_skips_only_searches(capsys):
     assert code == 0
     status = {c["name"]: c["status"] for c in json.loads(stdout)["cases"]}
     searches = {"torus-lower-bound", "torus-2-5-lower-bound",
-                "free-width-zero", "infinite-abelian-z", "abelian-f3-search"}
+                "torus-k3-lower-bound", "free-width-zero",
+                "infinite-abelian-z", "abelian-f3-search"}
     assert {n for n, s in status.items() if s == "skipped(budget)"} == searches
     assert {n for n, s in status.items() if s == "pass"} == \
         set(status) - searches
-    assert len(status) == 10
+    assert len(status) == 11
 
 
 def test_verify_unknown_case_exit_2(capsys):
@@ -314,6 +315,29 @@ def test_product_over_face_limit_exit_2(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error:") and "maximal_simplices" in stderr
+    assert stderr.count("\n") == 1
+
+
+def test_anneal_rejects_zero_restarts(tmp_path, capsys):
+    out = tmp_path / "c6.scx"
+    run(capsys, "generate", "circle", "--m", "6", "--out", str(out))
+    code, stdout, stderr = run(capsys, "search", str(out), "--mode", "anneal",
+                               "--restarts", "0")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: restarts must be >= 1\n"
+
+
+@pytest.mark.parametrize("dim, res", [(30, 3), (3, 200)])
+def test_oversized_torus_exit_2_at_once(capsys, dim, res):
+    # 3^30 and 200^3 vertices are each more faces than the cap allows
+    t0 = time.monotonic()
+    code, stdout, stderr = run(capsys, "generate", "torus", "--dim", str(dim),
+                               "--res", str(res))
+    assert time.monotonic() - t0 < 5
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and "faces" in stderr
     assert stderr.count("\n") == 1
 
 

@@ -1,14 +1,15 @@
 """Complex construction, induced subcomplexes and components."""
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 from itertools import chain, combinations, repeat
 
 from hcwr import (FieldSpec, build_complex, connected_components,
                   constant_labeling, euler_characteristic, hcwr_value,
                   induced_subcomplex, maximal_simplices)
-from hcwr.complexes import DegenerateSimplex, VertexOutOfRange
+from hcwr.complexes import (DegenerateSimplex, VertexOutOfRange, bfs_parents,
+                            components)
 
-from conftest import small_complexes
+from conftest import mask_of, members, small_complexes
 
 
 def test_build_triangle():
@@ -104,11 +105,35 @@ def test_induced_subcomplex_empty():
 
 @given(small_complexes())
 def test_components_partition_vertices(K):
-    comps = connected_components(K)
+    comps = [members(c) for c in connected_components(K)]
     seen = sorted(v for c in comps for v in c)
     assert seen == list(range(K.vertex_count))
     # sorted by smallest member
     assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+    # no edge leaves a component
+    assert all((a in c) == (b in c) for a, b in K.edges for c in comps)
+
+
+@given(small_complexes(), st.data())
+def test_mask_kernels_match_a_sorted_search(K, data):
+    # a queue search with ascending roots and sorted neighbour lists
+    vs = data.draw(st.sets(st.integers(min_value=0,
+                                       max_value=K.vertex_count - 1)))
+    parent, comps = {}, []
+    for root in sorted(vs):
+        if root not in parent:
+            parent[root] = root
+            queue = [root]
+            for v in queue:
+                for w in sorted(K.adjacency[v] & vs):
+                    if w not in parent:
+                        parent[w] = v
+                        queue.append(w)
+            comps.append(set(queue))
+    assert list(bfs_parents(K.neighbours, mask_of(vs)).items()) == \
+        list(parent.items())
+    assert [members(c) for c in components(K.neighbours, mask_of(vs))] == \
+        comps
 
 
 def test_euler_characteristic_examples():

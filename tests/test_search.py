@@ -9,7 +9,7 @@ from hcwr import (AnnealParams, FieldSpec, H1Calculator, anneal_min, betti1,
                   build_complex, certified_bounds, exhaustive_min,
                   generate_circle, generate_torus, hcwr_value,
                   maximal_simplices, product_complex, validate_labeling)
-from hcwr import homology, search
+from hcwr import search
 from hcwr.morse import MorseLabeling, NotConnected
 from hcwr.search import Lcg, _derive_seed
 
@@ -188,6 +188,8 @@ class TestAnnealParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             AnnealParams(steps=0)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            AnnealParams(restarts=0)
 
 
 class TestAnneal:
@@ -263,23 +265,28 @@ def test_anneal_matches_recorded_results(name, make, F, params, value,
         "seed": params.seed}
 
 
-def test_full_slab_memo_is_emptied(monkeypatch):
+def test_full_search_memo_is_emptied(monkeypatch):
     K = generate_torus(2, 4)
     params = AnnealParams(steps=3000, restarts=2, seed=7)
-    uncapped = anneal_min(K, Q, params).to_json()
+    uncapped = (anneal_min(K, Q, params).to_json(),
+                exhaustive_min(K, Q).to_json())
     sizes = []
-    fill = search._SlabMemo.__missing__
+    fill = search._Memo.__missing__
 
-    def recording_fill(memo, mask):
-        state = fill(memo, mask)
+    def recording_fill(memo, key):
+        value = fill(memo, key)
         sizes.append(len(memo))
-        return state
+        return value
 
-    monkeypatch.setattr(search._SlabMemo, "__missing__", recording_fill)
-    monkeypatch.setattr(homology, "CACHE_LIMIT", 2)
-    assert anneal_min(K, Q, params).to_json() == uncapped
-    # only a miss adds a mask; the memo fills to the cap and is emptied
-    assert max(sizes) == 2 and sizes.count(1) > 1
+    monkeypatch.setattr(search._Memo, "__missing__", recording_fill)
+    monkeypatch.setattr(search, "CACHE_LIMIT", 2)
+    # the anneal's slab states, then the enumeration's forced ranks: only
+    # a miss adds a key; each memo fills to the cap and is emptied
+    for run, result in zip((lambda: anneal_min(K, Q, params),
+                            lambda: exhaustive_min(K, Q)), uncapped):
+        sizes.clear()
+        assert run().to_json() == result
+        assert max(sizes) == 2 and sizes.count(1) > 1
 
 
 class TestCertifiedBounds:
