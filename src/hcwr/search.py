@@ -4,9 +4,9 @@ simulated annealing beyond it.
 
 Both score a labeling with the one objective of ``morse``: the states
 (max rank, #components at max, sum of ranks) of its interior slabs,
-combined.  Vertex sets are bitmasks, and each search keeps one memo of
-``_Memo``, bounded at ``CACHE_LIMIT`` keys: the enumeration remembers
-the image ranks of the forced components it bounds by, annealing the
+combined.  Vertex sets are bitmasks, and each search keeps one bounded
+memo (``_Memo``, emptied at ``CACHE_LIMIT`` keys): the enumeration of
+the image ranks of the forced components it bounds by, annealing of the
 slab states of its level bitmasks (a move changes two slabs).
 
 Both searches are deterministic: the enumeration visits labelings in a
@@ -128,8 +128,8 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     n = K.vertex_count
     adjacency = K.adjacency
     bit = [1 << v for v in range(n)]
-    # K is connected: one root, 0
-    parent = bfs_parents(K.neighbours, (1 << n) - 1)
+    seen = [None] * n  # per vertex, the stamp of the walk that last met it
+    parent = bfs_parents(K.neighbours, (1 << n) - 1)  # connected: root 0
     order = list(parent)
     position = [0] * n
     for k, v in enumerate(order):
@@ -151,11 +151,13 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
         positions 0..k are labeled."""
         comp = bit[v]
         todo = [v]
+        seen[v] = stamp = object()  # marks this walk's vertices
         while todo:
             for w in adjacency[todo.pop()]:
-                if not comp & bit[w] and (
+                if seen[w] is not stamp and (
                         a <= labels[w] <= a + 1 if position[w] <= k
                         else a <= lo[w] and hi[w] <= a + 1):
+                    seen[w] = stamp
                     comp |= bit[w]
                     todo.append(w)
         return ranks[comp]
