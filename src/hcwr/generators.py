@@ -9,11 +9,12 @@ simplices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product as iproduct
+from itertools import (chain, combinations, pairwise, permutations,
+                       product as iproduct)
 from typing import Optional, Sequence
 
-from .complexes import (SimplicialComplex, VertexOutOfRange, build_complex,
-                        maximal_simplices)
+from .complexes import (MAX_FACES, SimplicialComplex, VertexOutOfRange,
+                        build_complex, maximal_simplices)
 from .morse import MorseLabeling, require_valid
 
 
@@ -51,7 +52,7 @@ def generate_circle(m: int) -> SimplicialComplex:
     """Simplicial circle with m vertices (m >= 3)."""
     if m < 3:
         raise TooFewVertices(f"a simplicial circle needs m >= 3, got {m}")
-    return build_complex([(i, (i + 1) % m) for i in range(m)], m)
+    return build_complex(((i, (i + 1) % m) for i in range(m)), m)
 
 
 def circle_tent_labeling(m: int) -> MorseLabeling:
@@ -83,6 +84,10 @@ def generate_torus(k: int, n: int) -> SimplicialComplex:
         raise ValueError(f"torus dimension must be >= 1, got {k}")
     if n < 3:
         raise ResolutionTooSmall(f"torus grid needs n >= 3, got {n}")
+    # n^k >= max(n, 2^k) vertices: refused before the power is taken
+    if n > MAX_FACES or k >= MAX_FACES.bit_length():
+        raise ValueError(f"a {k}-torus of resolution {n} has more than "
+                         f"{MAX_FACES} faces")
     def chains():
         for base in iproduct(range(n), repeat=k):
             for perm in permutations(range(k)):
@@ -124,17 +129,12 @@ def wedge(K1: SimplicialComplex, v1: int,
     if not 0 <= v2 < K2.vertex_count:
         raise VertexOutOfRange(f"v2={v2} outside second complex")
     n1 = K1.vertex_count
-    remap = {}
-    nxt = n1
-    for v in range(K2.vertex_count):
-        if v == v2:
-            remap[v] = v1
-        else:
-            remap[v] = nxt
-            nxt += 1
-    simps = [s for s in maximal_simplices(K1)]
-    simps += [tuple(remap[v] for v in s) for s in maximal_simplices(K2)]
-    return build_complex(simps, nxt)
+    # the vertices of K2 other than v2 follow those of K1, in order
+    remap = [v1 if v == v2 else n1 + v - (v > v2)
+             for v in range(K2.vertex_count)]
+    simps = chain(maximal_simplices(K1), (tuple(remap[v] for v in s)
+                                          for s in maximal_simplices(K2)))
+    return build_complex(simps, n1 + K2.vertex_count - 1)
 
 
 def spread_wedge(L1: LabeledComplex, v1: int,
@@ -162,11 +162,12 @@ def spread_wedge(L1: LabeledComplex, v1: int,
         raise ArcTooShort(
             f"arc_len={arc_len} cannot lift the second label range above the first")
     n1, n2 = K1.vertex_count, K2.vertex_count
-    simps = [s for s in maximal_simplices(K1)]
-    simps += [tuple(v + n1 for v in s) for s in maximal_simplices(K2)]
-    # arc interior vertices n1+n2 .. n1+n2+arc_len-2
-    path = [v1] + [n1 + n2 + i for i in range(arc_len - 1)] + [n1 + v2]
-    simps += [(path[i], path[i + 1]) for i in range(arc_len)]
+    # arc interior vertices n1+n2 .. n1+n2+arc_len-2; all lazy, so the
+    # face limit of build_complex sees an oversized arc before it is listed
+    path = chain([v1], range(n1 + n2, n1 + n2 + arc_len - 1), [n1 + v2])
+    simps = chain(maximal_simplices(K1),
+                  (tuple(v + n1 for v in s) for s in maximal_simplices(K2)),
+                  pairwise(path))
     K = build_complex(simps, n1 + n2 + arc_len - 1)
     labels = list(f1.labels) + [l + shift for l in f2.labels]
     labels += [f1[v1] + 1 + i for i in range(arc_len - 1)]
@@ -244,12 +245,6 @@ def presentation_complex(num_generators: int,
         for l in w:
             if l == 0 or abs(l) > num_generators:
                 raise ValueError(f"bad relator letter {l}")
-    # base vertex 0; generator j (1-based) uses vertices 2j-1, 2j
-    simps = []
-    for j in range(1, num_generators + 1):
-        a, b = 2 * j - 1, 2 * j
-        simps += [(0, a), (a, b), (0, b)]
-    nxt = 2 * num_generators + 1
 
     def circuit(word):
         walk = [0]
@@ -259,16 +254,25 @@ def presentation_complex(num_generators: int,
             walk += ([a, b, 0] if l > 0 else [b, a, 0])
         return walk  # length 3L + 1, closed
 
-    for w in relators:
-        outer = circuit(w)
-        L3 = 3 * len(w)
-        ring = list(range(nxt, nxt + L3))
-        cone = nxt + L3
-        nxt = cone + 1
-        for t in range(L3):
-            o1, o2 = outer[t], outer[t + 1]
-            r1, r2 = ring[t], ring[(t + 1) % L3]
-            simps.append((o1, o2, r1))
-            simps.append((o2, r1, r2))
-            simps.append((r1, r2, cone))
-    return build_complex(simps, nxt)
+    # a generator, so build_complex's face limit stops it before an
+    # oversized complex is listed
+    def simplices():
+        # base vertex 0; generator j (1-based) uses vertices 2j-1, 2j
+        for j in range(1, num_generators + 1):
+            a, b = 2 * j - 1, 2 * j
+            yield from ((0, a), (a, b), (0, b))
+        nxt = 2 * num_generators + 1
+        for w in relators:
+            outer = circuit(w)
+            L3 = 3 * len(w)
+            cone = nxt + L3  # after the ring nxt .. nxt + L3 - 1
+            for t in range(L3):
+                o1, o2 = outer[t], outer[t + 1]
+                r1, r2 = nxt + t, nxt + (t + 1) % L3
+                yield from ((o1, o2, r1), (o2, r1, r2), (r1, r2, cone))
+            nxt = cone + 1
+
+    # 2g + 1 wedge vertices, 3L ring vertices and a cone per relator
+    vertex_count = 2 * num_generators + 1 + sum(3 * len(w) + 1
+                                                for w in relators)
+    return build_complex(simplices(), vertex_count)

@@ -2,7 +2,9 @@
 
 All arithmetic is integer-exact: rational ranks use fraction-free
 (Bareiss-style) elimination with gcd-normalized integer rows, prime-field
-ranks use modular elimination.  No floating point anywhere.  H1-image
+ranks use modular elimination, and back-substitution clears a pivot by
+scaling the cocycle, never by dividing.  ``FieldSpec.reduce`` is the one
+filter of both fields.  No floating point anywhere.  H1-image
 ranks come from edge annotations (arXiv:1107.3793), built once per
 complex and field: a spanning tree fixes its edges at zero, triangles
 with one unsolved edge are peeled off to solve that edge over a few free
@@ -14,8 +16,7 @@ the searches keep their own memo of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add
 from typing import Optional
 
@@ -104,6 +105,13 @@ class FieldSpec:
             return cls.prime(int(t[1:]))
         raise ValueError(f"cannot parse field {text!r}")
 
+    def reduce(self, vec: dict) -> dict:
+        """``vec`` without its zero entries, reduced mod p over F_p."""
+        p = self.p
+        if p is None:
+            return {k: x for k, x in vec.items() if x}
+        return {k: x % p for k, x in vec.items() if x % p}
+
 
 class Echelon:
     """Row space in sparse echelon form over a FieldSpec.
@@ -128,18 +136,16 @@ class Echelon:
         over F_p or divided by its gcd over Q.  A stored row is thus a
         nonzero multiple of the one exact division would give.
         """
-        p = self.field.p
+        reduce, rationals = self.field.reduce, self.field.is_rationals
         v = vec
         while True:
-            if p is not None:
-                v = {k: x % p for k, x in v.items() if x % p}
-            else:
-                v = {k: x for k, x in v.items() if x}
+            v = reduce(v)
+            if not v:
+                return False
+            if rationals:
                 g = gcd(*v.values())
                 if g > 1:
                     v = {k: x // g for k, x in v.items()}
-            if not v:
-                return False
             c = min(v)
             r = self.rows.get(c)
             if r is None:
@@ -191,7 +197,7 @@ class H1Calculator:
     def __init__(self, K: SimplicialComplex, field: FieldSpec):
         self.K = K
         self.field = field
-        p = field.p
+        reduce = field.reduce
         edges = K.edges
         parent = bfs_parents(K.neighbours, (1 << K.vertex_count) - 1)
         vec = [{} if a == parent[b] or b == parent[a] else None
@@ -216,9 +222,7 @@ class H1Calculator:
             for i, x in terms:
                 for c, y in vec[i].items():
                     total[c] = total.get(c, 0) + x * y
-            if p is not None:
-                return {c: y % p for c, y in total.items() if y % p}
-            return {c: y for c, y in total.items() if y}
+            return reduce(total)
 
         def solve(i, v):
             vec[i] = v
@@ -258,23 +262,19 @@ class H1Calculator:
             for c in sorted(ech.rows, reverse=True):
                 row = ech.rows[c]
                 s = sum(x * phi.get(k, 0) for k, x in row.items() if k != c)
-                if s:
-                    phi[c] = (Fraction(-s, row[c]) if p is None
-                              else -s * pow(row[c], -1, p) % p)
+                if s:  # scale, not divide: row . phi = 0 once phi[c] = -s
+                    phi = {k: row[c] * y for k, y in phi.items()}
+                    phi[c] = -s
+                    phi = reduce(phi)
             cocycles.append(phi)
-        if p is None:
-            scale = lcm(*(Fraction(x).denominator
-                          for phi in cocycles for x in phi.values()))
-            cocycles = [{j: int(x * scale) for j, x in phi.items()}
-                        for phi in cocycles]
         self._ann = [{} for _ in range(K.vertex_count)]
         for (a, b), v in zip(edges, vec):
             if not v:
                 continue
             ann = tuple(sum(phi.get(c, 0) * y for c, y in v.items())
                         for phi in cocycles)
-            if p is not None:
-                ann = tuple(x % p for x in ann)
+            if field.p is not None:
+                ann = tuple(x % field.p for x in ann)
             if any(ann):
                 self._ann[a][b] = ann
                 self._ann[b][a] = tuple(-x for x in ann)
@@ -287,33 +287,35 @@ class H1Calculator:
             return 0
         ann = self._ann
         adjacency = self.K.adjacency
-        # P(w) = P(v) + ann(v -> w), left unreduced for Echelon.add; an
-        # edge without annotation passes its parent's tuple on unchanged
+        # P(b) = P(u) + ann(u -> b) along the BFS tree, left unreduced for
+        # Echelon.add; an edge without annotation passes its parent's
+        # tuple on unchanged.  Each edge from b to a vertex a visited
+        # before it, other than its parent u, closes a cycle of class
+        # P(b) + ann(b -> a) - P(a).
         potential = {}
-        for v, u in bfs_parents(self.K.neighbours, mask).items():
-            if u == v:
-                potential[v] = (0,) * dim
-            else:
-                step = ann[u].get(v)
-                potential[v] = (potential[u] if step is None
-                                else tuple(map(add, potential[u], step)))
         ech = Echelon(self.field)
-        for a, pa in potential.items():
-            ann_a = ann[a]
-            for b in adjacency[a]:
-                if a < b and b in potential:
-                    pb = potential[b]
-                    step = ann_a.get(b)
-                    if step is None:
-                        if pa == pb:  # a zero cycle
-                            continue
-                        reach = pa
-                    else:
-                        reach = tuple(map(add, pa, step))
-                    cycle = {i: x - y for i, (x, y) in
-                             enumerate(zip(reach, pb)) if x != y}
-                    if cycle and ech.add(cycle) and ech.rank == dim:
-                        return dim
+        for b, u in bfs_parents(self.K.neighbours, mask).items():
+            step = ann[u].get(b)  # None at a root, its own parent
+            pb = (0,) * dim if u == b else potential[u]
+            if step is not None:
+                pb = tuple(map(add, pb, step))
+            potential[b] = pb
+            ann_b = ann[b]
+            for a in adjacency[b]:
+                if a == u or a not in potential:
+                    continue
+                pa = potential[a]
+                step = ann_b.get(a)
+                if step is None:
+                    if pb == pa:  # a zero cycle
+                        continue
+                    reach = pb
+                else:
+                    reach = tuple(map(add, pb, step))
+                cycle = {i: x - y for i, (x, y) in
+                         enumerate(zip(reach, pa)) if x != y}
+                if cycle and ech.add(cycle) and ech.rank == dim:
+                    return dim
         return ech.rank
 
 

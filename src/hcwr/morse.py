@@ -23,11 +23,12 @@ class NotConnected(ValueError):
 
 
 class InvalidLabeling(ValueError):
-    """The labeling violates the one-step simplex-span constraint."""
+    """The labeling violates the one-step simplex-span constraint;
+    ``violations`` lists the edges that span more than one step."""
 
     def __init__(self, violations):
         self.violations = violations
-        super().__init__(f"label span > 1 on simplices {sorted(violations)[:5]}"
+        super().__init__(f"label span > 1 on edges {violations[:5]}"
                          + ("..." if len(violations) > 5 else ""))
 
 
@@ -66,18 +67,13 @@ def constant_labeling(K: SimplicialComplex, value: int = 0) -> MorseLabeling:
 
 
 def validate_labeling(K: SimplicialComplex, f: MorseLabeling) -> list:
-    """All simplices whose labels span more than one step (empty = ok).
-
-    A simplex's labels span as far as those of one of its edges, so the
-    simplices are scanned only when some edge spans more than one step.
-    """
+    """The edges, in sorted order, whose labels differ by more than one
+    step (empty = ok).  A simplex spans more than one step exactly when
+    one of its edges does."""
     if len(f) != K.vertex_count:
         raise ValueError("labeling length does not match vertex count")
     labels = f.labels
-    if all(-1 <= labels[a] - labels[b] <= 1 for a, b in K.edges):
-        return []
-    return sorted(s for s in K.simplices
-                  if max(labels[v] for v in s) - min(labels[v] for v in s) > 1)
+    return [(a, b) for a, b in K.edges if not -1 <= labels[a] - labels[b] <= 1]
 
 
 def require_valid(K: SimplicialComplex, f: MorseLabeling):
@@ -134,18 +130,17 @@ def quotient_graph(K: SimplicialComplex, f: MorseLabeling) -> QuotientGraph:
     require_connected(K, "quotient graph")
     level = level_masks(f.labels)
     lo, hi = f.min, f.max
-    q_vertices = [QVertex(i, cid, comp) for i in range(lo - 1, hi + 1)
-                  for cid, comp in enumerate(components(
-                      K.neighbours, level.get(i, 0) | level.get(i + 1, 0)))]
-    # a level component lies in one component of each adjacent slab:
-    # level component -> [its slab i-1 vertex, its slab i vertex]
-    sides = {}
-    for idx, qv in enumerate(q_vertices):
-        for i in (qv.slab_index, qv.slab_index + 1):
-            if i in level:
-                for comp in components(K.neighbours, qv.members & level[i]):
-                    sides.setdefault(comp, []).append(idx)
-    q_edges = [QEdge(i, cid, comp, tuple(sides[comp]))
+    slabs = {i: components(K.neighbours, level.get(i, 0) | level.get(i + 1, 0))
+             for i in range(lo - 1, hi + 1)}
+    q_vertices = [QVertex(i, cid, comp) for i, comps in slabs.items()
+                  for cid, comp in enumerate(comps)]
+    index = {(qv.slab_index, qv.component_id): k
+             for k, qv in enumerate(q_vertices)}
+    # a level-i component is connected, so it lies in the one component
+    # of slab i - 1 and the one of slab i that it meets
+    q_edges = [QEdge(i, cid, comp, tuple(
+                   index[j, next(c for c, s in enumerate(slabs[j])
+                                 if s & comp)] for j in (i - 1, i)))
                for i in range(lo, hi + 1)
                for cid, comp in enumerate(components(K.neighbours, level[i]))]
     return QuotientGraph(q_vertices, q_edges)

@@ -102,17 +102,17 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     translation-normalized labeling, and every later vertex takes the
     labels, lowest first, of its *window*: the nonnegative labels within
     one step of all its labeled neighbors.  The windows are kept per
-    vertex and restored on backtrack.
+    vertex and restored on backtrack; a label is a window of width zero.
 
     Branch and bound: after a vertex gets label l, its partial component
-    in slab l - 1 and in slab l is grown through the labeled vertices of
-    the slab and through the unlabeled ones whose window already lies in
-    the slab.  Every completion puts that set inside one slab component,
-    and image rank is monotone under vertex inclusion, so when its rank
-    reaches the best value found so far the subtree is skipped.  A
-    boundary slab lies inside the adjacent interior slab, so the bound
-    needs no special case for it.  The ranks of these sets are memoized
-    by vertex mask: most of them recur across sibling subtrees.
+    in slab l - 1 and in slab l is grown through the vertices whose
+    window already lies in the slab.  Every completion puts that set
+    inside one slab component, and image rank is monotone under vertex
+    inclusion, so when its rank reaches the best value found so far the
+    subtree is skipped.  A boundary slab lies inside the adjacent
+    interior slab, so the bound needs no special case for it.  The ranks
+    of these sets are memoized by vertex mask: most of them recur across
+    sibling subtrees.
 
     The certificate is the first minimizer in this visiting order (not
     necessarily the lexicographically smallest one), and
@@ -141,22 +141,19 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     # neighbors labeled after order[k], whose windows its label narrows
     later = [[w for w in adjacency[v] if position[w] > k]
              for k, v in enumerate(order)]
-    labels = [0] * n
+    # per vertex its window, lo[v] = hi[v] = the label once labeled
     lo = [0] * n
     hi = [math.inf] * n  # no labeled neighbor yet: unbounded above
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
-    def forced_rank(v, k, a):
-        """Image rank of v's partial component in slab ``a`` while
-        positions 0..k are labeled."""
+    def forced_rank(v, a):
+        """Image rank of v's partial component in slab ``a``."""
         comp = bit[v]
         todo = [v]
         seen[v] = stamp = object()  # marks this walk's vertices
         while todo:
             for w in adjacency[todo.pop()]:
-                if seen[w] is not stamp and (
-                        a <= labels[w] <= a + 1 if position[w] <= k
-                        else a <= lo[w] and hi[w] <= a + 1):
+                if seen[w] is not stamp and a <= lo[w] and hi[w] <= a + 1:
                     seen[w] = stamp
                     comp |= bit[w]
                     todo.append(w)
@@ -166,8 +163,8 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     visited = 0
     completed = True
     # stack[k] yields the labels left to try at order[k] and undo[k] the
-    # windows its current label overwrote; a loop, not recursion, so deep
-    # complexes stay under the recursion limit
+    # windows its current label overwrote, its own among them; a loop,
+    # not recursion, so deep complexes stay under the recursion limit
     stack = [iter(range(ecc + 1))]
     undo = [[] for _ in range(n)]
     while stack:
@@ -184,28 +181,29 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
             stack.pop()
             continue
         v = order[k]
-        labels[v] = label
+        undo[k].append((v, lo[v], hi[v]))
+        lo[v] = hi[v] = label
         for w in later[k]:
             undo[k].append((w, lo[w], hi[w]))
             lo[w] = max(lo[w], label - 1)
             hi[w] = min(hi[w], label + 1)
-        if best is not None and (forced_rank(v, k, label - 1) >= best[0]
-                                 or forced_rank(v, k, label) >= best[0]):
+        if best is not None and (forced_rank(v, label - 1) >= best[0]
+                                 or forced_rank(v, label) >= best[0]):
             continue
         if k + 1 < n:
             w = order[k + 1]
             stack.append(iter(range(lo[w], hi[w] + 1)))
-        elif min(labels) == 0:
+        elif min(lo) == 0:  # every window is a label now
             visited += 1
-            value = slab_profile(calc, labels)[0]
+            value = slab_profile(calc, lo)[0]
             if best is None or value < best[0]:
-                best = (value, tuple(labels))
+                best = (value, tuple(lo))
                 if value == 0:
                     break
     if best is None:
         # budget expired before any complete labeling: fall back to constant
-        labels = (0,) * n
-        best = (slab_profile(calc, labels)[0], labels)
+        constant = (0,) * n
+        best = (slab_profile(calc, constant)[0], constant)
         completed = False
     return SearchResult(best_value=best[0],
                         certificate=MorseLabeling(best[1]),

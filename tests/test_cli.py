@@ -1,8 +1,11 @@
 """End-to-end CLI runs through main(argv); exit codes 0/1/2."""
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -11,6 +14,7 @@ import hcwr
 from hcwr import (generate_circle, generate_torus, presentation_complex,
                   tent_labeling)
 from hcwr.cli import main
+from hcwr.complexes import MAX_FACES
 from hcwr.generators import circle_tent_labeling, parse_relator
 from hcwr.scx import read_scx, to_dict, write_scx
 
@@ -19,6 +23,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# VmHWM, unlike getrusage's ru_maxrss, does not inherit the peak of the
+# process that forked this one
+_MEASURED = """import re, sys
+from hcwr.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read())[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_measured(*argv):
+    """(exit code, stderr, peak RSS in MB) of ``hcwr`` in a fresh process
+    (Linux: the peak is read from ``/proc/self/status``)."""
+    src = str(Path(hcwr.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _MEASURED, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    *lines, peak_kb = proc.stderr.splitlines()
+    return proc.returncode, "\n".join(lines), int(peak_kb) / 1024
 
 
 def test_generate_circle_to_file(tmp_path, capsys):
@@ -328,9 +354,10 @@ def test_anneal_rejects_zero_restarts(tmp_path, capsys):
     assert stderr == "error: restarts must be >= 1\n"
 
 
-@pytest.mark.parametrize("dim, res", [(30, 3), (3, 200)])
+@pytest.mark.parametrize("dim, res", [(30, 3), (3, 200), (100000, 3)])
 def test_oversized_torus_exit_2_at_once(capsys, dim, res):
-    # 3^30 and 200^3 vertices are each more faces than the cap allows
+    # 3^30 and 200^3 vertices are each more faces than the cap allows;
+    # 3^100000 is refused before it is raised
     t0 = time.monotonic()
     code, stdout, stderr = run(capsys, "generate", "torus", "--dim", str(dim),
                                "--res", str(res))
@@ -338,6 +365,61 @@ def test_oversized_torus_exit_2_at_once(capsys, dim, res):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error:") and "faces" in stderr
+    assert stderr.count("\n") == 1
+
+
+def _hexagon_args(tmp_path):
+    path = tmp_path / "c6.scx"
+    write_scx(path, generate_circle(6), circle_tent_labeling(6))
+    return ["--in1", str(path), "--in2", str(path)]
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("circle", ["--m", "5000000"]),
+    ("spread-wedge", ["--arc-len", "5000000"]),
+    ("presentation", ["--gens", "1500000", "--relator", "a"]),
+])
+def test_oversized_generator_exit_2(tmp_path, kind, argv):
+    # the simplices stream into the face cap of build_complex
+    if kind == "spread-wedge":
+        argv = argv + _hexagon_args(tmp_path)
+    t0 = time.monotonic()
+    code, stderr, _ = run_measured("generate", kind, *argv)
+    assert time.monotonic() - t0 < 10
+    assert code == 2
+    assert stderr.startswith("error:") and \
+        f"more than {MAX_FACES} faces" in stderr
+    assert stderr.count("\n") == 0
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("circle", ["--m", str(MAX_FACES + 1)]),
+    ("spread-wedge", ["--arc-len", str(MAX_FACES - 10)]),
+    ("presentation", ["--gens", str(MAX_FACES // 2), "--relator", "a"]),
+])
+def test_generator_just_over_cap_lists_nothing(tmp_path, kind, argv):
+    # one vertex over the cap is refused from the vertex count, before a
+    # simplex or a label is listed
+    if kind == "spread-wedge":
+        argv = argv + _hexagon_args(tmp_path)
+    code, stderr, peak_mb = run_measured("generate", kind, *argv)
+    assert code == 2
+    assert "vertices are more than" in stderr
+    assert peak_mb < 64
+
+
+def test_wide_simplex_bad_label_exit_2_at_once(tmp_path, capsys):
+    # a 21-vertex simplex has 2^21 - 1 faces; validation reads its edges
+    path = tmp_path / "s21.scx"
+    path.write_text(json.dumps({"format": "scx-1", "vertex_count": 21,
+                                "maximal_simplices": [list(range(21))],
+                                "labels": [0] * 20 + [2]}))
+    t0 = time.monotonic()
+    code, stdout, stderr = run(capsys, "analyze", str(path))
+    assert time.monotonic() - t0 < 1
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and "(0, 20)" in stderr
     assert stderr.count("\n") == 1
 
 

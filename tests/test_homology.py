@@ -199,6 +199,8 @@ ANNOTATION_CASES = {
     "<a|a^3>": presentation_complex(1, [parse_relator("aaa", 1)]),
     "dunce hat": presentation_complex(1, [parse_relator("aaA", 1)]),
     "Klein bottle": presentation_complex(2, [parse_relator("aabb", 2)]),
+    # over Q its back-substitution meets pivot 2 with s = 3
+    "<a,b|a^2b^3>": presentation_complex(2, [parse_relator("aabbb", 2)]),
 }
 
 
