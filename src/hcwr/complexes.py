@@ -102,6 +102,18 @@ class Subcomplex:
         return len(self.vertex_set)
 
 
+def require_under_cap(vertex_count: int, faces: int = 0) -> None:
+    """Raise the ValueError of ``build_complex`` when ``vertex_count`` or
+    ``faces``, the face count it would reach, is over ``MAX_FACES``; a
+    generator that knows both calls it before it lists a simplex."""
+    if vertex_count > MAX_FACES:
+        raise ValueError(f"{vertex_count} vertices are more than {MAX_FACES} "
+                         f"faces")
+    if faces > MAX_FACES:
+        raise ValueError(f"maximal_simplices have more than {MAX_FACES} "
+                         f"faces")
+
+
 def build_complex(maximal_simplices: Iterable[Sequence[int]],
                   vertex_count: int) -> SimplicialComplex:
     """Complex of the given simplices; isolated vertices are kept.
@@ -113,9 +125,7 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
     faces, counting 2^m - 1 for each m-vertex simplex, or at once when
     ``vertex_count`` does, since every vertex is a face.
     """
-    if vertex_count > MAX_FACES:
-        raise ValueError(f"{vertex_count} vertices are more than {MAX_FACES} "
-                         f"faces")
+    require_under_cap(vertex_count)
     simps = set()
     faces = 0
     for raw in maximal_simplices:
@@ -127,8 +137,7 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
                 f"simplex {tuple(raw)} has a vertex outside 0..{vertex_count - 1}")
         faces += (1 << len(t)) - 1
         if faces > MAX_FACES:
-            raise ValueError(f"maximal_simplices have more than {MAX_FACES} "
-                             f"faces")
+            require_under_cap(vertex_count, faces)
         if t:
             simps.add(t)
     simps.update((v,) for v in range(vertex_count))

@@ -14,7 +14,7 @@ from itertools import (chain, combinations, pairwise, permutations,
 from typing import Optional, Sequence
 
 from .complexes import (MAX_FACES, SimplicialComplex, VertexOutOfRange,
-                        build_complex, maximal_simplices)
+                        build_complex, maximal_simplices, require_under_cap)
 from .morse import MorseLabeling, require_valid
 
 
@@ -52,6 +52,7 @@ def generate_circle(m: int) -> SimplicialComplex:
     """Simplicial circle with m vertices (m >= 3)."""
     if m < 3:
         raise TooFewVertices(f"a simplicial circle needs m >= 3, got {m}")
+    require_under_cap(m, 3 * m)  # m edges of 3 faces each
     return build_complex(((i, (i + 1) % m) for i in range(m)), m)
 
 
@@ -275,4 +276,7 @@ def presentation_complex(num_generators: int,
     # 2g + 1 wedge vertices, 3L ring vertices and a cone per relator
     vertex_count = 2 * num_generators + 1 + sum(3 * len(w) + 1
                                                 for w in relators)
+    # 3 edges of 3 faces per generator, 9L triangles of 7 per relator
+    require_under_cap(vertex_count, 9 * num_generators
+                      + 63 * sum(len(w) for w in relators))
     return build_complex(simplices(), vertex_count)

@@ -3,10 +3,11 @@
 All arithmetic is integer-exact: rational ranks use fraction-free
 (Bareiss-style) elimination with gcd-normalized integer rows, prime-field
 ranks use modular elimination, and back-substitution clears a pivot by
-scaling the cocycle, never by dividing.  ``FieldSpec.reduce`` is the one
-filter of both fields.  No floating point anywhere.  H1-image
-ranks come from edge annotations (arXiv:1107.3793), built once per
-complex and field: a spanning tree fixes its edges at zero, triangles
+scaling the cocycle, never by dividing.  Echelon rows, edge vectors and
+cocycles hold no zero entry and, over F_p, only residues
+(``FieldSpec.reduce``).  No floating point anywhere.  H1-image ranks come
+from edge annotations (arXiv:1107.3793), built once per complex and
+field: a spanning tree fixes its edges at zero, triangles
 with one unsolved edge are peeled off to solve that edge over a few free
 coordinates, and only the triangles left over as relations go through
 elimination.  A query takes a vertex set as an ``int`` bitmask (bit v is
@@ -132,31 +133,40 @@ class Echelon:
         """Reduce ``vec`` against the stored rows; True iff rank grew.
 
         One fraction-free step for both fields: the pivot column c of
-        ``v`` is cleared by ``r[c] * v - v[c] * r``, then reduced mod p
-        over F_p or divided by its gcd over Q.  A stored row is thus a
-        nonzero multiple of the one exact division would give.
+        ``v`` is cleared by ``r[c] * v - v[c] * r``, reduced mod p over
+        F_p and its zeros dropped as it is formed, then divided by its
+        gcd over Q.  A stored row is thus a nonzero multiple of the one
+        exact division would give.
         """
-        reduce, rationals = self.field.reduce, self.field.is_rationals
-        v = vec
-        while True:
-            v = reduce(v)
-            if not v:
-                return False
-            if rationals:
+        p, rows = self.field.p, self.rows
+        v = self.field.reduce(vec)
+        while v:
+            if p is None:
                 g = gcd(*v.values())
                 if g > 1:
                     v = {k: x // g for k, x in v.items()}
             c = min(v)
-            r = self.rows.get(c)
+            r = rows.get(c)
             if r is None:
-                self.rows[c] = v
+                rows[c] = v
                 return True
             a, b = r[c], v[c]
-            new = {k: a * x for k, x in v.items() if k != c}
+            # a * x is nonzero, mod p too, since a and x are
+            if p is None:
+                new = {k: a * x for k, x in v.items() if k != c}
+            else:
+                new = {k: a * x % p for k, x in v.items() if k != c}
             for k, x in r.items():
                 if k != c:
-                    new[k] = new.get(k, 0) - b * x
+                    y = new.get(k, 0) - b * x
+                    if p is not None:
+                        y %= p
+                    if y:
+                        new[k] = y
+                    else:
+                        new.pop(k, None)
             v = new
+        return False
 
 
 def boundary(s: tuple) -> list:
@@ -183,11 +193,12 @@ class H1Calculator:
     zero, and solving an edge may leave further triangles with one
     unsolved edge (peeling).  When none is left, the first unsolved edge
     becomes a new free coordinate (its unit vector) and peeling resumes.
-    Each triangle not used to peel gives one leftover relation in F^r;
-    these are reduced, and back-substitution from each free column of the
-    reduction gives one of ``betti1`` cocycles on F^r.  An edge's
-    annotation is its vector's value under these cocycles, so a cycle's
-    annotation sum is its class in H1(K; F).  A query takes a spanning
+    Each triangle not used to peel gives one leftover relation in F^r,
+    formed only when one of its edge vectors is nonzero; these are
+    reduced, and back-substitution from each free column of the reduction
+    gives one of ``betti1`` cocycles on F^r.  An edge's annotation is its
+    vector's value under these cocycles, so a cycle's annotation sum is
+    its class in H1(K; F).  A query takes a spanning
     forest of the vertex set with potentials P(w) = P(v) + ann(v -> w)
     along it; every edge a -> b of the set then closes a cycle of class
     ann(a -> b) + P(a) - P(b), and the image rank is the rank of these
@@ -204,24 +215,35 @@ class H1Calculator:
                for a, b in edges]
         self.rank_d1 = len(edges) - vec.count(None)
         index = {e: i for i, e in enumerate(edges)}
-        # a face's sign depends only on its position in the boundary, so
-        # each triangle keeps just its three edge indices
-        signs = [x for _, x in boundary((0, 1, 2))]
-        faces = [tuple(index[e] for e, _ in boundary(t)) for t in K.triangles]
+        # the faces (b, c), (a, c), (a, b) of a triangle (a, b, c), in the
+        # order of boundary(); a face's sign depends only on its position
+        s0, s1, s2 = (x for _, x in boundary((0, 1, 2)))
+        faces = [(index[b, c], index[a, c], index[a, b])
+                 for a, b, c in K.triangles]
         cofaces = [[] for _ in edges]
-        unsolved = [0] * len(faces)
         for t, face in enumerate(faces):
             for i in face:
                 cofaces[i].append(t)
-                unsolved[t] += vec[i] is None
+        unsolved = [(vec[i] is None) + (vec[j] is None) + (vec[k] is None)
+                    for i, j, k in faces]
         ready = [t for t, u in enumerate(unsolved) if u == 1]
         peeled = [False] * len(faces)
+        p = field.p
 
-        def combine(terms):  # sum of x * vec[i] over (i, x) in terms
-            total = {}
-            for i, x in terms:
-                for c, y in vec[i].items():
-                    total[c] = total.get(c, 0) + x * y
+        def sum2(x, u, y, w):
+            """``x * u + y * w`` for signs x, y = +-1, filtered like
+            ``FieldSpec.reduce``; the edge vectors u, w already are."""
+            if not u:
+                u, x, w, y = w, y, u, x
+            if not w:
+                if x == 1:
+                    return u
+                if p is None:
+                    return {c: -z for c, z in u.items()}
+                return {c: p - z for c, z in u.items()}
+            total = {c: x * z for c, z in u.items()}
+            for c, z in w.items():
+                total[c] = total.get(c, 0) + y * z
             return reduce(total)
 
         def solve(i, v):
@@ -238,22 +260,27 @@ class H1Calculator:
                 t = ready.pop()
                 if unsolved[t] != 1:  # solved meanwhile: a relation
                     continue
-                face = list(zip(faces[t], signs))
-                (j, s), = [(i, x) for i, x in face if vec[i] is None]
                 peeled[t] = True
-                # s * vec[j] = -(the rest), and s = 1/s since s is +-1
-                solve(j, combine((i, -s * x) for i, x in face if i != j))
+                i, j, k = faces[t]
+                # s * vec[unsolved] = -(the other two), and 1/s = s
+                if vec[i] is None:
+                    solve(i, sum2(-s0 * s1, vec[j], -s0 * s2, vec[k]))
+                elif vec[j] is None:
+                    solve(j, sum2(-s1 * s0, vec[i], -s1 * s2, vec[k]))
+                else:
+                    solve(k, sum2(-s2 * s0, vec[i], -s2 * s1, vec[j]))
             j = next(unsolved_edges, None)
             if j is None:
                 break
             solve(j, {r: 1})
             r += 1
         ech = Echelon(field)
-        for t, face in enumerate(faces):
-            if not peeled[t]:
-                relation = combine(zip(face, signs))
-                if relation:
-                    ech.add(relation)
+        for t, (i, j, k) in enumerate(faces):
+            if peeled[t] or not (vec[i] or vec[j] or vec[k]):
+                continue
+            relation = sum2(1, sum2(s0, vec[i], s1, vec[j]), s2, vec[k])
+            if relation:
+                ech.add(relation)
         self.rank_d2 = sum(peeled) + ech.rank
         self.betti1 = r - ech.rank
         cocycles = []

@@ -59,13 +59,17 @@ def _boundary_columns(K):
 
 def oracle_betti1(K, F: FieldSpec) -> int:
     """dim H1 from dense boundary matrices ranked by sympy."""
+    return len(K.edges) - oracle_rank_d1(K, F) - oracle_rank_d2(K, F)
+
+
+def oracle_rank_d1(K, F: FieldSpec) -> int:
+    """Rank of the ambient d1 (edges to vertices), ranked by sympy."""
     edges = K.edges
     d1 = [[0] * len(edges) for _ in range(K.vertex_count)]
     for j, (a, b) in enumerate(edges):
         d1[a][j] = -1
         d1[b][j] = 1
-    r1 = oracle_rank(d1, F) if edges else 0
-    return len(edges) - r1 - oracle_rank_d2(K, F)
+    return oracle_rank(d1, F) if edges else 0
 
 
 def oracle_rank_d2(K, F: FieldSpec) -> int:

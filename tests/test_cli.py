@@ -378,18 +378,21 @@ def _hexagon_args(tmp_path):
     ("circle", ["--m", "5000000"]),
     ("spread-wedge", ["--arc-len", "5000000"]),
     ("presentation", ["--gens", "1500000", "--relator", "a"]),
+    ("circle", ["--m", "2000000"]),
 ])
 def test_oversized_generator_exit_2(tmp_path, kind, argv):
-    # the simplices stream into the face cap of build_complex
+    # over the vertex cap, or (the last two) under it with more faces
+    # than the cap, which the generator counts before it lists a simplex
     if kind == "spread-wedge":
         argv = argv + _hexagon_args(tmp_path)
     t0 = time.monotonic()
-    code, stderr, _ = run_measured("generate", kind, *argv)
+    code, stderr, peak_mb = run_measured("generate", kind, *argv)
     assert time.monotonic() - t0 < 10
     assert code == 2
     assert stderr.startswith("error:") and \
         f"more than {MAX_FACES} faces" in stderr
     assert stderr.count("\n") == 0
+    assert peak_mb < 64
 
 
 @pytest.mark.parametrize("kind, argv", [

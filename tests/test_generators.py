@@ -1,6 +1,7 @@
 """Witness families: circles, tori, wedges, products, presentations."""
 import pytest
 
+from hcwr import complexes, generators
 from hcwr import (FieldSpec, LabeledComplex, betti1, build_complex,
                   circle_tent_labeling, euler_characteristic, generate_circle,
                   generate_torus, hcwr_value, labeled_torus,
@@ -156,3 +157,22 @@ class TestPresentation:
             presentation_complex(1, [[]])
         with pytest.raises(ValueError):
             presentation_complex(1, [[2]])
+
+
+@pytest.mark.parametrize("make, faces", [
+    (lambda: generate_circle(10), 30),
+    (lambda: presentation_complex(2, [parse_relator("a", 2),
+                                      parse_relator("abAB", 2)]), 333),
+])
+def test_generator_counts_faces_as_build_complex_does(monkeypatch, make,
+                                                      faces):
+    # built at a cap of exactly that many faces; one below it, refused by
+    # the generator's own count and, without it, by build_complex's
+    monkeypatch.setattr(complexes, "MAX_FACES", faces)
+    make()
+    monkeypatch.setattr(complexes, "MAX_FACES", faces - 1)
+    with pytest.raises(ValueError, match=f"more than {faces - 1} faces"):
+        make()
+    monkeypatch.setattr(generators, "require_under_cap", lambda *_: None)
+    with pytest.raises(ValueError, match=f"more than {faces - 1} faces"):
+        make()

@@ -17,11 +17,16 @@ from hcwr.generators import parse_relator
 from hcwr.homology import Echelon, _is_prime
 
 from conftest import (mask_of, oracle_betti1, oracle_image_rank,
-                      oracle_rank, oracle_rank_d2, small_complexes)
+                      oracle_rank, oracle_rank_d1, oracle_rank_d2,
+                      small_complexes)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
+# F_(2^31 - 1) checks potentials left unreduced far above p
+FIELDS = pytest.mark.parametrize(
+    "F", [Q, F2, F3, FieldSpec.prime(2147483647)],
+    ids=["Q", "F2", "F3", "F2147483647"])
 
 
 class TestFieldSpec:
@@ -204,9 +209,7 @@ ANNOTATION_CASES = {
 }
 
 
-# F_(2^31 - 1) checks potentials left unreduced far above p
-@pytest.mark.parametrize("F", [Q, F2, F3, FieldSpec.prime(2147483647)],
-                         ids=["Q", "F2", "F3", "F2147483647"])
+@FIELDS
 @pytest.mark.parametrize("name", sorted(ANNOTATION_CASES))
 @settings(max_examples=10)
 @given(data=st.data())
@@ -219,6 +222,37 @@ def test_annotation_kernel_matches_sympy(name, F, data):
     assert calc.image_rank_of_vertices(mask_of(vs)) == \
         oracle_image_rank(K, vs, F)
     assert calc.image_rank_of_vertices(0) == 0
+
+
+def check_precompute(K, F):
+    """The ranks of d1, d2 and H1 are sympy's, the annotations form a
+    cocycle, and together they reach every class of H1."""
+    calc = H1Calculator(K, F)
+    assert (calc.rank_d1, calc.rank_d2, calc.betti1) == \
+        (oracle_rank_d1(K, F), oracle_rank_d2(K, F), oracle_betti1(K, F))
+    zero = (0,) * calc.betti1
+
+    def ann(a, b):
+        return calc._ann[a].get(b, zero)
+
+    for a, b, c in K.triangles:
+        # ann(a -> b) + ann(b -> c) + ann(c -> a) = 0 in F^betti1
+        total = map(sum, zip(ann(a, b), ann(b, c), ann(c, a)))
+        assert not any(x % F.p if F.p else x for x in total)
+    assert calc.image_rank_of_vertices((1 << K.vertex_count) - 1) == \
+        calc.betti1
+
+
+@FIELDS
+@pytest.mark.parametrize("name", sorted(ANNOTATION_CASES))
+def test_precompute_invariants(name, F):
+    check_precompute(ANNOTATION_CASES[name], F)
+
+
+@FIELDS
+@given(K=small_complexes())
+def test_precompute_invariants_on_small_complexes(F, K):
+    check_precompute(K, F)
 
 
 def test_torsion_betti1_depends_on_field():
