@@ -8,9 +8,11 @@ simplices.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import (chain, combinations, pairwise, permutations,
                        product as iproduct)
+from math import comb
 from typing import Optional, Sequence
 
 from .complexes import (MAX_FACES, SimplicialComplex, VertexOutOfRange,
@@ -122,6 +124,11 @@ def labeled_torus(k: int, n: int, axis: int = 0) -> LabeledComplex:
     return LabeledComplex(generate_torus(k, n), tent_labeling(k, n, axis))
 
 
+def _face_count(K: SimplicialComplex) -> int:
+    """The faces ``build_complex`` counts for the maximal simplices of K."""
+    return sum((1 << len(s)) - 1 for s in K.maximal)
+
+
 def wedge(K1: SimplicialComplex, v1: int,
           K2: SimplicialComplex, v2: int) -> SimplicialComplex:
     """Disjoint union with v1 identified to v2, vertex ids renumbered densely."""
@@ -130,6 +137,8 @@ def wedge(K1: SimplicialComplex, v1: int,
     if not 0 <= v2 < K2.vertex_count:
         raise VertexOutOfRange(f"v2={v2} outside second complex")
     n1 = K1.vertex_count
+    require_under_cap(n1 + K2.vertex_count - 1,
+                      _face_count(K1) + _face_count(K2))
     # the vertices of K2 other than v2 follow those of K1, in order
     remap = [v1 if v == v2 else n1 + v - (v > v2)
              for v in range(K2.vertex_count)]
@@ -163,8 +172,10 @@ def spread_wedge(L1: LabeledComplex, v1: int,
         raise ArcTooShort(
             f"arc_len={arc_len} cannot lift the second label range above the first")
     n1, n2 = K1.vertex_count, K2.vertex_count
-    # arc interior vertices n1+n2 .. n1+n2+arc_len-2; all lazy, so the
-    # face limit of build_complex sees an oversized arc before it is listed
+    # 3 faces per arc edge
+    require_under_cap(n1 + n2 + arc_len - 1,
+                      _face_count(K1) + _face_count(K2) + 3 * arc_len)
+    # arc interior vertices n1+n2 .. n1+n2+arc_len-2
     path = chain([v1], range(n1 + n2, n1 + n2 + arc_len - 1), [n1 + v2])
     simps = chain(maximal_simplices(K1),
                   (tuple(v + n1 for v in s) for s in maximal_simplices(K2)),
@@ -194,9 +205,13 @@ def product_complex(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialC
     the grid of its vertex pairs.
     """
     n2 = K2.vertex_count
+    # C(p + q - 2, p - 1) paths of p + q - 1 vertices for each pair of a
+    # p-vertex and a q-vertex simplex
+    sizes1, sizes2 = (Counter(map(len, K.maximal)) for K in (K1, K2))
+    require_under_cap(K1.vertex_count * n2, sum(
+        c1 * c2 * comb(p + q - 2, p - 1) * ((1 << p + q - 1) - 1)
+        for p, c1 in sizes1.items() for q, c2 in sizes2.items()))
     simps2 = maximal_simplices(K2)
-    # a generator, so build_complex's face limit stops it at the first
-    # simplex over the limit, before the remaining paths are listed
     simps = (tuple(s[i] * n2 + t[j] for i, j in path)
              for s in maximal_simplices(K1) for t in simps2
              for path in _monotone_paths(len(s) - 1, len(t) - 1))

@@ -10,7 +10,10 @@ from edge annotations (arXiv:1107.3793), built once per complex and
 field: a spanning tree fixes its edges at zero, triangles
 with one unsolved edge are peeled off to solve that edge over a few free
 coordinates, and only the triangles left over as relations go through
-elimination.  A query takes a vertex set as an ``int`` bitmask (bit v is
+elimination.  Each annotation is stored packed into one ``int``, its
+entries as base-2^w digits, so a query's potentials and cycles are sums
+of ints, and only a cycle not met before in the query is unpacked into
+the echelon.  A query takes a vertex set as an ``int`` bitmask (bit v is
 vertex v) and is a rank in F^betti1, a pure function of the precompute;
 the searches keep their own memo of it.
 """
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import add
 from typing import Optional
 
 from .complexes import SimplicialComplex, bfs_parents
@@ -203,6 +205,15 @@ class H1Calculator:
     along it; every edge a -> b of the set then closes a cycle of class
     ann(a -> b) + P(a) - P(b), and the image rank is the rank of these
     vectors.
+
+    Annotations and potentials are packed ints: the vector x is the int
+    sum of x_j * 2^(w * j).  Packing is linear over Z, and one-to-one on
+    vectors whose entries are below 2^(w - 1) in size; w is fixed so that
+    2^(w - 1) > (2n - 1) * top, with n vertices and top the largest entry
+    of any annotation in size.  A potential sums at most n - 1 steps, so a
+    cycle's entries stay within (2n - 1) * top and ``+``, ``-``, ``==``
+    and hashing on the ints act exactly on the vectors.  Over F_p the
+    entries are left unreduced integers; ``Echelon.add`` reduces them.
     """
 
     def __init__(self, K: SimplicialComplex, field: FieldSpec):
@@ -294,54 +305,82 @@ class H1Calculator:
                     phi[c] = -s
                     phi = reduce(phi)
             cocycles.append(phi)
-        self._ann = [{} for _ in range(K.vertex_count)]
+        anns = []
         for (a, b), v in zip(edges, vec):
             if not v:
                 continue
             ann = tuple(sum(phi.get(c, 0) * y for c, y in v.items())
                         for phi in cocycles)
-            if field.p is not None:
-                ann = tuple(x % field.p for x in ann)
+            if p is not None:
+                ann = tuple(x % p for x in ann)
             if any(ann):
-                self._ann[a][b] = ann
-                self._ann[b][a] = tuple(-x for x in ann)
+                anns.append((a, b, ann))
+        top = max((abs(x) for _, _, ann in anns for x in ann), default=0)
+        self._width = ((2 * K.vertex_count - 1) * top).bit_length() + 1
+        self._ann = [{} for _ in range(K.vertex_count)]
+        for a, b, ann in anns:
+            x = self._pack(ann)
+            self._ann[a][b] = x
+            self._ann[b][a] = -x
+
+    def _pack(self, vector) -> int:
+        """The int sum of ``x_j * 2^(w * j)`` over the entries x_j of
+        ``vector``; linear over Z, and one-to-one on vectors whose entries
+        are below 2^(w - 1) in size."""
+        w = self._width
+        return sum(x << w * j for j, x in enumerate(vector))
+
+    def _unpack(self, x: int) -> dict:
+        """The vector packed in ``x`` as column -> nonzero entry: its
+        balanced base-2^w digits, each in [-2^(w - 1), 2^(w - 1))."""
+        w = self._width
+        mask, half = (1 << w) - 1, 1 << w - 1
+        vec = {}
+        j = 0
+        while x:
+            d = x & mask
+            if d >= half:
+                d -= mask + 1
+            if d:
+                vec[j] = d
+            x = (x - d) >> w
+            j += 1
+        return vec
 
     def image_rank_of_vertices(self, mask: int) -> int:
         """Rank of im(H1(full subcomplex on the vertices of ``mask``; F)
-        -> H1(K; F))."""
+        -> H1(K; F)).
+
+        Potentials and cycles are packed ints; each distinct nonzero
+        cycle is unpacked and added to the echelon once, and the query
+        stops as soon as the rank reaches ``betti1``.
+        """
         dim = self.betti1
         if dim == 0:
             return 0
         ann = self._ann
         adjacency = self.K.adjacency
-        # P(b) = P(u) + ann(u -> b) along the BFS tree, left unreduced for
-        # Echelon.add; an edge without annotation passes its parent's
-        # tuple on unchanged.  Each edge from b to a vertex a visited
-        # before it, other than its parent u, closes a cycle of class
-        # P(b) + ann(b -> a) - P(a).
+        unpack = self._unpack
+        # P(b) = P(u) + ann(u -> b) along the BFS tree, packed and left
+        # unreduced for Echelon.add.  Each edge from b to a vertex a
+        # visited before it, other than its parent u, closes a cycle of
+        # class P(b) + ann(b -> a) - P(a); a zero cycle or one met before
+        # cannot raise the rank.
         potential = {}
+        met = set()
         ech = Echelon(self.field)
         for b, u in bfs_parents(self.K.neighbours, mask).items():
-            step = ann[u].get(b)  # None at a root, its own parent
-            pb = (0,) * dim if u == b else potential[u]
-            if step is not None:
-                pb = tuple(map(add, pb, step))
+            pb = 0 if u == b else potential[u] + ann[u].get(b, 0)
             potential[b] = pb
             ann_b = ann[b]
             for a in adjacency[b]:
                 if a == u or a not in potential:
                     continue
-                pa = potential[a]
-                step = ann_b.get(a)
-                if step is None:
-                    if pb == pa:  # a zero cycle
-                        continue
-                    reach = pb
-                else:
-                    reach = tuple(map(add, pb, step))
-                cycle = {i: x - y for i, (x, y) in
-                         enumerate(zip(reach, pa)) if x != y}
-                if cycle and ech.add(cycle) and ech.rank == dim:
+                cycle = pb + ann_b.get(a, 0) - potential[a]
+                if not cycle or cycle in met:
+                    continue
+                met.add(cycle)
+                if ech.add(unpack(cycle)) and ech.rank == dim:
                     return dim
         return ech.rank
 

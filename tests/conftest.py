@@ -8,7 +8,7 @@ import math
 
 import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
-from sympy import GF, Matrix, ZZ
+from sympy import GF, Matrix, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from hcwr import FieldSpec, build_complex, generate_circle
@@ -37,10 +37,9 @@ def oracle_rank(M, F: FieldSpec) -> int:
     """Exact matrix rank via sympy, independent of the package echelon."""
     if not M or not M[0]:
         return 0
-    if F.is_rationals:
-        return Matrix(M).rank()
+    domain = QQ if F.is_rationals else GF(F.p)
     return DomainMatrix.from_list([list(r) for r in M], ZZ) \
-        .convert_to(GF(F.p)).rank()
+        .convert_to(domain).rank()
 
 
 def _boundary_columns(K):

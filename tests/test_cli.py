@@ -368,9 +368,9 @@ def test_oversized_torus_exit_2_at_once(capsys, dim, res):
     assert stderr.count("\n") == 1
 
 
-def _hexagon_args(tmp_path):
-    path = tmp_path / "c6.scx"
-    write_scx(path, generate_circle(6), circle_tent_labeling(6))
+def _hexagon_args(tmp_path, m=6):
+    path = tmp_path / f"c{m}.scx"
+    write_scx(path, generate_circle(m), circle_tent_labeling(m))
     return ["--in1", str(path), "--in2", str(path)]
 
 
@@ -379,12 +379,18 @@ def _hexagon_args(tmp_path):
     ("spread-wedge", ["--arc-len", "5000000"]),
     ("presentation", ["--gens", "1500000", "--relator", "a"]),
     ("circle", ["--m", "2000000"]),
+    ("spread-wedge", ["--arc-len", "2000000"]),
+    ("product", []),
 ])
 def test_oversized_generator_exit_2(tmp_path, kind, argv):
-    # over the vertex cap, or (the last two) under it with more faces
-    # than the cap, which the generator counts before it lists a simplex
+    # over the vertex cap, or (the last three) under it with more faces
+    # than the cap, which the generator counts before it lists a simplex;
+    # the product of two 2000-vertex circles has 4,000,000 vertices and
+    # 14 faces for each of its 4,000,000 pairs of edges
     if kind == "spread-wedge":
         argv = argv + _hexagon_args(tmp_path)
+    elif kind == "product":
+        argv = _hexagon_args(tmp_path, 2000)
     t0 = time.monotonic()
     code, stderr, peak_mb = run_measured("generate", kind, *argv)
     assert time.monotonic() - t0 < 10

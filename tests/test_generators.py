@@ -163,6 +163,16 @@ class TestPresentation:
     (lambda: generate_circle(10), 30),
     (lambda: presentation_complex(2, [parse_relator("a", 2),
                                       parse_relator("abAB", 2)]), 333),
+    # 4 edges and 18 triangles
+    (lambda: wedge(generate_circle(4), 0, generate_torus(2, 3), 0), 138),
+    # two hexagons and 5 arc edges
+    (lambda: spread_wedge(*[LabeledComplex(generate_circle(6),
+                                           circle_tent_labeling(6)), 0] * 2,
+                          5), 51),
+    # a triangle by 3 edges (3 paths of 4 vertices each) and an edge by
+    # 3 edges (2 paths of 3 vertices each)
+    (lambda: product_complex(build_complex([(0, 1, 2), (2, 3)], 4),
+                             generate_circle(3)), 177),
 ])
 def test_generator_counts_faces_as_build_complex_does(monkeypatch, make,
                                                       faces):

@@ -230,10 +230,10 @@ def check_precompute(K, F):
     calc = H1Calculator(K, F)
     assert (calc.rank_d1, calc.rank_d2, calc.betti1) == \
         (oracle_rank_d1(K, F), oracle_rank_d2(K, F), oracle_betti1(K, F))
-    zero = (0,) * calc.betti1
 
     def ann(a, b):
-        return calc._ann[a].get(b, zero)
+        vec = calc._unpack(calc._ann[a].get(b, 0))
+        return tuple(vec.get(j, 0) for j in range(calc.betti1))
 
     for a, b, c in K.triangles:
         # ann(a -> b) + ann(b -> c) + ann(c -> a) = 0 in F^betti1
@@ -253,6 +253,52 @@ def test_precompute_invariants(name, F):
 @given(K=small_complexes())
 def test_precompute_invariants_on_small_complexes(F, K):
     check_precompute(K, F)
+
+
+@FIELDS
+@pytest.mark.parametrize("name", sorted(ANNOTATION_CASES))
+def test_packing_round_trips_at_the_bound(name, F):
+    # entries of size 2^(w-1) - 1, the largest packing keeps apart, in
+    # every sign pattern of a few columns, round-trip and add as vectors
+    calc = H1Calculator(ANNOTATION_CASES[name], F)
+    edge = (1 << calc._width - 1) - 1
+    one = min(edge, 1)  # w = 1 (no annotation) packs only zero entries
+    rng = random.Random(name)
+    vectors = [(0, 0, 0), (edge,) * 4, (-edge,) * 4, (edge, -edge, edge),
+               (-edge, 0, edge, -one, one, 0)]
+    vectors += [tuple(rng.choice((-edge, edge, 0, one, -one))
+                      for _ in range(rng.randint(1, 6))) for _ in range(50)]
+    for vec in vectors:
+        x = calc._pack(vec)
+        assert calc._unpack(x) == {j: e for j, e in enumerate(vec) if e}
+        assert calc._pack(tuple(-e for e in vec)) == -x
+    for u, v in zip(vectors, vectors[1:]):
+        # halved, two vectors sum within the bound: adding their ints
+        # packs their sum
+        n = max(len(u), len(v))
+        u, v = (tuple(-(-e // 2) if e < 0 else e // 2 for e in x)
+                + (0,) * (n - len(x)) for x in (u, v))
+        total = calc._unpack(calc._pack(u) + calc._pack(v))
+        assert total == {j: a + b for j, (a, b) in enumerate(zip(u, v))
+                         if a + b}
+
+
+# the BFS paths of circle(3) x circle(13) are up to 7 steps long, so a
+# cycle's entries sum many annotations; F_(2^61 - 1) packs the widest
+LONG_PATHS = product_complex(generate_circle(3), generate_circle(13))
+
+
+@pytest.mark.parametrize("F", [Q, F3, FieldSpec.prime(2 ** 61 - 1)],
+                         ids=["Q", "F3", "F2305843009213693951"])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_image_rank_on_long_bfs_paths_matches_sympy(F, data):
+    K = LONG_PATHS
+    vs = data.draw(st.sets(st.integers(min_value=0,
+                                       max_value=K.vertex_count - 1),
+                           min_size=K.vertex_count // 2))
+    assert H1Calculator(K, F).image_rank_of_vertices(mask_of(vs)) == \
+        oracle_image_rank(K, vs, F)
 
 
 def test_torsion_betti1_depends_on_field():
