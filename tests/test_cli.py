@@ -368,7 +368,7 @@ def test_oversized_torus_exit_2_at_once(capsys, dim, res):
     assert stderr.count("\n") == 1
 
 
-def _hexagon_args(tmp_path, m=6):
+def _circle_args(tmp_path, m=6):
     path = tmp_path / f"c{m}.scx"
     write_scx(path, generate_circle(m), circle_tent_labeling(m))
     return ["--in1", str(path), "--in2", str(path)]
@@ -388,9 +388,9 @@ def test_oversized_generator_exit_2(tmp_path, kind, argv):
     # the product of two 2000-vertex circles has 4,000,000 vertices and
     # 14 faces for each of its 4,000,000 pairs of edges
     if kind == "spread-wedge":
-        argv = argv + _hexagon_args(tmp_path)
+        argv = argv + _circle_args(tmp_path)
     elif kind == "product":
-        argv = _hexagon_args(tmp_path, 2000)
+        argv = _circle_args(tmp_path, 2000)
     t0 = time.monotonic()
     code, stderr, peak_mb = run_measured("generate", kind, *argv)
     assert time.monotonic() - t0 < 10
@@ -410,7 +410,7 @@ def test_generator_just_over_cap_lists_nothing(tmp_path, kind, argv):
     # one vertex over the cap is refused from the vertex count, before a
     # simplex or a label is listed
     if kind == "spread-wedge":
-        argv = argv + _hexagon_args(tmp_path)
+        argv = argv + _circle_args(tmp_path)
     code, stderr, peak_mb = run_measured("generate", kind, *argv)
     assert code == 2
     assert "vertices are more than" in stderr
