@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import (chain, combinations, pairwise, permutations,
                        product as iproduct)
-from math import comb
+from math import comb, factorial
 from typing import Optional, Sequence
 
 from .complexes import (MAX_FACES, SimplicialComplex, VertexOutOfRange,
@@ -91,6 +91,8 @@ def generate_torus(k: int, n: int) -> SimplicialComplex:
     if n > MAX_FACES or k >= MAX_FACES.bit_length():
         raise ValueError(f"a {k}-torus of resolution {n} has more than "
                          f"{MAX_FACES} faces")
+    # n^k cubes of k! simplices on k + 1 vertices each
+    require_under_cap(n ** k, n ** k * factorial(k) * ((2 << k) - 1))
     def chains():
         for base in iproduct(range(n), repeat=k):
             for perm in permutations(range(k)):

@@ -381,12 +381,14 @@ def _circle_args(tmp_path, m=6):
     ("circle", ["--m", "2000000"]),
     ("spread-wedge", ["--arc-len", "2000000"]),
     ("product", []),
+    ("torus", ["--dim", "3", "--res", "100"]),
 ])
 def test_oversized_generator_exit_2(tmp_path, kind, argv):
-    # over the vertex cap, or (the last three) under it with more faces
+    # over the vertex cap, or (the last four) under it with more faces
     # than the cap, which the generator counts before it lists a simplex;
     # the product of two 2000-vertex circles has 4,000,000 vertices and
-    # 14 faces for each of its 4,000,000 pairs of edges
+    # 14 faces for each of its 4,000,000 pairs of edges, and torus(3,100)
+    # 1,000,000 vertices and 6,000,000 tetrahedra of 15 faces each
     if kind == "spread-wedge":
         argv = argv + _circle_args(tmp_path)
     elif kind == "product":

@@ -163,6 +163,8 @@ class TestPresentation:
     (lambda: generate_circle(10), 30),
     (lambda: presentation_complex(2, [parse_relator("a", 2),
                                       parse_relator("abAB", 2)]), 333),
+    # 9 squares of 2 triangles
+    (lambda: generate_torus(2, 3), 126),
     # 4 edges and 18 triangles
     (lambda: wedge(generate_circle(4), 0, generate_torus(2, 3), 0), 138),
     # two hexagons and 5 arc edges
