@@ -70,11 +70,16 @@ def _torus_vertex(coords, n: int) -> int:
     return v
 
 
+def require_axis(k: int, axis: int) -> None:
+    """Raise BadAxis unless ``axis`` is a grid axis of a k-torus."""
+    if not 0 <= axis < k:
+        raise BadAxis(f"axis {axis} outside 0..{k - 1}")
+
+
 def torus_coordinate(v: int, k: int, n: int, axis: int) -> int:
     """Grid coordinate of a torus vertex along ``axis`` (axis 0 is the
     most significant digit of the vertex id)."""
-    if not 0 <= axis < k:
-        raise BadAxis(f"axis {axis} outside 0..{k - 1}")
+    require_axis(k, axis)
     return (v // n ** (k - 1 - axis)) % n
 
 
@@ -113,8 +118,7 @@ def tent_labeling(k: int, n: int, axis: int = 0) -> MorseLabeling:
     tent degenerates to labels (0, 1, 1): one slab is the whole torus, so
     the width is k and the quotient graph is a tree.
     """
-    if not 0 <= axis < k:
-        raise BadAxis(f"axis {axis} outside 0..{k - 1}")
+    require_axis(k, axis)
     labels = []
     for v in range(n ** k):
         r = torus_coordinate(v, k, n, axis)

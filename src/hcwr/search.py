@@ -92,6 +92,12 @@ class SearchResult:
         }
 
 
+def require_budget(time_budget: Optional[float]) -> None:
+    """Raise ValueError unless ``time_budget`` is None or a number >= 0."""
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(f"budget must be a number >= 0, got {time_budget}")
+
+
 def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
                    time_budget: Optional[float] = None,
                    workers: int = 1) -> SearchResult:
@@ -120,8 +126,11 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     pruned tree.  Returns exhaustive = False (best so far is only an
     upper bound) when the time budget runs out first; a budget of 0
     runs out before the first label, whatever the clock's resolution.
+    Raises ValueError for a budget that is not a number >= 0 (NaN would
+    never run out).
     Runs in one thread; ``workers`` has no effect.
     """
+    require_budget(time_budget)
     require_connected(K, "search")
     calc = H1Calculator(K, F)
     ranks = _Memo(calc.image_rank_of_vertices)

@@ -18,7 +18,7 @@ from .generators import (circle_tent_labeling, generate_circle, generate_torus,
                          LabeledComplex)
 from .homology import FieldSpec, betti1
 from .morse import constant_labeling, hcwr_value
-from .search import exhaustive_min
+from .search import exhaustive_min, require_budget
 
 PASS = "pass"
 FAIL = "fail"
@@ -168,7 +168,8 @@ def _product_bound(budget):
 def run_cases(case_filter: Optional[str] = None, budget: float = 120.0) -> dict:
     """Run all cases, or the one named ``case_filter``, giving each search
     ``budget`` seconds; returns a JSON-ready summary.  Raises ValueError
-    on an unknown case name."""
+    on an unknown case name or a budget that is not a number >= 0."""
+    require_budget(budget)
     if case_filter is not None and case_filter not in _CASES:
         raise ValueError(f"unknown case {case_filter!r}; known cases: "
                          f"{', '.join(_CASES)}")

@@ -2,6 +2,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import hcwr
 from hcwr import (generate_circle, generate_torus, presentation_complex,
                   tent_labeling)
-from hcwr.cli import main
+from hcwr.cli import build_parser, main
 from hcwr.complexes import MAX_FACES
 from hcwr.generators import circle_tent_labeling, parse_relator
 from hcwr.scx import read_scx, to_dict, write_scx
@@ -526,3 +527,126 @@ def test_mutated_scx_exits_0_or_2(tmp_path, capsys, data):
         assert stdout == ""
         assert stderr.startswith("error:") and stderr.count("\n") == 1
         assert "Traceback" not in stderr
+
+
+# --- each command takes only the options it reads --------------------------
+
+@pytest.mark.parametrize("argv, culprit", [
+    (["generate", "torus", "--dim", "2", "--res", "4", "--labels",
+      "pullback"], "'pullback'"),
+    (["generate", "product", "{c6}", "--labels", "tent"], "'tent'"),
+    (["generate", "presentation", "--gens", "1", "--relator", "aaa",
+      "--labels", "tent"], "'tent'"),
+    (["generate", "circle", "--m", "6", "--axis", "5", "--arc-len", "9",
+      "--v1", "3"], "--axis 5 --arc-len 9 --v1 3"),
+    (["generate", "spread-wedge", "{c6}", "--arc-len", "4",
+      "--labels", "constant"], "--labels"),
+    (["generate", "wedge", "{c6}", "--labels", "tent"], "'tent'"),
+    (["generate", "spread-wedge", "{t26-pair}", "--arc-len", "9"],
+     "labeled inputs"),
+    (["generate", "torus", "--dim", "2", "--res", "4", "--axis", "7"],
+     "axis 7 outside 0..1"),
+    (["generate", "torus", "--dim", "2", "--res", "500", "--axis", "2"],
+     "axis 2 outside 0..1"),
+    (["search", "{t26}", "--mode", "exhaustive", "--steps", "10",
+      "--restarts", "9", "--seed", "5"], "--steps"),
+    (["search", "{t26}", "--budget-seconds", "nan"], "got nan"),
+    (["search", "{t26}", "--budget-seconds", "-1"], "got -1"),
+    (["verify", "--case", "torus-k2", "--budget-seconds", "nan"], "got nan"),
+    (["verify", "--case", "torus-lower-bound", "--budget-seconds", "-0.5"],
+     "got -0.5"),
+], ids=["torus-pullback", "product-tent", "presentation-tent",
+        "circle-foreign-options", "spread-wedge-labels", "wedge-tent",
+        "spread-wedge-unlabeled", "torus-bad-axis", "big-torus-bad-axis",
+        "exhaustive-anneal-options", "search-nan-budget",
+        "search-negative-budget", "verify-nan-budget",
+        "verify-negative-budget"])
+def test_unread_option_or_bad_value_exit_2(tmp_path, capsys, argv, culprit):
+    c6 = tmp_path / "c6.scx"
+    write_scx(c6, generate_circle(6), circle_tent_labeling(6))
+    t26 = tmp_path / "t26.scx"
+    write_scx(t26, generate_torus(2, 6))
+    files = {"{c6}": ["--in1", str(c6), "--in2", str(c6)], "{t26}": [str(t26)],
+             "{t26-pair}": ["--in1", str(t26), "--in2", str(t26)]}
+    argv = [a for arg in argv for a in files.get(arg, [arg])]
+    out = tmp_path / "out.json"
+    t0 = time.monotonic()
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert time.monotonic() - t0 < 5
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and culprit in stderr
+    assert stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, culprit", [
+    (["frobnicate"], "frobnicate"),
+    (["generate"], "kind"),
+    (["generate", "circle"], "--m"),
+    (["analyze", "x.scx", "--labels", "pullback"], "pullback"),
+    (["verify", "--bogus"], "--bogus"),
+    ([], "command"),
+], ids=["unknown-command", "missing-kind", "missing-option",
+        "invalid-choice", "unrecognized-argument", "no-command"])
+def test_usage_error_returns_2(capsys, argv, culprit):
+    code, stdout, stderr = run(capsys, *argv)  # raises no SystemExit
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: hcwr") and culprit in stderr
+    assert stderr.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "torus", "--help"])
+    assert exc.value.code == 0
+    assert "--axis" in capsys.readouterr().out
+
+
+GENERATE_OPTIONS = {
+    "--m": "6", "--dim": "2", "--res": "4", "--axis": "0", "--gens": "1",
+    "--relator": "aaa", "--in1": "a.scx", "--in2": "b.scx", "--v1": "0",
+    "--v2": "0", "--arc-len": "3", "--labels": "constant", "--out": "o.scx"}
+KIND_OPTIONS = {
+    "circle": ({"--m"}, {"--labels", "--out"}),
+    "torus": ({"--dim", "--res"}, {"--axis", "--labels", "--out"}),
+    "presentation": ({"--gens", "--relator"}, {"--labels", "--out"}),
+    "wedge": ({"--in1", "--in2"}, {"--v1", "--v2", "--labels", "--out"}),
+    "spread-wedge": ({"--in1", "--in2"},
+                     {"--v1", "--v2", "--arc-len", "--out"}),
+    "product": ({"--in1", "--in2"}, {"--labels", "--out"}),
+}
+
+
+@pytest.mark.parametrize("kind", KIND_OPTIONS)
+def test_generate_kind_takes_only_its_options(kind):
+    # parses only: no file is read or written
+    required, optional = KIND_OPTIONS[kind]
+    base = ["generate", kind]
+    for opt in sorted(required):
+        base += [opt, GENERATE_OPTIONS[opt]]
+    accepted = set(required)
+    for opt, value in GENERATE_OPTIONS.items():
+        if opt not in required:
+            try:
+                build_parser().parse_args(base + [opt, value])
+                accepted.add(opt)
+            except ValueError:
+                pass
+    assert accepted == required | optional
+    for opt in required:
+        rest = [a for a in base if a not in (opt, GENERATE_OPTIONS[opt])]
+        with pytest.raises(ValueError, match="required"):
+            build_parser().parse_args(rest)
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines()
+             if line.startswith("hcwr ")]
+    assert len(lines) >= 11
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

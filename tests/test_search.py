@@ -139,6 +139,15 @@ def test_budget_expiry_is_not_an_error():
     assert res.best_value >= 0  # upper bound only
 
 
+def test_budget_must_be_a_number_at_least_0():
+    # NaN never compares past a deadline, so it would never cut the search
+    C = generate_circle(4)
+    for budget in (float("nan"), -1, -0.5, float("-inf")):
+        with pytest.raises(ValueError, match="must be a number >= 0"):
+            exhaustive_min(C, Q, time_budget=budget)
+    assert exhaustive_min(C, Q, time_budget=float("inf")).exhaustive
+
+
 def test_budget_returns_on_deep_complexes():
     # one labeling position per vertex: 3000 would overflow a recursion
     C = generate_circle(3000)
