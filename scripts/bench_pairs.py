@@ -7,12 +7,15 @@ matching ``.pyc`` files on both sides, so ``setup_s`` compares like with
 like), then runs ``perfbench/run.py`` once per side for each seed, the
 side that goes first alternating from pair to pair.  The change is this
 checkout as it stands.  Writes ``BENCH_<short-sha>.json`` (the short SHA
-of this checkout's HEAD) to the repository root: per workload, every
-run's end-to-end metrics and ``op_tail_percentile``, and per metric the
-median and quartiles of each side and the number of pairs the change won.
-Pairs whose two sides took ``op_tail_s`` at different percentiles are
-listed, since their tail values are not comparable.  With ``--trace``,
-one traced run per side adds the per-layer metrics.
+of this checkout's HEAD, with ``-dirty`` appended when ``src`` or
+``perfbench`` has uncommitted changes) to the repository root: per
+workload, every run's end-to-end metrics and ``op_tail_percentile``, and
+per metric the median and quartiles of each side and the number of pairs
+the change won.  Pairs whose two sides took ``op_tail_s`` at different
+percentiles are listed, since their tail values are not comparable.
+With ``--trace``, ``TRACE_RUNS`` traced runs per side on the first seed,
+the side that goes first alternating, add the per-layer metrics: every
+run, and per side the median of each metric.
 
 The workloads and the length of each run are those of ``BENCHMARK.json``.
 
@@ -29,6 +32,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# traced runs per side: a single one can be off by 2x in a layer
+TRACE_RUNS = 3
 
 
 def git(*args):
@@ -61,6 +66,25 @@ def side(record):
     return {"metrics": {k: m["value"] for k, m in record["metrics"].items()},
             "op_tail_percentile": record.get("op_tail_percentile"),
             "attempted": record["attempted"], "failed": record["failed"]}
+
+
+def output_name(sha, dirty):
+    """``BENCH_<short sha>.json``, marked ``-dirty`` for uncommitted code,
+    so that such a run never takes a committed record's name."""
+    return f"BENCH_{sha[:7]}{'-dirty' if dirty else ''}.json"
+
+
+def alternating(i):
+    """The order of the two sides in pair or traced run ``i``."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def trace_medians(runs):
+    """Per side, the median of each per-layer metric over ``runs``."""
+    return {name: {metric: statistics.median(run[name][metric]
+                                             for run in runs)
+                   for metric in runs[0][name]}
+            for name in ("parent", "change")}
 
 
 def quartiles(values):
@@ -97,7 +121,8 @@ def main() -> int:
     ap.add_argument("--seed0", type=int, default=1001,
                     help="pair i runs seed seed0 + i on both sides")
     ap.add_argument("--trace", action="store_true",
-                    help="add one traced run per side and workload")
+                    help=f"add {TRACE_RUNS} traced runs per side and "
+                         f"workload")
     ap.add_argument("--workdir", default=None,
                     help="where the parent tree is exported (a temp dir)")
     args = ap.parse_args()
@@ -121,8 +146,7 @@ def main() -> int:
             pairs = []
             for i in range(args.pairs):
                 seed = args.seed0 + i
-                order = ("parent", "change") if i % 2 == 0 else \
-                    ("change", "parent")
+                order = alternating(i)
                 pair = {"seed": seed, "first": order[0]}
                 for name in order:
                     pair[name] = side(bench(trees[name], workload, seed,
@@ -140,13 +164,19 @@ def main() -> int:
                 "failed": sum(p[n]["failed"] for p in pairs for n in trees),
                 "pairs": pairs}
             if args.trace:
-                entry["trace"] = {
-                    name: side(bench(tree, workload, args.seed0, seconds,
-                                     True))
-                    ["metrics"] for name, tree in trees.items()}
+                runs = []
+                for i in range(TRACE_RUNS):
+                    run = {"first": alternating(i)[0]}
+                    for name in alternating(i):
+                        run[name] = side(bench(trees[name], workload,
+                                               args.seed0, seconds,
+                                               True))["metrics"]
+                    runs.append(run)
+                entry["trace"] = {"seed": args.seed0, "runs": runs,
+                                  "median": trace_medians(runs)}
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    out = ROOT / f"BENCH_{change_sha[:7]}.json"
+    out = ROOT / output_name(change_sha, doc["change_dirty"])
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out.name}")
     return 0

@@ -163,10 +163,17 @@ def _cmd_verify(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Raises each usage error as a ValueError, which ``main`` reports as
-    it reports input errors; subparsers are made of the same class."""
+    it reports input errors; subparsers are made of the same class, so
+    each names the (sub)command it met, unrecognized arguments too."""
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:

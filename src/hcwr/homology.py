@@ -7,10 +7,10 @@ scaling the cocycle, never by dividing.  Echelon rows, edge vectors and
 cocycles hold no zero entry and, over F_p, only residues
 (``FieldSpec.reduce``).  No floating point anywhere.  H1-image ranks come
 from edge annotations (arXiv:1107.3793), built once per complex and
-field: a spanning tree fixes its edges at zero, triangles
-with one unsolved edge are peeled off to solve that edge over a few free
-coordinates, and only the triangles left over as relations go through
-elimination.  Each annotation is stored packed into one ``int``, its
+field: a spanning tree fixes its edges at zero, the peel solves a
+triangle's one unsolved edge over a few free coordinates, and each
+triangle it meets with all three edges solved is a relation to
+eliminate.  Each annotation is stored packed into one ``int``, its
 entries as base-2^w digits, so a query's potentials and cycles are sums
 of ints, and only a cycle not met before in the query is unpacked into
 the echelon.  A query takes a vertex set as an ``int`` bitmask (bit v is
@@ -195,12 +195,12 @@ class H1Calculator:
     zero, and solving an edge may leave further triangles with one
     unsolved edge (peeling).  When none is left, the first unsolved edge
     becomes a new free coordinate (its unit vector) and peeling resumes.
-    Each triangle not used to peel gives one leftover relation in F^r,
-    formed only when one of its edge vectors is nonzero; these are
-    reduced, and back-substitution from each free column of the reduction
-    gives one of ``betti1`` cocycles on F^r.  An edge's annotation is its
-    vector's value under these cocycles, so a cycle's annotation sum is
-    its class in H1(K; F).  A query takes a spanning
+    A triangle the peel pops with all three edges solved gives a relation
+    in F^r there, formed only when one of its vectors is nonzero; these
+    are reduced, and back-substitution from each free column of the
+    reduction gives one of ``betti1`` cocycles on F^r.  An edge's
+    annotation is its vector's value under these cocycles, so a cycle's
+    annotation sum is its class in H1(K; F).  A query takes a spanning
     forest of the vertex set with potentials P(w) = P(v) + ann(v -> w)
     along it; every edge a -> b of the set then closes a cycle of class
     ann(a -> b) + P(a) - P(b), and the image rank is the rank of these
@@ -238,7 +238,7 @@ class H1Calculator:
         unsolved = [(vec[i] is None) + (vec[j] is None) + (vec[k] is None)
                     for i, j, k in faces]
         ready = [t for t, u in enumerate(unsolved) if u == 1]
-        peeled = [False] * len(faces)
+        ech = Echelon(field)
         p = field.p
 
         def sum2(x, u, y, w):
@@ -269,10 +269,14 @@ class H1Calculator:
         while True:
             while ready:
                 t = ready.pop()
-                if unsolved[t] != 1:  # solved meanwhile: a relation
-                    continue
-                peeled[t] = True
                 i, j, k = faces[t]
+                if not unsolved[t]:  # solved meanwhile: a relation
+                    if vec[i] or vec[j] or vec[k]:
+                        relation = sum2(1, sum2(s0, vec[i], s1, vec[j]),
+                                        s2, vec[k])
+                        if relation:
+                            ech.add(relation)
+                    continue
                 # s * vec[unsolved] = -(the other two), and 1/s = s
                 if vec[i] is None:
                     solve(i, sum2(-s0 * s1, vec[j], -s0 * s2, vec[k]))
@@ -285,15 +289,9 @@ class H1Calculator:
                 break
             solve(j, {r: 1})
             r += 1
-        ech = Echelon(field)
-        for t, (i, j, k) in enumerate(faces):
-            if peeled[t] or not (vec[i] or vec[j] or vec[k]):
-                continue
-            relation = sum2(1, sum2(s0, vec[i], s1, vec[j]), s2, vec[k])
-            if relation:
-                ech.add(relation)
-        self.rank_d2 = sum(peeled) + ech.rank
         self.betti1 = r - ech.rank
+        # rank d2: the edges peeling solved (all but forest and free) + ech
+        self.rank_d2 = len(edges) - self.rank_d1 - self.betti1
         cocycles = []
         for free in (j for j in range(r) if j not in ech.rows):
             phi = {free: 1}

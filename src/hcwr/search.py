@@ -210,9 +210,8 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
                 if value == 0:
                     break
     if best is None:
-        # budget expired before any complete labeling: fall back to constant
-        constant = (0,) * n
-        best = (slab_profile(calc, constant)[0], constant)
+        # no leaf within the budget: the constant labeling, of value betti1
+        best = (calc.betti1, (0,) * n)
         completed = False
     return SearchResult(best_value=best[0],
                         certificate=MorseLabeling(best[1]),
@@ -250,9 +249,9 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     another in one thread; ``workers`` has no effect.
 
     A restart keeps the labeling as level bitmasks (label -> vertex
-    mask), so a move is two mask updates and a rejected move undoes
-    them.  A move of v from l by delta is invalid iff a neighbour of v
-    has label l - delta.  The energy's three integers combine the states
+    mask); a move updates two masks of a copy, kept if it is accepted.
+    A move of v from l by delta is invalid iff a neighbour of v has
+    label l - delta.  The energy's three integers combine the states
     of the interior slabs (``morse.slab_masks``), each looked up by its
     vertex mask in a memo shared by the restarts and emptied when it
     holds ``CACHE_LIMIT`` masks; a move changes two slab masks,
@@ -293,24 +292,19 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
                 continue
             new_l = old_l + delta
             bit = 1 << v
-            level[new_l] = level.get(new_l, 0) | bit
-            rest = level[old_l] ^ bit
-            if rest:
-                level[old_l] = rest
-            else:
-                del level[old_l]
-            prof = profile_of(level)
+            moved = dict(level)
+            moved[new_l] = moved.get(new_l, 0) | bit
+            moved[old_l] ^= bit
+            if not moved[old_l]:
+                del moved[old_l]
+            prof = profile_of(moved)
             e = energy(prof)
             if e <= cur_e or rng.next_unit() < math.exp((cur_e - e) / max(temp, 1e-9)):
+                level = moved
                 cur_e = e
                 labels[v] = new_l
                 if prof[0] <= best[0]:
                     best = min(best, (prof[0], tuple(labels)))
-            else:
-                level[old_l] = rest | bit
-                level[new_l] ^= bit
-                if not level[new_l]:
-                    del level[new_l]
             temp *= _COOLING_RATE
         return best
 

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hcwr
-from hcwr import (generate_circle, generate_torus, presentation_complex,
-                  tent_labeling)
+from hcwr import (FieldSpec, generate_circle, generate_torus, hcwr_value,
+                  labeled_torus, presentation_complex, product_complex,
+                  pullback_labeling, spread_wedge, tent_labeling, wedge)
 from hcwr.cli import build_parser, main
 from hcwr.complexes import MAX_FACES
 from hcwr.generators import circle_tent_labeling, parse_relator
@@ -89,6 +90,82 @@ def test_generate_presentation(capsys):
                           "--gens", "1", "--relator", "aaa")
     assert code == 0
     assert json.loads(stdout)["vertex_count"] == 13
+
+
+def _generated(tmp_path, capsys, name, *argv):
+    """Path of the file ``hcwr generate *argv`` writes, and its summary."""
+    out = tmp_path / f"{name}.scx"
+    code, stdout, _ = run(capsys, "generate", *argv, "--out", str(out))
+    assert code == 0
+    return str(out), json.loads(stdout)
+
+
+def _analyzed(capsys, path, *argv):
+    code, stdout, _ = run(capsys, "analyze", path, *argv)
+    assert code == 0
+    return json.loads(stdout)
+
+
+def test_generate_wedge_constant_matches_library(tmp_path, capsys):
+    c4, _ = _generated(tmp_path, capsys, "c4", "circle", "--m", "4")
+    c5, _ = _generated(tmp_path, capsys, "c5", "circle", "--m", "5")
+    path, summary = _generated(tmp_path, capsys, "w", "wedge", "--in1", c4,
+                               "--in2", c5, "--v2", "2", "--labels",
+                               "constant")
+    assert summary["betti1_q"] == 2 and summary["labels"] == [0] * 8
+    L, meta = read_scx(path)
+    assert meta == {"generator": "wedge"}
+    assert to_dict(L.complex) == to_dict(
+        wedge(generate_circle(4), 0, generate_circle(5), 2))
+    assert _analyzed(capsys, path)["max_rank"] == 2
+
+
+def test_generate_spread_wedge_of_tent_tori(tmp_path, capsys):
+    t24, _ = _generated(tmp_path, capsys, "t24", "torus", "--dim", "2",
+                        "--res", "4", "--labels", "tent")
+    path, summary = _generated(tmp_path, capsys, "sw", "spread-wedge",
+                               "--in1", t24, "--in2", t24, "--arc-len", "4")
+    assert summary["betti1_q"] == 4
+    L, _ = read_scx(path)
+    library = spread_wedge(labeled_torus(2, 4), 0, labeled_torus(2, 4), 0, 4)
+    assert to_dict(L.complex, L.labeling) == \
+        to_dict(library.complex, library.labeling)
+    assert _analyzed(capsys, path)["max_rank"] == 1
+
+
+def test_generate_pullback_product_of_tent_circles(tmp_path, capsys):
+    c4, _ = _generated(tmp_path, capsys, "c4", "circle", "--m", "4",
+                       "--labels", "tent")
+    path, summary = _generated(tmp_path, capsys, "p", "product", "--in1", c4,
+                               "--in2", c4, "--labels", "pullback")
+    assert summary["betti1_q"] == 2
+    L, meta = read_scx(path)
+    assert meta == {"generator": "product", "n2": 4}
+    c = generate_circle(4)
+    assert to_dict(L.complex, L.labeling) == to_dict(
+        product_complex(c, c), pullback_labeling(circle_tent_labeling(4), 4))
+    assert _analyzed(capsys, path)["max_rank"] == 1
+
+
+def test_generate_pullback_needs_labeled_in1(tmp_path, capsys):
+    c4, _ = _generated(tmp_path, capsys, "c4", "circle", "--m", "4")
+    out = tmp_path / "p.scx"
+    code, stdout, stderr = run(capsys, "generate", "product", "--in1", c4,
+                               "--in2", c4, "--labels", "pullback",
+                               "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: pullback labels need a labeled --in1\n"
+    assert not out.exists()
+
+
+def test_analyze_tent_of_circle_from_meta(tmp_path, capsys):
+    path, _ = _generated(tmp_path, capsys, "c6", "circle", "--m", "6")
+    rep = _analyzed(capsys, path, "--labels", "tent")
+    library = hcwr_value(generate_circle(6), circle_tent_labeling(6),
+                         FieldSpec.rationals())
+    assert rep == json.loads(json.dumps(library.to_json()))
+    assert rep["max_rank"] == 0
 
 
 def test_analyze_tent_from_meta(tmp_path, capsys):
@@ -548,6 +625,13 @@ def test_mutated_scx_exits_0_or_2(tmp_path, capsys, data):
      "axis 7 outside 0..1"),
     (["generate", "torus", "--dim", "2", "--res", "500", "--axis", "2"],
      "axis 2 outside 0..1"),
+    (["generate", "torus", "--dim", "0", "--res", "4"], "dimension"),
+    (["generate", "wedge", "{c6}", "--v1", "6"], "v1=6 outside"),
+    (["generate", "wedge", "{c6}", "--v2", "-1"], "v2=-1 outside"),
+    (["generate", "spread-wedge", "{c6}", "--v1", "-1", "--arc-len", "9"],
+     "v1=-1 outside"),
+    (["generate", "spread-wedge", "{c6}", "--v2", "6", "--arc-len", "9"],
+     "v2=6 outside"),
     (["search", "{t26}", "--mode", "exhaustive", "--steps", "10",
       "--restarts", "9", "--seed", "5"], "--steps"),
     (["search", "{t26}", "--budget-seconds", "nan"], "got nan"),
@@ -558,6 +642,8 @@ def test_mutated_scx_exits_0_or_2(tmp_path, capsys, data):
 ], ids=["torus-pullback", "product-tent", "presentation-tent",
         "circle-foreign-options", "spread-wedge-labels", "wedge-tent",
         "spread-wedge-unlabeled", "torus-bad-axis", "big-torus-bad-axis",
+        "torus-dim-0", "wedge-bad-v1", "wedge-bad-v2", "spread-wedge-bad-v1",
+        "spread-wedge-bad-v2",
         "exhaustive-anneal-options", "search-nan-budget",
         "search-negative-budget", "verify-nan-budget",
         "verify-negative-budget"])
@@ -595,6 +681,23 @@ def test_usage_error_returns_2(capsys, argv, culprit):
     assert stdout == ""
     assert stderr.startswith("error: hcwr") and culprit in stderr
     assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, command, extras", [
+    (["generate", "circle", "--m", "6", "--axis", "5"],
+     "hcwr generate circle", "--axis 5"),
+    (["analyze", "x.scx", "--bogus", "3"], "hcwr analyze", "--bogus 3"),
+    (["search", "x.scx", "--mode", "anneal", "--seeds", "5"], "hcwr search",
+     "--seeds 5"),
+], ids=["generate-circle", "analyze", "search"])
+def test_unrecognized_arguments_name_the_subcommand(capsys, argv, command,
+                                                    extras):
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {command}: unrecognized arguments: {extras}\n"
+    with pytest.raises(ValueError, match=f"^{command}: unrecognized"):
+        build_parser().parse_args(argv)
 
 
 def test_help_exits_0(capsys):

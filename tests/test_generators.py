@@ -152,6 +152,10 @@ class TestPresentation:
         assert betti1(P, Q) == 2
         assert euler_characteristic(P) == 0
 
+    def test_no_generators(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            presentation_complex(0, [])
+
     def test_bad_relators(self):
         with pytest.raises(EmptyRelator):
             presentation_complex(1, [[]])

@@ -1,4 +1,7 @@
-"""Smoke tests of the scripts under ``scripts/``."""
+"""Smoke tests of the scripts under ``scripts/``, and the benchmark's
+self-check, so that a library change the benchmark cannot run fails
+here."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,3 +26,42 @@ def test_width_survey_prints_one_row_per_family():
         "circle(3)", "circle(4)", "circle(5)", "circle(6)", "circle(8)",
         "torus(2,3)", "torus(2,4)", "torus(2,5)", "circle(4) x circle(4)",
         "<a | a^3>"]
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_marks_an_uncommitted_record():
+    # names only: no benchmark is run
+    bench_pairs = _script("bench_pairs")
+    sha = "34f3a44c0ffee"
+    assert bench_pairs.output_name(sha, False) == "BENCH_34f3a44.json"
+    assert bench_pairs.output_name(sha, True) == "BENCH_34f3a44-dirty.json"
+
+
+def test_bench_pairs_traced_runs_alternate_and_take_medians():
+    bench_pairs = _script("bench_pairs")
+    firsts = [bench_pairs.alternating(i)[0]
+              for i in range(bench_pairs.TRACE_RUNS)]
+    assert bench_pairs.TRACE_RUNS == 3
+    assert firsts == ["parent", "change", "parent"]
+    runs = [{"parent": {"query_s": p, "calls": 4},
+             "change": {"query_s": c, "calls": 4}}
+            for p, c in [(0.3, 0.1), (0.1, 0.9), (0.2, 0.2)]]
+    assert bench_pairs.trace_medians(runs) == {
+        "parent": {"query_s": 0.2, "calls": 4},
+        "change": {"query_s": 0.2, "calls": 4}}
+
+
+def test_benchmark_selfcheck_passes():
+    # runs every workload on tiny inputs; writes only into .bench_out/
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selfcheck.py")],
+        capture_output=True, text=True, timeout=300, cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selfcheck passed"

@@ -139,6 +139,14 @@ def test_budget_expiry_is_not_an_error():
     assert res.best_value >= 0  # upper bound only
 
 
+def test_budget_expiry_falls_back_to_the_constant_labeling():
+    K = generate_torus(2, 3)
+    res = exhaustive_min(K, Q, time_budget=0)
+    assert res.best_value == betti1(K, Q) == 2
+    assert res.certificate.labels == (0,) * 9
+    assert res.labelings_visited == 0
+
+
 def test_budget_must_be_a_number_at_least_0():
     # NaN never compares past a deadline, so it would never cut the search
     C = generate_circle(4)
