@@ -12,7 +12,9 @@ of this checkout's HEAD, with ``-dirty`` appended when ``src`` or
 workload, every run's end-to-end metrics and ``op_tail_percentile``, and
 per metric the median and quartiles of each side and the number of pairs
 the change won.  Pairs whose two sides took ``op_tail_s`` at different
-percentiles are listed, since their tail values are not comparable.
+percentiles are listed and left out of the ``op_tail_s`` summary, since
+their tail values are not comparable: a faster side finishes more ops,
+which can move its tail from p90 to p99.
 With ``--trace``, ``TRACE_RUNS`` traced runs per side on the first seed,
 the side that goes first alternating, add the per-layer metrics: every
 run, and per side the median of each metric.
@@ -93,12 +95,29 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def tail_mismatch(pair):
+    """Whether the two sides of ``pair`` took ``op_tail_s`` at different
+    percentiles."""
+    return (pair["parent"]["op_tail_percentile"]
+            != pair["change"]["op_tail_percentile"])
+
+
 def summarise(pairs, end_to_end):
+    """Per end-to-end metric, the quartiles of each side and the pairs the
+    change won; ``op_tail_s`` only over the pairs whose sides took it at
+    the same percentile, ``pairs_left_out`` counting the others."""
     out = {}
     for spec in end_to_end:
         name = spec["name"]
-        old = [p["parent"]["metrics"][name] for p in pairs]
-        new = [p["change"]["metrics"][name] for p in pairs]
+        used = [p for p in pairs
+                if name != "op_tail_s" or not tail_mismatch(p)]
+        left_out = len(pairs) - len(used)
+        if not used:
+            out[name] = {"better": spec["better"], "bound": spec["bound"],
+                         "pairs": 0, "pairs_left_out": left_out}
+            continue
+        old = [p["parent"]["metrics"][name] for p in used]
+        new = [p["change"]["metrics"][name] for p in used]
         higher = spec["better"] == "higher"
         wins = sum((n > o) if higher else (n < o) for o, n in zip(old, new))
         (oq1, omed, oq3), (nq1, nmed, nq3) = quartiles(old), quartiles(new)
@@ -106,7 +125,8 @@ def summarise(pairs, end_to_end):
             "better": spec["better"], "bound": spec["bound"],
             "parent": {"median": omed, "q1": oq1, "q3": oq3},
             "change": {"median": nmed, "q1": nq1, "q3": nq3},
-            "change_wins": wins, "pairs": len(pairs),
+            "change_wins": wins, "pairs": len(used),
+            "pairs_left_out": left_out,
             "median_ratio": nmed / omed if omed else None,
             "median_gap_over_parent_iqr":
                 abs(nmed - omed) / (oq3 - oq1) if oq3 > oq1 else None,
@@ -159,8 +179,7 @@ def main() -> int:
             entry = doc["workloads"][workload] = {
                 "summary": summarise(pairs, spec["end_to_end"]),
                 "tail_percentile_mismatch": [
-                    p["seed"] for p in pairs if p["parent"]["op_tail_percentile"]
-                    != p["change"]["op_tail_percentile"]],
+                    p["seed"] for p in pairs if tail_mismatch(p)],
                 "failed": sum(p[n]["failed"] for p in pairs for n in trees),
                 "pairs": pairs}
             if args.trace:

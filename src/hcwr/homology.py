@@ -14,8 +14,9 @@ eliminate.  Each annotation is stored packed into one ``int``, its
 entries as base-2^w digits, so a query's potentials and cycles are sums
 of ints, and only a cycle not met before in the query is unpacked into
 the echelon.  A query takes a vertex set as an ``int`` bitmask (bit v is
-vertex v) and is a rank in F^betti1, a pure function of the precompute;
-the searches keep their own memo of it.
+vertex v) and is a rank in F^betti1, a pure function of the precompute,
+of the whole set or of each of its components from the same pass; the
+searches keep their own memo of it.
 """
 from __future__ import annotations
 
@@ -353,23 +354,47 @@ class H1Calculator:
         cycle is unpacked and added to the echelon once, and the query
         stops as soon as the rank reaches ``betti1``.
         """
-        dim = self.betti1
-        if dim == 0:
+        if self.betti1 == 0:
             return 0
+        return sum(self._ranks(mask, per_component=False))  # [] for mask 0
+
+    def component_ranks(self, mask: int) -> list:
+        """``image_rank_of_vertices`` of each component of the full
+        subcomplex on the vertices of ``mask``, in order of its smallest
+        vertex, from one breadth-first forest of the mask."""
+        return self._ranks(mask, per_component=True)
+
+    def _ranks(self, mask: int, per_component: bool) -> list:
+        """Image ranks over one ``bfs_parents`` forest of ``mask``: one per
+        tree when ``per_component``, else one for the union of the trees
+        (none for an empty mask).
+
+        P(b) = P(u) + ann(u -> b) along the tree, packed and left
+        unreduced for Echelon.add.  Each edge from b to a vertex a
+        visited before it, other than its parent u, closes a cycle of
+        class P(b) + ann(b -> a) - P(a); a zero cycle or one met before
+        in the same echelon cannot raise the rank, and neither can any
+        cycle once the rank is ``betti1``.  A root closes no cycle, since
+        the vertices visited before it lie in other components.
+        """
+        dim = self.betti1
+        field = self.field
         ann = self._ann
         adjacency = self.K.adjacency
         unpack = self._unpack
-        # P(b) = P(u) + ann(u -> b) along the BFS tree, packed and left
-        # unreduced for Echelon.add.  Each edge from b to a vertex a
-        # visited before it, other than its parent u, closes a cycle of
-        # class P(b) + ann(b -> a) - P(a); a zero cycle or one met before
-        # cannot raise the rank.
+        ranks = []
         potential = {}
-        met = set()
-        ech = Echelon(self.field)
         for b, u in bfs_parents(self.K.neighbours, mask).items():
-            pb = 0 if u == b else potential[u] + ann[u].get(b, 0)
-            potential[b] = pb
+            if u == b:
+                potential[b] = 0
+                if per_component or not ranks:
+                    ranks.append(0)
+                    ech = Echelon(field)
+                    met = set()
+                continue
+            if ranks[-1] == dim:
+                continue
+            pb = potential[b] = potential[u] + ann[u].get(b, 0)
             ann_b = ann[b]
             for a in adjacency[b]:
                 if a == u or a not in potential:
@@ -378,9 +403,13 @@ class H1Calculator:
                 if not cycle or cycle in met:
                     continue
                 met.add(cycle)
-                if ech.add(unpack(cycle)) and ech.rank == dim:
-                    return dim
-        return ech.rank
+                if ech.add(unpack(cycle)):
+                    ranks[-1] += 1
+                    if ranks[-1] == dim:
+                        if not per_component:
+                            return ranks
+                        break
+        return ranks
 
 
 def betti1(K: SimplicialComplex, F: FieldSpec) -> int:

@@ -177,10 +177,9 @@ def slab_masks(level: dict) -> list:
 
 def slab_state(calc: H1Calculator, mask: int) -> tuple:
     """(max rank, #components attaining max, sum of ranks) over the
-    components of the full subcomplex on the vertices of ``mask``."""
-    ranks = map(calc.image_rank_of_vertices,
-                components(calc.K.neighbours, mask))
-    return combine_slab_states((r, 1, r) for r in ranks)
+    components of the full subcomplex on the vertices of ``mask``, all
+    ranked in one pass (``H1Calculator.component_ranks``)."""
+    return combine_slab_states((r, 1, r) for r in calc.component_ranks(mask))
 
 
 def combine_slab_states(states) -> tuple:

@@ -7,12 +7,16 @@ Both score a labeling with the one objective of ``morse``: the states
 combined.  Vertex sets are bitmasks, and each search keeps one bounded
 memo (``_Memo``, emptied at ``CACHE_LIMIT`` keys): the enumeration of
 the image ranks of the forced components it bounds by, annealing of the
-slab states of its level bitmasks (a move changes two slabs).
+slab states of its level bitmasks.  Annealing keeps the state of each
+slab and a count of slab maxima per rank across moves, so a step is a
+few integer operations on the three slabs a move touches, and only a
+memo miss calls out.
 
 Both searches are deterministic: the enumeration visits labelings in a
 fixed breadth-first/lexicographic order and annealing draws from a fully
-specified 64-bit linear congruential generator, so identical inputs
-and seeds produce identical results.  Both run in one thread: under the
+specified 64-bit linear congruential generator (``Lcg``, whose
+recurrence the anneal steps inline), so identical inputs and seeds
+produce identical results.  Both run in one thread: under the
 interpreter lock, thread pools over root branches and restarts measured
 no speed-up, so the ``workers`` keyword is accepted and has no effect.
 """
@@ -20,13 +24,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import SimplicialComplex, bfs_parents
 from .homology import FieldSpec, H1Calculator
-from .morse import (MorseLabeling, combine_slab_states, require_connected,
-                    slab_masks, slab_profile, slab_state)
+from .morse import (MorseLabeling, require_connected, slab_profile,
+                    slab_state)
 
 _MASK64 = (1 << 64) - 1
 # Knuth MMIX multiplier / increment.
@@ -237,6 +242,11 @@ class _Memo(dict):
         return value
 
 
+def _energy(mx: int, cnt: int, total: int) -> int:
+    """Lexicographic (max rank, #components at max, sum of ranks)."""
+    return mx * 100_000 + min(cnt, 999) * 100 + min(total, 99)
+
+
 def anneal_min(K: SimplicialComplex, F: FieldSpec,
                params: Optional[AnnealParams] = None,
                workers: int = 1) -> SearchResult:
@@ -248,14 +258,20 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     independent LCG streams derived from the seed and run one after
     another in one thread; ``workers`` has no effect.
 
-    A restart keeps the labeling as level bitmasks (label -> vertex
-    mask); a move updates two masks of a copy, kept if it is accepted.
-    A move of v from l by delta is invalid iff a neighbour of v has
-    label l - delta.  The energy's three integers combine the states
-    of the interior slabs (``morse.slab_masks``), each looked up by its
-    vertex mask in a memo shared by the restarts and emptied when it
-    holds ``CACHE_LIMIT`` masks; a move changes two slab masks,
-    and long runs revisit slab states far more often than labelings.
+    A step draws a vertex v and a direction delta from the recurrence of
+    ``Lcg``, stepped inline.  The move of v from l to l + delta is
+    invalid iff a neighbour of v has label l - delta.  A restart keeps
+    the labeling as level bitmasks (label -> vertex mask), the state of
+    each interior slab (the one level of a constant labeling), the number
+    of slab maxima per rank and the sum of ranks; the energy reads the
+    highest rank in use.  A move of v between a and a + 1 changes only
+    slabs a - 1, a and a + 1: it updates two level masks in place,
+    trades the three old slab states for new ones and restores the masks
+    and counts if it is rejected.  Slab states are looked up by vertex
+    mask in a memo shared by the restarts and emptied when it holds
+    ``CACHE_LIMIT`` masks; long runs revisit slab states far more often
+    than labelings.  The certificate is the smallest (value, labels)
+    that a restart reached, its constant start included.
     """
     if params is None:
         params = AnnealParams()
@@ -264,49 +280,90 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     states = _Memo(lambda mask: slab_state(calc, mask))
     n = K.vertex_count
     neighbours = K.neighbours
-
-    def energy(profile):
-        mx, cnt, total = profile
-        return mx * 100_000 + min(cnt, 999) * 100 + min(total, 99)
-
-    def profile_of(level):
-        return combine_slab_states(map(states.__getitem__, slab_masks(level)))
+    full = (1 << n) - 1
+    top = calc.betti1
+    absent = (0, 0, 0)  # the state of a slab outside the interior
 
     def run_restart(r):
-        rng = Lcg(_derive_seed(params.seed, r))
+        s = _derive_seed(params.seed, r)  # the Lcg state
         labels = [0] * n
-        level = {0: (1 << n) - 1}
-        start = profile_of(level)
-        cur_e = energy(start)
-        best = (start[0], tuple(labels))
+        level = defaultdict(int, {0: full})  # label -> mask, 0 if unused
+        start = states[full]
+        slab = {0: start}  # index -> state
+        # per rank, the components at their slab's max: each slab counts
+        # at its own max, so the energy's max is the highest rank in use
+        at_max = [0] * (top + 1)
+        at_max[start[0]] = start[1]
+        total = start[2]
+        best_v, best_l = start[0], labels[:]
+        cur_e = _energy(*start)
         temp = _INITIAL_TEMPERATURE
-        for _ in range(params.steps):
-            if best[0] == 0:
-                break
-            v = rng.next_below(n)
+        for _ in range(params.steps if best_v else 0):
+            s = (_LCG_MULT * s + _LCG_INC) & _MASK64
+            v = (s * n) >> 64
+            s = (_LCG_MULT * s + _LCG_INC) & _MASK64
             # top bit: the low bits of an LCG modulo 2^64 are short-period
-            delta = 1 if rng.next_u64() >> 63 else -1
+            delta = 1 if s >> 63 else -1
             old_l = labels[v]
-            if level.get(old_l - delta, 0) & neighbours[v]:
+            if level[old_l - delta] & neighbours[v]:
                 temp *= _COOLING_RATE
                 continue
             new_l = old_l + delta
             bit = 1 << v
-            moved = dict(level)
-            moved[new_l] = moved.get(new_l, 0) | bit
-            moved[old_l] ^= bit
-            if not moved[old_l]:
-                del moved[old_l]
-            prof = profile_of(moved)
-            e = energy(prof)
-            if e <= cur_e or rng.next_unit() < math.exp((cur_e - e) / max(temp, 1e-9)):
-                level = moved
-                cur_e = e
-                labels[v] = new_l
-                if prof[0] <= best[0]:
-                    best = min(best, (prof[0], tuple(labels)))
+            level[new_l] |= bit
+            level[old_l] ^= bit
+            a = old_l if delta > 0 else new_l
+            l0 = level[a - 1]
+            l1 = level[a]
+            l2 = level[a + 1]
+            # slab i is interior iff levels i and i + 1 are in use (K is
+            # connected, so the labels in use are a range), or level i
+            # is everything
+            o0 = slab.get(a - 1, absent)
+            o1 = slab.get(a, absent)
+            o2 = slab.get(a + 1, absent)
+            n0 = states[l0 | l1] if l0 and (l1 or l0 == full) else absent
+            n1 = states[l1 | l2] if l1 and (l2 or l1 == full) else absent
+            l3 = level[a + 2]
+            n2 = states[l2 | l3] if l2 and (l3 or l2 == full) else absent
+            at_max[o0[0]] -= o0[1]
+            at_max[o1[0]] -= o1[1]
+            at_max[o2[0]] -= o2[1]
+            at_max[n0[0]] += n0[1]
+            at_max[n1[0]] += n1[1]
+            at_max[n2[0]] += n2[1]
+            new_total = total + n0[2] + n1[2] + n2[2] - o0[2] - o1[2] - o2[2]
+            m = top
+            while not at_max[m]:
+                m -= 1
+            c = at_max[m]
+            e = (m * 100_000 + (c if c < 999 else 999) * 100
+                 + (new_total if new_total < 99 else 99))  # _energy
+            if e > cur_e:
+                s = (_LCG_MULT * s + _LCG_INC) & _MASK64
+                if not s / 2.0 ** 64 < math.exp((cur_e - e)
+                                                / max(temp, 1e-9)):
+                    at_max[n0[0]] -= n0[1]
+                    at_max[n1[0]] -= n1[1]
+                    at_max[n2[0]] -= n2[1]
+                    at_max[o0[0]] += o0[1]
+                    at_max[o1[0]] += o1[1]
+                    at_max[o2[0]] += o2[1]
+                    level[old_l] |= bit
+                    level[new_l] ^= bit
+                    temp *= _COOLING_RATE
+                    continue
+            slab[a - 1] = n0
+            slab[a] = n1
+            slab[a + 1] = n2
+            total, cur_e = new_total, e
+            labels[v] = new_l
+            if m < best_v or m == best_v and labels < best_l:
+                best_v, best_l = m, labels[:]
+                if not m:
+                    break
             temp *= _COOLING_RATE
-        return best
+        return best_v, tuple(best_l)
 
     best = min(map(run_restart, range(params.restarts)))
     return SearchResult(best_value=best[0],

@@ -222,6 +222,7 @@ def test_annotation_kernel_matches_sympy(name, F, data):
     assert calc.image_rank_of_vertices(mask_of(vs)) == \
         oracle_image_rank(K, vs, F)
     assert calc.image_rank_of_vertices(0) == 0
+    assert calc.component_ranks(0) == []
 
 
 def check_precompute(K, F):
@@ -315,11 +316,54 @@ def test_torsion_betti1_depends_on_field():
 
 @pytest.mark.parametrize("F", [Q, F2], ids=["Q", "F2"])
 def test_image_rank_of_disconnected_set(F):
-    # two disjoint {u} x circle(5) slices carry the same class: rank 1
+    # two disjoint {u} x circle(5) slices carry the same class: rank 1,
+    # and each slice on its own has rank 1
     K = ANNOTATION_CASES["circle(4)xcircle(5)"]
     vs = {v for v in range(20) if v // 5 in (0, 2)}
-    assert H1Calculator(K, F).image_rank_of_vertices(mask_of(vs)) == \
+    calc = H1Calculator(K, F)
+    assert calc.image_rank_of_vertices(mask_of(vs)) == \
         oracle_image_rank(K, vs, F) == 1
+    assert calc.component_ranks(mask_of(vs)) == [1, 1]
+
+
+def split_components(K, vs):
+    """The components of the graph K induces on ``vs``, each a sorted
+    vertex list, in order of their smallest vertex: a plain DFS."""
+    left = set(vs)
+    comps = []
+    for v in sorted(vs):
+        if v not in left:
+            continue
+        left.discard(v)
+        comp, todo = [v], [v]
+        while todo:
+            for w in K.adjacency[todo.pop()]:
+                if w in left:
+                    left.discard(w)
+                    comp.append(w)
+                    todo.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+@pytest.mark.parametrize("F", [Q, F2, F3], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("name", ["torus(2,3)", "circle(4)xcircle(5)",
+                                  "<a|a^3>", "Klein bottle"])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_component_ranks_match_sympy(name, F, data):
+    K = ANNOTATION_CASES[name]
+    calc = H1Calculator(K, F)
+    n = K.vertex_count
+    # sparse masks of the product split into several components
+    vs = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1),
+                           max_size=data.draw(st.sampled_from([n // 3, n]))))
+    comps = split_components(K, vs)
+    assert calc.component_ranks(mask_of(vs)) == \
+        [oracle_image_rank(K, c, F) for c in comps]
+    if len(comps) == 1:
+        assert calc.component_ranks(mask_of(vs)) == \
+            [calc.image_rank_of_vertices(mask_of(vs))]
 
 
 @given(small_complexes(), small_complexes(), st.sampled_from([Q, F2, F3]))

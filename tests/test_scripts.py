@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hcwr
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,3 +67,36 @@ def test_benchmark_selfcheck_passes():
         capture_output=True, text=True, timeout=300, cwd=ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "selfcheck passed"
+
+
+def test_bench_pairs_leaves_mismatched_tails_out():
+    # synthetic pairs: no benchmark is run
+    bench_pairs = _script("bench_pairs")
+
+    def pair(old, new, old_pct, new_pct):
+        return {name: {"metrics": {"ops_per_s": ops, "op_tail_s": tail},
+                       "op_tail_percentile": pct}
+                for name, ops, tail, pct in (("parent", 10, old, old_pct),
+                                             ("change", 12, new, new_pct))}
+
+    # the change is faster at p90 against p90 and at p99 against p99, but
+    # its third run finished enough ops to take p99 where the parent took
+    # p90, and reads slower
+    pairs = [pair(0.020, 0.015, 90, 90), pair(0.030, 0.025, 99, 99),
+             pair(0.017, 0.019, 90, 99)]
+    assert [bench_pairs.tail_mismatch(p) for p in pairs] == \
+        [False, False, True]
+    end_to_end = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+                  {"name": "op_tail_s", "better": "lower", "bound": 0.25}]
+    summary = bench_pairs.summarise(pairs, end_to_end)
+    assert summary["ops_per_s"]["pairs"] == 3
+    assert summary["ops_per_s"]["pairs_left_out"] == 0
+    assert summary["ops_per_s"]["change_wins"] == 3
+    tail = summary["op_tail_s"]
+    assert (tail["pairs"], tail["pairs_left_out"]) == (2, 1)
+    assert tail["change_wins"] == 2
+    assert tail["parent"]["median"] == pytest.approx(0.025)
+    assert tail["change"]["median"] == pytest.approx(0.020)
+    only_mismatched = bench_pairs.summarise(pairs[2:], end_to_end)
+    assert only_mismatched["op_tail_s"] == {
+        "better": "lower", "bound": 0.25, "pairs": 0, "pairs_left_out": 1}

@@ -1,4 +1,5 @@
 """Labeling search: exhaustive enumeration, annealing, certified bounds."""
+import math
 import random
 import time
 
@@ -8,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from hcwr import (AnnealParams, FieldSpec, H1Calculator, anneal_min, betti1,
                   build_complex, certified_bounds, exhaustive_min,
                   generate_circle, generate_torus, hcwr_value,
-                  maximal_simplices, product_complex, validate_labeling)
+                  maximal_simplices, presentation_complex, product_complex,
+                  validate_labeling)
 from hcwr import search
-from hcwr.morse import MorseLabeling, NotConnected
+from hcwr.generators import parse_relator
+from hcwr.morse import MorseLabeling, NotConnected, slab_profile
 from hcwr.search import Lcg, _derive_seed
 
 from conftest import small_complexes
@@ -280,6 +283,79 @@ def test_anneal_matches_recorded_results(name, make, F, params, value,
         "exhaustive": False,
         "labelings_visited": params.steps * params.restarts,
         "seed": params.seed}
+
+
+def reference_anneal(K, F, params):
+    """``anneal_min``'s schedule, result as ``to_json``: draws from
+    ``Lcg``, a move on a copy of the labels, checked edge by edge, and
+    ``slab_profile`` recomputed at every valid step."""
+    calc = H1Calculator(K, F)
+    n = K.vertex_count
+
+    def energy(mx, cnt, total):
+        return mx * 100_000 + min(cnt, 999) * 100 + min(total, 99)
+
+    results = []
+    for r in range(params.restarts):
+        rng = Lcg(_derive_seed(params.seed, r))
+        labels = [0] * n
+        mx, cnt, total = slab_profile(calc, labels)
+        cur_e = energy(mx, cnt, total)
+        best = (mx, tuple(labels))
+        temp = search._INITIAL_TEMPERATURE
+        for _ in range(params.steps):
+            if best[0] == 0:
+                break
+            v = rng.next_below(n)
+            delta = 1 if rng.next_u64() >> 63 else -1
+            moved = list(labels)
+            moved[v] += delta
+            if all(abs(moved[v] - moved[w]) <= 1 for w in K.adjacency[v]):
+                mx, cnt, total = slab_profile(calc, moved)
+                e = energy(mx, cnt, total)
+                if e <= cur_e or rng.next_unit() < math.exp(
+                        (cur_e - e) / max(temp, 1e-9)):
+                    labels, cur_e = moved, e
+                    best = min(best, (mx, tuple(labels)))
+            temp *= search._COOLING_RATE
+        results.append(best)
+    value, certificate = min(results)
+    return {"best_value": value, "certificate": list(certificate),
+            "exhaustive": False,
+            "labelings_visited": params.steps * params.restarts,
+            "seed": params.seed}
+
+
+# small complexes on which short runs create and empty extreme levels
+# and pass between one and two levels
+DIFFERENTIAL_CASES = [
+    *[(f"circle({m})", generate_circle(m), Q) for m in range(3, 8)],
+    ("torus(2,3)", generate_torus(2, 3), Q),
+    ("torus(2,3) F2", generate_torus(2, 3), F2),
+    ("relabelled circle(3)xcircle(4)",
+     _relabelled(product_complex(generate_circle(3), generate_circle(4)),
+                 5), Q),
+    ("<a|a^3> F3", presentation_complex(1, [parse_relator("aaa", 1)]), F3),
+    # the hollow triangle keeps the value at 1 and the tail lets the
+    # labels spread over up to six levels, so a move meets three slabs
+    ("circle(3) with a 4-edge tail",
+     build_complex([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6)],
+                   7), Q),
+    ("one vertex", build_complex([], 1), Q),
+    ("one edge", build_complex([(0, 1)], 2), Q),
+]
+
+
+@given(st.sampled_from(DIFFERENTIAL_CASES),
+       st.integers(min_value=0, max_value=2 ** 64 - 1),
+       st.integers(min_value=1, max_value=300),
+       st.integers(min_value=1, max_value=2))
+@settings(max_examples=80)
+def test_anneal_matches_reference_anneal(case, seed, steps, restarts):
+    _, K, F = case
+    params = AnnealParams(steps=steps, restarts=restarts, seed=seed)
+    assert anneal_min(K, F, params).to_json() == \
+        reference_anneal(K, F, params)
 
 
 def test_full_search_memo_is_emptied(monkeypatch):
