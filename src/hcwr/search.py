@@ -316,15 +316,15 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
             l0 = level[a - 1]
             l1 = level[a]
             l2 = level[a + 1]
-            # slab i is interior iff levels i and i + 1 are in use (K is
-            # connected, so the labels in use are a range), or level i
-            # is everything
+            l3 = level[a + 2]
             o0 = slab.get(a - 1, absent)
             o1 = slab.get(a, absent)
             o2 = slab.get(a + 1, absent)
+            # slab i is interior iff levels i and i + 1 are in use (K is
+            # connected, so the labels in use are a range), or level i
+            # is everything (a constant labeling)
             n0 = states[l0 | l1] if l0 and (l1 or l0 == full) else absent
             n1 = states[l1 | l2] if l1 and (l2 or l1 == full) else absent
-            l3 = level[a + 2]
             n2 = states[l2 | l3] if l2 and (l3 or l2 == full) else absent
             at_max[o0[0]] -= o0[1]
             at_max[o1[0]] -= o1[1]
