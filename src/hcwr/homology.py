@@ -1,22 +1,25 @@
 """Exact first-homology linear algebra over Q and prime fields.
 
-All arithmetic is integer-exact: rational ranks use fraction-free
-(Bareiss-style) elimination with gcd-normalized integer rows, prime-field
-ranks use modular elimination, and back-substitution clears a pivot by
-scaling the cocycle, never by dividing.  Echelon rows, edge vectors and
-cocycles hold no zero entry and, over F_p, only residues
-(``FieldSpec.reduce``).  No floating point anywhere.  H1-image ranks come
-from edge annotations (arXiv:1107.3793), built once per complex and
-field: a spanning tree fixes its edges at zero, the peel solves a
-triangle's one unsolved edge over a few free coordinates, and each
-triangle it meets with all three edges solved is a relation to
-eliminate.  Each annotation is stored packed into one ``int``, its
-entries as base-2^w digits, so a query's potentials and cycles are sums
-of ints, and only a cycle not met before in the query is unpacked into
-the echelon.  A query takes a vertex set as an ``int`` bitmask (bit v is
-vertex v) and is a rank in F^betti1, a pure function of the precompute,
-of the whole set or of each of its components from the same pass; the
-searches keep their own memo of it.
+All arithmetic is integer-exact, and one code path serves both fields:
+``FieldSpec.reduce`` is the only function that tells Q from F_p, dropping
+zero entries and, over F_p, taking residues.  ``Echelon.add`` is one
+fraction-free (Bareiss-style) step with gcd-normalized rows, and
+back-substitution clears a pivot by scaling the cocycle, never by
+dividing.  No floating point anywhere.  Over F_p, echelon rows and
+cocycles hold residues; edge vectors, annotations, potentials and cycles
+are integer representatives, reduced by ``Echelon.add`` when a relation
+or a cycle formed from them is added.  H1-image ranks come from edge
+annotations (arXiv:1107.3793), built once per complex and field: a
+spanning tree fixes its edges at zero, the peel solves a triangle's one
+unsolved edge over a few free coordinates, and each triangle it meets
+with all three edges solved is a relation to eliminate.  Each annotation
+is stored packed into one ``int``, its entries as base-2^w digits, so a
+query's potentials and cycles are sums of ints, and only a cycle not met
+before in the query is unpacked into the echelon.  A query takes a
+vertex set as an ``int`` bitmask (bit v is vertex v) and is a rank in
+F^betti1, a pure function of the precompute, of the whole set or of each
+of its components from the same pass; the searches keep their own memo
+of it.
 """
 from __future__ import annotations
 
@@ -75,6 +78,8 @@ class FieldSpec:
     def __post_init__(self):
         if self.p is None:
             return
+        if type(self.p) is not int:
+            raise ValueError(f"field size {self.p!r} is not an int")
         if self.p >= _PRIME_LIMIT:
             raise ValueError(f"field size {self.p} is not below the limit "
                              f"of {_PRIME_LIMIT}")
@@ -135,40 +140,31 @@ class Echelon:
     def add(self, vec: dict) -> bool:
         """Reduce ``vec`` against the stored rows; True iff rank grew.
 
-        One fraction-free step for both fields: the pivot column c of
-        ``v`` is cleared by ``r[c] * v - v[c] * r``, reduced mod p over
-        F_p and its zeros dropped as it is formed, then divided by its
-        gcd over Q.  A stored row is thus a nonzero multiple of the one
-        exact division would give.
+        One fraction-free step for both fields: ``v`` is divided by the
+        gcd of its entries, its pivot column c is cleared by
+        ``r[c] * v - v[c] * r`` and the result goes through
+        ``FieldSpec.reduce``.  Dividing by the gcd is exact over F_p too,
+        since every g < p is a unit mod p.  A stored row is thus a
+        nonzero multiple of the one exact division would give, its
+        entries residues with gcd 1 (primitive over Q).
         """
-        p, rows = self.field.p, self.rows
-        v = self.field.reduce(vec)
+        rows, reduce = self.rows, self.field.reduce
+        v = reduce(vec)
         while v:
-            if p is None:
-                g = gcd(*v.values())
-                if g > 1:
-                    v = {k: x // g for k, x in v.items()}
+            g = gcd(*v.values())
+            if g > 1:
+                v = {k: x // g for k, x in v.items()}
             c = min(v)
             r = rows.get(c)
             if r is None:
                 rows[c] = v
                 return True
             a, b = r[c], v[c]
-            # a * x is nonzero, mod p too, since a and x are
-            if p is None:
-                new = {k: a * x for k, x in v.items() if k != c}
-            else:
-                new = {k: a * x % p for k, x in v.items() if k != c}
+            new = {k: a * x for k, x in v.items() if k != c}
             for k, x in r.items():
                 if k != c:
-                    y = new.get(k, 0) - b * x
-                    if p is not None:
-                        y %= p
-                    if y:
-                        new[k] = y
-                    else:
-                        new.pop(k, None)
-            v = new
+                    new[k] = new.get(k, 0) - b * x
+            v = reduce(new)
         return False
 
 
@@ -213,8 +209,10 @@ class H1Calculator:
     2^(w - 1) > (2n - 1) * top, with n vertices and top the largest entry
     of any annotation in size.  A potential sums at most n - 1 steps, so a
     cycle's entries stay within (2n - 1) * top and ``+``, ``-``, ``==``
-    and hashing on the ints act exactly on the vectors.  Over F_p the
-    entries are left unreduced integers; ``Echelon.add`` reduces them.
+    and hashing on the ints act exactly on the vectors.  Over F_p only
+    echelon rows and cocycles are residues; edge vectors, annotations,
+    potentials and cycles are unreduced integers, which ``Echelon.add``
+    reduces.
     """
 
     def __init__(self, K: SimplicialComplex, field: FieldSpec):
@@ -240,19 +238,15 @@ class H1Calculator:
                     for i, j, k in faces]
         ready = [t for t, u in enumerate(unsolved) if u == 1]
         ech = Echelon(field)
-        p = field.p
 
         def sum2(x, u, y, w):
-            """``x * u + y * w`` for signs x, y = +-1, filtered like
-            ``FieldSpec.reduce``; the edge vectors u, w already are."""
+            """``x * u + y * w`` for signs x, y = +-1, with no entry
+            that is zero in F, as the edge vectors u, w have none: a sum
+            of two goes through ``FieldSpec.reduce``, a negation need not."""
             if not u:
                 u, x, w, y = w, y, u, x
             if not w:
-                if x == 1:
-                    return u
-                if p is None:
-                    return {c: -z for c, z in u.items()}
-                return {c: p - z for c, z in u.items()}
+                return u if x == 1 else {c: -z for c, z in u.items()}
             total = {c: x * z for c, z in u.items()}
             for c, z in w.items():
                 total[c] = total.get(c, 0) + y * z
@@ -310,8 +304,6 @@ class H1Calculator:
                 continue
             ann = tuple(sum(phi.get(c, 0) * y for c, y in v.items())
                         for phi in cocycles)
-            if p is not None:
-                ann = tuple(x % p for x in ann)
             if any(ann):
                 anns.append((a, b, ann))
         top = max((abs(x) for _, _, ann in anns for x in ann), default=0)

@@ -257,10 +257,17 @@ def _qf_class(b1: int) -> str:
 
 def hcwr_value(K: SimplicialComplex, f: MorseLabeling,
                F: FieldSpec, calc: Optional[H1Calculator] = None) -> WidthReport:
-    """Evaluate the homological connected width rank of (K, f) over F."""
+    """Evaluate the homological connected width rank of (K, f) over F.
+
+    ``calc``, when given, must be an ``H1Calculator`` of K (the same
+    object or an equal complex) over F; ValueError otherwise.
+    """
     Q = quotient_graph(K, f)  # also validates f and connectivity
     if calc is None:
         calc = H1Calculator(K, F)
+    elif calc.field != F or (calc.K is not K and calc.K != K):
+        raise ValueError(f"the calculator is not one of this complex over "
+                         f"{F.label}")
     per_slab = []
     max_rank = 0
     for qv in Q.q_vertices:

@@ -272,6 +272,8 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     ``CACHE_LIMIT`` masks; long runs revisit slab states far more often
     than labelings.  The certificate is the smallest (value, labels)
     that a restart reached, its constant start included.
+    ``labelings_visited`` is the step budget, steps x restarts, even when
+    a restart stops early at width 0.
     """
     if params is None:
         params = AnnealParams()

@@ -6,7 +6,7 @@ from collections import Counter
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import isprime
 
 from hcwr import (FieldSpec, H1Calculator, betti1, boundary, build_complex,
@@ -23,6 +23,7 @@ from conftest import (mask_of, oracle_betti1, oracle_image_rank,
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
+F7 = FieldSpec.prime(7)
 # F_(2^31 - 1) checks potentials left unreduced far above p
 FIELDS = pytest.mark.parametrize(
     "F", [Q, F2, F3, FieldSpec.prime(2147483647)],
@@ -57,6 +58,12 @@ class TestFieldSpec:
         with pytest.raises(ValueError, match="limit"):
             FieldSpec.prime(3317044064679887385961981)
 
+    @pytest.mark.parametrize("p", [3.0, 2.0, True, "3"])
+    def test_refuses_a_size_that_is_not_an_int(self, p):
+        # a float would compute in floating point, True pass as 1
+        with pytest.raises(ValueError, match=f"{p!r} is not an int"):
+            FieldSpec(p)
+
     @given(st.one_of(st.integers(min_value=-5, max_value=10 ** 5),
                      st.integers(min_value=2,
                                  max_value=3317044064679887385961980)))
@@ -87,31 +94,31 @@ def test_rank_depends_on_field():
     assert echelon_rank([[1, 2], [2, 1]], F3) == 1
 
 
-@given(matrices, st.sampled_from([Q, F2, F3]))
+@given(matrices, st.sampled_from([Q, F2, F3, F7]))
 def test_rank_matches_sympy(M, F):
     assert echelon_rank(M, F) == oracle_rank(M, F)
 
 
-@given(matrices, st.sampled_from([Q, F2, F3]))
+@given(matrices, st.sampled_from([Q, F2, F3, F7]))
 def test_echelon_add_counts_rank_growth(M, F):
     ech = Echelon(F)
     grew = sum(ech.add({j: x for j, x in enumerate(row) if x}) for row in M)
     assert grew == ech.rank
 
 
-@given(matrices, st.sampled_from([Q, F2, F3]))
+@given(matrices, st.sampled_from([Q, F2, F3, F7]))
+@example([[2, 2]], F3)  # the gcd divides over F_p too: stored as (1, 1)
 def test_echelon_rows_are_normalized_multiples(M, F):
-    # the fraction-free step stores rows reduced mod p, or primitive over Q,
-    # each a multiple of a vector in the span of the rows added
+    # the fraction-free step stores primitive rows, reduced mod p over
+    # F_p, each a multiple of a vector in the span of the rows added
     ech = Echelon(F)
     for row in M:
         ech.add({j: x for j, x in enumerate(row) if x})
     width = len(M[0])
     for c, row in ech.rows.items():
         assert min(row) == c and all(row.values())
-        if F.is_rationals:
-            assert gcd(*row.values()) == 1
-        else:
+        assert gcd(*row.values()) == 1
+        if not F.is_rationals:
             assert all(0 < x < F.p for x in row.values())
     stored = [[row.get(j, 0) for j in range(width)]
               for row in ech.rows.values()]

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from hcwr import (FieldSpec, H1Calculator, betti1, build_complex,
                   constant_labeling, generate_circle, generate_torus,
-                  hcwr_value, labeled_torus, product_complex,
-                  pullback_labeling, qf_betti1, quotient_graph,
-                  tent_labeling, validate_labeling)
-from hcwr.generators import circle_tent_labeling
+                  hcwr_value, labeled_torus, presentation_complex,
+                  product_complex, pullback_labeling, qf_betti1,
+                  quotient_graph, tent_labeling, validate_labeling)
+from hcwr.generators import circle_tent_labeling, parse_relator
 from hcwr.morse import (InvalidLabeling, MorseLabeling, NotConnected,
                         combine_slab_states, level_masks, slab_masks,
                         slab_profile, slab_state)
@@ -95,6 +95,26 @@ def test_torus_tent_report_shape():
     assert all(set(s) == {"i", "component", "size", "rank"}
                for s in doc["slabs"])
     assert max(s["rank"] for s in doc["slabs"]) == 1
+
+
+def test_hcwr_value_refuses_a_calculator_of_another_field_or_complex():
+    # over Q the constant labeling of <a | a^3> would read 0, not 1
+    P = presentation_complex(1, [parse_relator("aaa", 1)])
+    F3 = FieldSpec.prime(3)
+    f = constant_labeling(P)
+    assert hcwr_value(P, f, F3).max_rank == 1
+    with pytest.raises(ValueError, match="Fp:3"):
+        hcwr_value(P, f, F3, H1Calculator(P, Q))
+    # torus(2,4) has 16 vertices too: its ranks would read 0 here
+    C = generate_circle(16)
+    with pytest.raises(ValueError, match="not one of this complex"):
+        hcwr_value(C, circle_tent_labeling(16), Q,
+                   H1Calculator(generate_torus(2, 4), Q))
+    # a calculator of an equal complex over an equal field will do
+    equal = build_complex(P.maximal, P.vertex_count)
+    assert equal is not P
+    calc = H1Calculator(equal, FieldSpec.parse("F3"))
+    assert hcwr_value(P, f, F3, calc).max_rank == 1
 
 
 def test_invalid_labeling_raises():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -100,3 +101,25 @@ def test_bench_pairs_leaves_mismatched_tails_out():
     only_mismatched = bench_pairs.summarise(pairs[2:], end_to_end)
     assert only_mismatched["op_tail_s"] == {
         "better": "lower", "bound": 0.25, "pairs": 0, "pairs_left_out": 1}
+
+
+def test_output_digest_is_stable_and_sees_a_changed_output():
+    # two fresh processes digest the tiny pools alike
+    runs = [subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digest.py"),
+         "--tiny"], capture_output=True, text=True, timeout=300, cwd=ROOT)
+        for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert [line.split()[0] for line in runs[0].stdout.splitlines()] == [
+        "analyze", "exhaustive", "anneal"]
+    # one op whose output changes changes the digest
+    output_digest = _script("output_digest")
+
+    def op(label, out):
+        return SimpleNamespace(label=label, call=lambda: out)
+
+    rounds = [[op("a", '{"max_rank": 1}'), op("b", '{"max_rank": 2}')]]
+    changed = [[rounds[0][0], op("b", '{"max_rank": 3}')]]
+    assert output_digest.digest(rounds) == output_digest.digest(rounds)
+    assert output_digest.digest(rounds) != output_digest.digest(changed)
