@@ -5,21 +5,24 @@ All arithmetic is integer-exact, and one code path serves both fields:
 zero entries and, over F_p, taking residues.  ``Echelon.add`` is one
 fraction-free (Bareiss-style) step with gcd-normalized rows, and
 back-substitution clears a pivot by scaling the cocycle, never by
-dividing.  No floating point anywhere.  Over F_p, echelon rows and
-cocycles hold residues; edge vectors, annotations, potentials and cycles
-are integer representatives, reduced by ``Echelon.add`` when a relation
-or a cycle formed from them is added.  H1-image ranks come from edge
-annotations (arXiv:1107.3793), built once per complex and field: a
-spanning tree fixes its edges at zero, the peel solves a triangle's one
-unsolved edge over a few free coordinates, and each triangle it meets
-with all three edges solved is a relation to eliminate.  Each annotation
-is stored packed into one ``int``, its entries as base-2^w digits, so a
-query's potentials and cycles are sums of ints, and only a cycle not met
-before in the query is unpacked into the echelon.  A query takes a
-vertex set as an ``int`` bitmask (bit v is vertex v) and is a rank in
-F^betti1, a pure function of the precompute, of the whole set or of each
-of its components from the same pass; the searches keep their own memo
-of it.
+dividing.  No floating point anywhere.  Only echelon rows and cocycles
+hold residues; edge vectors, annotations, potentials and cycles are
+integers, reduced by ``Echelon.add`` when a relation or a cycle formed
+from them is added.  H1-image ranks come from edge annotations
+(arXiv:1107.3793), built once per complex and field by a tree-and-peel
+pass over Z: a spanning tree fixes its edges at zero, the peel solves a
+triangle's one unsolved edge over a few free coordinates, and each
+triangle it meets with all three edges solved is a relation to
+eliminate.  Each edge vector is held packed into one ``int``, its
+entries as base-2^w digits, so solving an edge or forming a relation is
+a sum of ints and only a nonzero relation is unpacked.  When no relation
+is nonzero in F, the cocycles are the free coordinates and the peeled
+ints are the annotations.  A query's potentials and cycles are sums of
+annotations, and only a cycle not met before in the query is unpacked
+into the echelon.  A query takes a vertex set as an ``int`` bitmask (bit
+v is vertex v) and is a rank in F^betti1, a pure function of the
+precompute, of the whole set or of each of its components from the same
+pass; the searches keep their own memo of it.
 """
 from __future__ import annotations
 
@@ -115,9 +118,12 @@ class FieldSpec:
         raise ValueError(f"cannot parse field {text!r}")
 
     def reduce(self, vec: dict) -> dict:
-        """``vec`` without its zero entries, reduced mod p over F_p."""
+        """``vec`` without its zero entries, reduced mod p over F_p;
+        ``vec`` itself over Q when it has no zero entry."""
         p = self.p
         if p is None:
+            if all(vec.values()):
+                return vec
             return {k: x for k, x in vec.items() if x}
         return {k: x % p for k, x in vec.items() if x % p}
 
@@ -142,11 +148,13 @@ class Echelon:
 
         One fraction-free step for both fields: ``v`` is divided by the
         gcd of its entries, its pivot column c is cleared by
-        ``r[c] * v - v[c] * r`` and the result goes through
-        ``FieldSpec.reduce``.  Dividing by the gcd is exact over F_p too,
-        since every g < p is a unit mod p.  A stored row is thus a
+        ``r[c] * v - v[c] * r``, its zero entries dropped as it is formed,
+        and the result goes through ``FieldSpec.reduce``, which over Q
+        then returns it as it is.  Dividing by the gcd is exact over F_p
+        too, since every g < p is a unit mod p.  A stored row is thus a
         nonzero multiple of the one exact division would give, its
-        entries residues with gcd 1 (primitive over Q).
+        entries residues with gcd 1 (primitive over Q).  ``vec`` itself
+        may be stored as a row, so the caller must not change it after.
         """
         rows, reduce = self.rows, self.field.reduce
         v = reduce(vec)
@@ -163,7 +171,11 @@ class Echelon:
             new = {k: a * x for k, x in v.items() if k != c}
             for k, x in r.items():
                 if k != c:
-                    new[k] = new.get(k, 0) - b * x
+                    y = new.get(k, 0) - b * x
+                    if y:
+                        new[k] = y
+                    else:  # new[k] was b * x, which is nonzero
+                        del new[k]
             v = reduce(new)
         return False
 
@@ -186,75 +198,101 @@ class H1Calculator:
     Uses the edge annotations of Busaryev, Cabello, Chen, Dey and Wang,
     "Annotating simplices with a homology basis and its applications"
     (SWAT 2012, arXiv:1107.3793), built once per (K, F) by a tree-and-peel
-    pass.  Every edge gets a vector over r *free* coordinates: edges of a
-    spanning forest get 0.  A triangle with exactly one edge still
-    unsolved fixes that edge's vector, since its boundary must sum to
-    zero, and solving an edge may leave further triangles with one
-    unsolved edge (peeling).  When none is left, the first unsolved edge
-    becomes a new free coordinate (its unit vector) and peeling resumes.
-    A triangle the peel pops with all three edges solved gives a relation
-    in F^r there, formed only when one of its vectors is nonzero; these
-    are reduced, and back-substitution from each free column of the
-    reduction gives one of ``betti1`` cocycles on F^r.  An edge's
-    annotation is its vector's value under these cocycles, so a cycle's
-    annotation sum is its class in H1(K; F).  A query takes a spanning
-    forest of the vertex set with potentials P(w) = P(v) + ann(v -> w)
-    along it; every edge a -> b of the set then closes a cycle of class
-    ann(a -> b) + P(a) - P(b), and the image rank is the rank of these
-    vectors.
+    pass over Z.  Every edge gets an integer vector over r *free*
+    coordinates: edges of a spanning forest get 0.  A triangle with
+    exactly one edge still unsolved fixes that edge's vector, since its
+    boundary must sum to zero, and solving an edge may leave further
+    triangles with one unsolved edge (peeling).  When none is left, the
+    first unsolved edge becomes a new free coordinate (its unit vector)
+    and peeling resumes.  A triangle the peel pops with all three edges
+    solved gives a relation, added to an echelon over F when it is
+    nonzero, and back-substitution from each free column of the echelon
+    gives one of ``betti1`` cocycles on F^r.  An edge's annotation is its
+    vector's value under these cocycles, so a cycle's annotation sum is
+    its class in H1(K; F).  When the echelon is empty (no relation is
+    nonzero in F, as on the tori), the cocycles are the identity and the
+    peeled vectors are the annotations as they are.  A query takes a
+    spanning forest of the vertex set with potentials
+    P(w) = P(v) + ann(v -> w) along it; every edge a -> b of the set then
+    closes a cycle of class ann(a -> b) + P(a) - P(b), and the image rank
+    is the rank of these vectors.
 
-    Annotations and potentials are packed ints: the vector x is the int
-    sum of x_j * 2^(w * j).  Packing is linear over Z, and one-to-one on
-    vectors whose entries are below 2^(w - 1) in size; w is fixed so that
-    2^(w - 1) > (2n - 1) * top, with n vertices and top the largest entry
-    of any annotation in size.  A potential sums at most n - 1 steps, so a
-    cycle's entries stay within (2n - 1) * top and ``+``, ``-``, ``==``
-    and hashing on the ints act exactly on the vectors.  Over F_p only
-    echelon rows and cocycles are residues; edge vectors, annotations,
-    potentials and cycles are unreduced integers, which ``Echelon.add``
-    reduces.
+    Edge vectors, annotations and potentials are packed ints: the vector
+    x is the int sum of x_j * 2^(w * j).  Packing is linear over Z, so
+    the peel and the queries add ints, and one-to-one on vectors whose
+    entries are below 2^(w - 1) in size, so only unpacking needs a bound.
+    The peel starts at w = bit length of (2n - 1), plus 2, with n
+    vertices, and keeps the exact largest entry of each edge vector in
+    size: 0 for zero, the operand's when the other operand of a sum is
+    zero, else read from one unpacking of the sum.  The peel runs again
+    at twice the width if the sizes of the operands of a sum or a
+    relation add up to 2^(w - 1), or if the peeled vectors are the
+    annotations and (2n - 1) * top reaches it, with top their largest
+    entry.  When the echelon is not empty, the edge vectors are
+    unpacked, mapped by the cocycles and packed again at the least w
+    with 2^(w - 1) > (2n - 1) * top.  A potential sums at
+    most n - 1 steps, so a cycle's entries stay within (2n - 1) * top and
+    ``+``, ``-``, ``==`` and hashing on the ints act exactly on the
+    vectors.  Over F_p only echelon rows and cocycles are residues;
+    edge vectors, annotations, potentials and cycles are unreduced
+    integers, which ``Echelon.add`` reduces.
     """
 
     def __init__(self, K: SimplicialComplex, field: FieldSpec):
         self.K = K
         self.field = field
-        reduce = field.reduce
         edges = K.edges
-        parent = bfs_parents(K.neighbours, (1 << K.vertex_count) - 1)
-        vec = [{} if a == parent[b] or b == parent[a] else None
-               for a, b in edges]
-        self.rank_d1 = len(edges) - vec.count(None)
+        n = K.vertex_count
+        parent = bfs_parents(K.neighbours, (1 << n) - 1)
+        forest = [a == parent[b] or b == parent[a] for a, b in edges]
+        self.rank_d1 = forest.count(True)
         index = {e: i for i, e in enumerate(edges)}
         # the faces (b, c), (a, c), (a, b) of a triangle (a, b, c), in the
-        # order of boundary(); a face's sign depends only on its position
-        s0, s1, s2 = (x for _, x in boundary((0, 1, 2)))
+        # order of boundary()
         faces = [(index[b, c], index[a, c], index[a, b])
                  for a, b, c in K.triangles]
         cofaces = [[] for _ in edges]
         for t, face in enumerate(faces):
             for i in face:
                 cofaces[i].append(t)
+        w = (2 * n - 1).bit_length() + 2
+        while (peeled := self._peel(forest, faces, cofaces, w)) is None:
+            w *= 2
+        vec, ech, r = peeled
+        self.betti1 = r - ech.rank
+        # rank d2: the edges peeling solved (all but forest and free) + ech
+        self.rank_d2 = len(edges) - self.rank_d1 - self.betti1
+        if ech.rows:
+            vec = self._annotate(vec, ech, r)
+        self._ann = [{} for _ in range(n)]
+        for (a, b), x in zip(edges, vec):
+            if x:
+                self._ann[a][b] = x
+                self._ann[b][a] = -x
+
+    def _peel(self, forest, faces, cofaces, w):
+        """The tree-and-peel pass over Z at digit width ``w``:
+        ``(vec, ech, r)``, with ``vec[i]`` edge i's vector packed in one
+        int, ``ech`` the echelon of the nonzero relations and r the number
+        of free coordinates, or None when w is too narrow (see the class
+        docstring).  ``size[i]`` is the largest entry of ``vec[i]`` in
+        size, exact: a sum of two nonzero vectors is unpacked only when
+        their sizes bound its entries below 2^(w - 1).
+        """
+        self._width = w  # read by _unpack
+        half = 1 << w - 1
+        unpack = self._unpack
+        s0, s1, s2 = (x for _, x in boundary((0, 1, 2)))
+        vec = [0 if f else None for f in forest]
+        size = [0] * len(vec)
         unsolved = [(vec[i] is None) + (vec[j] is None) + (vec[k] is None)
                     for i, j, k in faces]
         ready = [t for t, u in enumerate(unsolved) if u == 1]
-        ech = Echelon(field)
+        ech = Echelon(self.field)
 
-        def sum2(x, u, y, w):
-            """``x * u + y * w`` for signs x, y = +-1, with no entry
-            that is zero in F, as the edge vectors u, w have none: a sum
-            of two goes through ``FieldSpec.reduce``, a negation need not."""
-            if not u:
-                u, x, w, y = w, y, u, x
-            if not w:
-                return u if x == 1 else {c: -z for c, z in u.items()}
-            total = {c: x * z for c, z in u.items()}
-            for c, z in w.items():
-                total[c] = total.get(c, 0) + y * z
-            return reduce(total)
-
-        def solve(i, v):
-            vec[i] = v
-            for t in cofaces[i]:
+        def solve(e, v, top):
+            vec[e], size[e] = v, top
+            for t in cofaces[e]:
                 unsolved[t] -= 1
                 if unsolved[t] == 1:
                     ready.append(t)
@@ -266,27 +304,46 @@ class H1Calculator:
                 t = ready.pop()
                 i, j, k = faces[t]
                 if not unsolved[t]:  # solved meanwhile: a relation
-                    if vec[i] or vec[j] or vec[k]:
-                        relation = sum2(1, sum2(s0, vec[i], s1, vec[j]),
-                                        s2, vec[k])
-                        if relation:
-                            ech.add(relation)
+                    if size[i] + size[j] + size[k] >= half:
+                        return None
+                    relation = s0 * vec[i] + s1 * vec[j] + s2 * vec[k]
+                    if relation:
+                        ech.add(unpack(relation))
                     continue
-                # s * vec[unsolved] = -(the other two), and 1/s = s
+                # s * vec[e] = -(x * vec[a] + y * vec[b]), and 1/s = s
                 if vec[i] is None:
-                    solve(i, sum2(-s0 * s1, vec[j], -s0 * s2, vec[k]))
+                    e, x, a, y, b = i, -s0 * s1, j, -s0 * s2, k
                 elif vec[j] is None:
-                    solve(j, sum2(-s1 * s0, vec[i], -s1 * s2, vec[k]))
+                    e, x, a, y, b = j, -s1 * s0, i, -s1 * s2, k
                 else:
-                    solve(k, sum2(-s2 * s0, vec[i], -s2 * s1, vec[j]))
+                    e, x, a, y, b = k, -s2 * s0, i, -s2 * s1, j
+                u, v = vec[a], vec[b]
+                if not v:
+                    solve(e, x * u, size[a])
+                elif not u:
+                    solve(e, y * v, size[b])
+                elif size[a] + size[b] >= half:
+                    return None
+                else:
+                    total = x * u + y * v
+                    solve(e, total,
+                          max(map(abs, unpack(total).values()), default=0))
             j = next(unsolved_edges, None)
             if j is None:
                 break
-            solve(j, {r: 1})
+            solve(j, 1 << w * r, 1)
             r += 1
-        self.betti1 = r - ech.rank
-        # rank d2: the edges peeling solved (all but forest and free) + ech
-        self.rank_d2 = len(edges) - self.rank_d1 - self.betti1
+        n = self.K.vertex_count
+        if not ech.rows and (2 * n - 1) * max(size, default=0) >= half:
+            return None
+        return vec, ech, r
+
+    def _annotate(self, vec, ech, r) -> list:
+        """The packed annotation of each edge vector in ``vec`` (packed at
+        the peel's width): its values under the ``betti1`` cocycles that
+        back-substitution from the free columns of ``ech`` gives, packed
+        at the width their largest entry needs."""
+        reduce = self.field.reduce
         cocycles = []
         for free in (j for j in range(r) if j not in ech.rows):
             phi = {free: 1}
@@ -299,20 +356,13 @@ class H1Calculator:
                     phi = reduce(phi)
             cocycles.append(phi)
         anns = []
-        for (a, b), v in zip(edges, vec):
-            if not v:
-                continue
-            ann = tuple(sum(phi.get(c, 0) * y for c, y in v.items())
-                        for phi in cocycles)
-            if any(ann):
-                anns.append((a, b, ann))
-        top = max((abs(x) for _, _, ann in anns for x in ann), default=0)
-        self._width = ((2 * K.vertex_count - 1) * top).bit_length() + 1
-        self._ann = [{} for _ in range(K.vertex_count)]
-        for a, b, ann in anns:
-            x = self._pack(ann)
-            self._ann[a][b] = x
-            self._ann[b][a] = -x
+        for x in vec:
+            v = self._unpack(x)
+            anns.append(tuple(sum(phi.get(c, 0) * y for c, y in v.items())
+                              for phi in cocycles))
+        top = max((abs(x) for ann in anns for x in ann), default=0)
+        self._width = ((2 * self.K.vertex_count - 1) * top).bit_length() + 1
+        return [self._pack(ann) for ann in anns]
 
     def _pack(self, vector) -> int:
         """The int sum of ``x_j * 2^(w * j)`` over the entries x_j of

@@ -200,7 +200,10 @@ def test_query_order_does_not_change_answers():
 
 
 # torus, product and torsion: <a|a^3> has betti1 0 over Q and F_2, 1 over
-# F_3.  The dunce hat <a|aaa^-1> and the Klein bottle <a,b|aabb> are not
+# F_3; over F_3 the peeled entries of <a|a^9> outgrow the starting digit
+# width, so its peel runs again at a wider one.  At two-bit digits a
+# relation of the projective plane <a|a^2> outgrows its edge vectors' width.
+# The dunce hat <a|aaa^-1> and the Klein bottle <a,b|aabb> are not
 # collapsible, so peeling gets stuck and opens a free coordinate that a
 # leftover relation then kills, over every field (dunce hat) or over all
 # but F_2 (Klein bottle).
@@ -209,6 +212,8 @@ ANNOTATION_CASES = {
     "circle(4)xcircle(5)": product_complex(generate_circle(4),
                                            generate_circle(5)),
     "<a|a^3>": presentation_complex(1, [parse_relator("aaa", 1)]),
+    "<a|a^9>": presentation_complex(1, [parse_relator("a" * 9, 1)]),
+    "projective plane": presentation_complex(1, [parse_relator("aa", 1)]),
     "dunce hat": presentation_complex(1, [parse_relator("aaA", 1)]),
     "Klein bottle": presentation_complex(2, [parse_relator("aabb", 2)]),
     # over Q its back-substitution meets pivot 2 with s = 3
@@ -239,16 +244,33 @@ def check_precompute(K, F):
     assert (calc.rank_d1, calc.rank_d2, calc.betti1) == \
         (oracle_rank_d1(K, F), oracle_rank_d2(K, F), oracle_betti1(K, F))
 
+    check_cocycle(calc)
+    assert calc.image_rank_of_vertices((1 << K.vertex_count) - 1) == \
+        calc.betti1
+
+
+def check_cocycle(calc):
+    """The annotations sum to zero in F^betti1 around every triangle."""
+    F = calc.field
+
     def ann(a, b):
         vec = calc._unpack(calc._ann[a].get(b, 0))
         return tuple(vec.get(j, 0) for j in range(calc.betti1))
 
-    for a, b, c in K.triangles:
+    for a, b, c in calc.K.triangles:
         # ann(a -> b) + ann(b -> c) + ann(c -> a) = 0 in F^betti1
         total = map(sum, zip(ann(a, b), ann(b, c), ann(c, a)))
         assert not any(x % F.p if F.p else x for x in total)
-    assert calc.image_rank_of_vertices((1 << K.vertex_count) - 1) == \
-        calc.betti1
+
+
+def check_packing_bound(calc):
+    """Every entry e of every packed annotation has (2n - 1) * |e| below
+    2^(w - 1), so a query's sums of up to 2n - 1 of them unpack exactly."""
+    n, limit = calc.K.vertex_count, 1 << calc._width - 1
+    for row in calc._ann:
+        for x in row.values():
+            assert all((2 * n - 1) * abs(e) < limit
+                       for e in calc._unpack(x).values())
 
 
 @FIELDS
@@ -261,6 +283,59 @@ def test_precompute_invariants(name, F):
 @given(K=small_complexes())
 def test_precompute_invariants_on_small_complexes(F, K):
     check_precompute(K, F)
+
+
+@FIELDS
+@pytest.mark.parametrize("name", sorted(ANNOTATION_CASES))
+def test_annotations_meet_the_packing_bound(name, F):
+    check_packing_bound(H1Calculator(ANNOTATION_CASES[name], F))
+
+
+@FIELDS
+@given(K=small_complexes())
+def test_annotations_meet_the_packing_bound_on_small_complexes(F, K):
+    check_packing_bound(H1Calculator(K, F))
+
+
+@FIELDS
+@pytest.mark.parametrize("name", sorted(ANNOTATION_CASES))
+def test_a_peel_at_any_width_is_refused_or_exact(name, F, monkeypatch):
+    # a width is refused once an entry could reach 2^(w - 1); any width
+    # the peel accepts gives the edge vectors and relations of a wide one
+    peel = H1Calculator._peel
+    inputs = []
+
+    def spy(self, forest, faces, cofaces, w):
+        inputs.append((forest, faces, cofaces))
+        return peel(self, forest, faces, cofaces, w)
+
+    monkeypatch.setattr(H1Calculator, "_peel", spy)
+    calc = H1Calculator(ANNOTATION_CASES[name], F)
+
+    def peeled(w):
+        result = peel(calc, *inputs[0], w)
+        if result is None:
+            return None
+        vec, ech, r = result
+        return [calc._unpack(x) for x in vec], ech.rows, r
+
+    wide = peeled(64)
+    accepted = [w for w in range(2, 17) if peeled(w) is not None]
+    assert accepted and all(peeled(w) == wide for w in accepted)
+
+
+@pytest.mark.parametrize("F", [Q, F2], ids=["Q", "F2"])
+def test_torus_4_4_peels_again_at_a_wider_width(F):
+    # an annotation entry of 3 is too large for the starting width at
+    # 256 vertices, so the peel runs twice; too large for the sympy oracle
+    K = generate_torus(4, 4)
+    calc = H1Calculator(K, F)
+    assert calc._width > (2 * K.vertex_count - 1).bit_length() + 2
+    assert (calc.betti1, calc.rank_d1, calc.rank_d2) == \
+        (4, 255, len(K.edges) - 259)
+    check_cocycle(calc)
+    check_packing_bound(calc)
+    assert calc.image_rank_of_vertices((1 << K.vertex_count) - 1) == 4
 
 
 @FIELDS

@@ -123,3 +123,17 @@ def test_output_digest_is_stable_and_sees_a_changed_output():
     changed = [[rounds[0][0], op("b", '{"max_rank": 3}')]]
     assert output_digest.digest(rounds) == output_digest.digest(rounds)
     assert output_digest.digest(rounds) != output_digest.digest(changed)
+
+
+@pytest.mark.parametrize("workload", ["analyze", "exhaustive", "anneal"])
+def test_profile_pool_lists_library_functions(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "profile_pool.py"),
+         "--workload", workload, "--tiny", "--top", "15"],
+        capture_output=True, text=True, timeout=300, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    summary, header, *rows = proc.stdout.splitlines()
+    assert summary.startswith(f"{workload}: ") and " ops in " in summary
+    assert header.split() == ["self_s", "cum_s", "calls", "function"]
+    assert 0 < len(rows) <= 15
+    assert any(row.split()[3].startswith("hcwr/") for row in rows)
