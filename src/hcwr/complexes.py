@@ -1,20 +1,26 @@
 """Finite simplicial complexes with dense integer vertex ids.
 
-A complex stores only its maximal simplices as sorted vertex tuples; edges
-and triangles are derived from them, and the full face closure is built
+A complex stores only its maximal simplices as sorted vertex tuples.  The
+tables the analysis reads are derived from them once each and cached: the
+sorted ``edges`` and ``triangles``, each triangle as the indices of its
+three edges (``triangle_edges``, what the H1 peel reads) and each
+vertex's neighbour mask (``neighbours``).  The neighbour sets
+``adjacency`` are built only for the searches, and the full face closure
 only when something reads ``simplices``.  Complexes are immutable after
 construction and safe to share across threads.
 
-A vertex set is an ``int`` bitmask, bit v standing for vertex v, and this
-module is the only one that walks the bits of a mask: ``components`` and
-``bfs_parents`` grow a component or a search from the ``neighbours``
-masks of a complex.
+A vertex set is an ``int`` bitmask, bit v standing for vertex v.  Two
+places walk the bits of a mask: this module's ``components`` and
+``bfs_parents``, which grow a component or a search from the
+``neighbours`` masks of a complex, and the image-rank query of
+``homology``, which walks its own breadth-first forest so as to close
+each cycle when it discovers a vertex.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 # Largest face count accepted: a simplex on m vertices has 2^m - 1 faces,
@@ -64,8 +70,20 @@ class SimplicialComplex:
                          for f in combinations(s, r))
 
     @cached_property
+    def triangle_edges(self) -> tuple:
+        """Each triangle (a, b, c) of ``triangles`` as the indices in
+        ``edges`` of its faces (b, c), (a, c), (a, b), the order of
+        ``homology.boundary``."""
+        index = [{} for _ in range(self.vertex_count)]  # a -> {b: i}
+        for i, (a, b) in enumerate(self.edges):
+            index[a][b] = i
+        return tuple((index[b][c], index[a][c], index[a][b])
+                     for a, b, c in self.triangles)
+
+    @cached_property
     def adjacency(self) -> tuple:
-        """Neighbor sets of the 1-skeleton, indexed by vertex id."""
+        """Neighbor sets of the 1-skeleton, indexed by vertex id; only the
+        searches read them."""
         adj = [set() for _ in range(self.vertex_count)]
         for a, b in self.edges:
             adj[a].add(b)
@@ -75,7 +93,11 @@ class SimplicialComplex:
     @cached_property
     def neighbours(self) -> tuple:
         """Neighbour masks of the 1-skeleton, indexed by vertex id."""
-        return tuple(sum(1 << w for w in nbrs) for nbrs in self.adjacency)
+        masks = [0] * self.vertex_count
+        for a, b in self.edges:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        return tuple(masks)
 
     def __contains__(self, simplex) -> bool:
         return tuple(simplex) in self.simplices
@@ -138,14 +160,17 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
         faces += (1 << len(t)) - 1
         if faces > MAX_FACES:
             require_under_cap(vertex_count, faces)
-        if t:
+        if len(t) > 1:
             simps.add(t)
-    simps.update((v,) for v in range(vertex_count))
-    # only faces of a size some given simplex has can be given simplices
+    # only faces of a size some given simplex has can be given simplices,
+    # and a vertex is maximal exactly when no larger simplex covers it
     sizes = {len(s) for s in simps}
     nonmax = {f for s in simps for r in sizes if r < len(s)
               for f in combinations(s, r) if f in simps}
-    return SimplicialComplex(vertex_count, tuple(sorted(simps - nonmax)))
+    covered = set(chain.from_iterable(simps))
+    simps -= nonmax
+    simps.update((v,) for v in range(vertex_count) if v not in covered)
+    return SimplicialComplex(vertex_count, tuple(sorted(simps)))
 
 
 def maximal_simplices(K: SimplicialComplex) -> list:

@@ -15,14 +15,17 @@ triangle's one unsolved edge over a few free coordinates, and each
 triangle it meets with all three edges solved is a relation to
 eliminate.  Each edge vector is held packed into one ``int``, its
 entries as base-2^w digits, so solving an edge or forming a relation is
-a sum of ints and only a nonzero relation is unpacked.  When no relation
-is nonzero in F, the cocycles are the free coordinates and the peeled
-ints are the annotations.  A query's potentials and cycles are sums of
-annotations, and only a cycle not met before in the query is unpacked
-into the echelon.  A query takes a vertex set as an ``int`` bitmask (bit
-v is vertex v) and is a rank in F^betti1, a pure function of the
-precompute, of the whole set or of each of its components from the same
-pass; the searches keep their own memo of it.
+a sum of ints and only a nonzero relation is unpacked.  The peel reads
+each triangle as the indices of its three edges, from the complex's
+``triangle_edges``.  When no relation is nonzero in F, the cocycles are
+the free coordinates and the peeled ints are the annotations.  A query's
+potentials and cycles are sums of annotations, and only a cycle not met
+before in the query is unpacked into the echelon.  A query takes a
+vertex set as an ``int`` bitmask (bit v is vertex v) and walks its own
+breadth-first forest on the complex's neighbour masks, closing each
+cycle as it discovers a vertex; it is a rank in F^betti1, a pure
+function of the precompute, of the whole set or of each of its
+components from the same pass; the searches keep their own memo of it.
 """
 from __future__ import annotations
 
@@ -246,15 +249,12 @@ class H1Calculator:
         parent = bfs_parents(K.neighbours, (1 << n) - 1)
         forest = [a == parent[b] or b == parent[a] for a, b in edges]
         self.rank_d1 = forest.count(True)
-        index = {e: i for i, e in enumerate(edges)}
-        # the faces (b, c), (a, c), (a, b) of a triangle (a, b, c), in the
-        # order of boundary()
-        faces = [(index[b, c], index[a, c], index[a, b])
-                 for a, b, c in K.triangles]
+        faces = K.triangle_edges
         cofaces = [[] for _ in edges]
-        for t, face in enumerate(faces):
-            for i in face:
-                cofaces[i].append(t)
+        for t, (i, j, k) in enumerate(faces):
+            cofaces[i].append(t)
+            cofaces[j].append(t)
+            cofaces[k].append(t)
         w = (2 * n - 1).bit_length() + 2
         while (peeled := self._peel(forest, faces, cofaces, w)) is None:
             w *= 2
@@ -289,18 +289,10 @@ class H1Calculator:
                     for i, j, k in faces]
         ready = [t for t, u in enumerate(unsolved) if u == 1]
         ech = Echelon(self.field)
-
-        def solve(e, v, top):
-            vec[e], size[e] = v, top
-            for t in cofaces[e]:
-                unsolved[t] -= 1
-                if unsolved[t] == 1:
-                    ready.append(t)
-
         unsolved_edges = (i for i, v in enumerate(vec) if v is None)
         r = 0
         while True:
-            while ready:
+            if ready:
                 t = ready.pop()
                 i, j, k = faces[t]
                 if not unsolved[t]:  # solved meanwhile: a relation
@@ -319,20 +311,25 @@ class H1Calculator:
                     e, x, a, y, b = k, -s2 * s0, i, -s2 * s1, j
                 u, v = vec[a], vec[b]
                 if not v:
-                    solve(e, x * u, size[a])
+                    value, top = x * u, size[a]
                 elif not u:
-                    solve(e, y * v, size[b])
+                    value, top = y * v, size[b]
                 elif size[a] + size[b] >= half:
                     return None
                 else:
-                    total = x * u + y * v
-                    solve(e, total,
-                          max(map(abs, unpack(total).values()), default=0))
-            j = next(unsolved_edges, None)
-            if j is None:
-                break
-            solve(j, 1 << w * r, 1)
-            r += 1
+                    value = x * u + y * v
+                    top = max(map(abs, unpack(value).values()), default=0)
+            else:  # nothing to peel: the next unsolved edge is free
+                e = next(unsolved_edges, None)
+                if e is None:
+                    break
+                value, top = 1 << w * r, 1
+                r += 1
+            vec[e], size[e] = value, top
+            for t in cofaces[e]:
+                unsolved[t] -= 1
+                if unsolved[t] == 1:
+                    ready.append(t)
         n = self.K.vertex_count
         if not ech.rows and (2 * n - 1) * max(size, default=0) >= half:
             return None
@@ -407,50 +404,71 @@ class H1Calculator:
         return self._ranks(mask, per_component=True)
 
     def _ranks(self, mask: int, per_component: bool) -> list:
-        """Image ranks over one ``bfs_parents`` forest of ``mask``: one per
+        """Image ranks over one breadth-first forest of ``mask``: one per
         tree when ``per_component``, else one for the union of the trees
         (none for an empty mask).
 
-        P(b) = P(u) + ann(u -> b) along the tree, packed and left
-        unreduced for Echelon.add.  Each edge from b to a vertex a
-        visited before it, other than its parent u, closes a cycle of
-        class P(b) + ann(b -> a) - P(a); a zero cycle or one met before
-        in the same echelon cannot raise the rank, and neither can any
-        cycle once the rank is ``betti1``.  A root closes no cycle, since
-        the vertices visited before it lie in other components.
+        The forest is that of ``bfs_parents``, walked here on the
+        ``neighbours`` masks.  A vertex b is handled when it is
+        discovered from its parent u: P(b) = P(u) + ann(u -> b), packed
+        and left unreduced for Echelon.add, and each neighbour a of b
+        discovered before it, other than u, closes a cycle of class
+        P(b) + ann(b -> a) - P(a); a zero cycle or one met before in the
+        same echelon cannot raise the rank, and neither can any cycle
+        once the rank is ``betti1``, after which the walk only finishes
+        the tree.  A root closes no cycle, since the vertices discovered
+        before it lie in other components.
         """
         dim = self.betti1
         field = self.field
         ann = self._ann
-        adjacency = self.K.adjacency
+        neighbours = self.K.neighbours
         unpack = self._unpack
         ranks = []
         potential = {}
-        for b, u in bfs_parents(self.K.neighbours, mask).items():
-            if u == b:
-                potential[b] = 0
-                if per_component or not ranks:
-                    ranks.append(0)
-                    ech = Echelon(field)
-                    met = set()
-                continue
-            if ranks[-1] == dim:
-                continue
-            pb = potential[b] = potential[u] + ann[u].get(b, 0)
-            ann_b = ann[b]
-            for a in adjacency[b]:
-                if a == u or a not in potential:
-                    continue
-                cycle = pb + ann_b.get(a, 0) - potential[a]
-                if not cycle or cycle in met:
-                    continue
-                met.add(cycle)
-                if ech.add(unpack(cycle)):
-                    ranks[-1] += 1
+        unseen = mask
+        before = 0  # the vertices discovered so far
+        while unseen:
+            low = unseen & -unseen
+            unseen ^= low
+            before |= low
+            root = low.bit_length() - 1
+            potential[root] = 0
+            if per_component or not ranks:
+                ranks.append(0)
+                ech = Echelon(field)
+                met = set()
+            queue = [root]
+            for u in queue:
+                new = neighbours[u] & unseen
+                unseen ^= new
+                # no potential once the rank is betti1, and none is read
+                pu, ann_u = potential.get(u), ann[u]
+                while new:
+                    low = new & -new
+                    new ^= low
+                    b = low.bit_length() - 1
+                    queue.append(b)
                     if ranks[-1] == dim:
-                        if not per_component:
-                            return ranks
-                        break
+                        continue
+                    pb = potential[b] = pu + ann_u.get(b, 0)
+                    ann_b = ann[b]
+                    closing = (neighbours[b] & before) ^ (1 << u)
+                    before |= low
+                    while closing:
+                        bit = closing & -closing
+                        closing ^= bit
+                        a = bit.bit_length() - 1
+                        cycle = pb + ann_b.get(a, 0) - potential[a]
+                        if not cycle or cycle in met:
+                            continue
+                        met.add(cycle)
+                        if ech.add(unpack(cycle)):
+                            ranks[-1] += 1
+                            if ranks[-1] == dim:
+                                if not per_component:
+                                    return ranks
+                                break
         return ranks
 
 

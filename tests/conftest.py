@@ -5,6 +5,7 @@ algebra: ranks go through sympy (exact rationals / prime fields) so every
 homology number is checked by two independent routes.
 """
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
@@ -21,6 +22,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def relabelled(K, seed):
+    """``K`` with its vertex ids permuted by a seeded shuffle."""
+    perm = list(range(K.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return build_complex([[perm[v] for v in s] for s in K.maximal],
+                         K.vertex_count)
 
 
 def mask_of(vertices) -> int:

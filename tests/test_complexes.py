@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, strategies as st
 from itertools import chain, combinations, repeat
 
-from hcwr import (FieldSpec, build_complex, connected_components,
-                  constant_labeling, euler_characteristic, hcwr_value,
-                  induced_subcomplex, maximal_simplices)
+from hcwr import (FieldSpec, H1Calculator, boundary, build_complex,
+                  connected_components, constant_labeling,
+                  euler_characteristic, generate_torus, hcwr_value,
+                  induced_subcomplex, labeled_torus, maximal_simplices,
+                  validate_labeling)
 from hcwr.complexes import (DegenerateSimplex, VertexOutOfRange, bfs_parents,
                             components)
+from hcwr.scx import read_scx, write_scx
 
-from conftest import mask_of, members, small_complexes
+from conftest import mask_of, members, relabelled, small_complexes
 
 
 def test_build_triangle():
@@ -47,6 +50,55 @@ def test_face_limit_stops_at_first_simplex_over_it():
         build_complex(simplices, 23)
 
 
+@st.composite
+def simplex_lists(draw):
+    """(simplices, vertex_count): random simplices in random vertex order,
+    mixed with faces of them, repeats, singletons and empty tuples."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    given_ = draw(st.lists(st.lists(vertex, min_size=2, max_size=4,
+                                    unique=True),
+                           max_size=6)) if n > 1 else []
+    faces = [list(f) for s in given_ for r in range(1, len(s))
+             for f in combinations(s, r)]
+    extra = draw(st.lists(st.sampled_from(faces), max_size=6)) \
+        if faces else []
+    singletons = [[v] for v in draw(st.lists(vertex, max_size=4))] \
+        if n else []
+    repeats = [s[::-1] for s in draw(st.lists(st.sampled_from(given_),
+                                              max_size=3))] \
+        if given_ else []
+    empties = [[]] * draw(st.integers(min_value=0, max_value=2))
+    simplices = draw(st.permutations(given_ + extra + singletons + repeats
+                                     + empties))
+    return simplices, n
+
+
+@given(simplex_lists())
+def test_maximal_simplices_match_a_brute_force_filter(case):
+    simplices, n = case
+    given_ = {tuple(sorted(s)) for s in simplices if s}
+    given_ |= {(v,) for v in range(n)}
+    maximal = sorted(s for s in given_
+                     if not any(set(s) < set(t) for t in given_))
+    assert build_complex(simplices, n).maximal == tuple(maximal)
+
+
+def check_triangle_edges(K):
+    assert len(K.triangle_edges) == len(K.triangles)
+    for t, face in zip(K.triangles, K.triangle_edges):
+        assert [K.edges[i] for i in face] == [f for f, _ in boundary(t)]
+
+
+@given(small_complexes())
+def test_triangle_edges_are_the_faces_of_the_boundary(K):
+    check_triangle_edges(K)
+
+
+def test_triangle_edges_of_a_relabelled_torus():
+    check_triangle_edges(relabelled(generate_torus(3, 3), 7))
+
+
 @given(small_complexes())
 def test_face_closure(K):
     for s in K.simplices:
@@ -79,6 +131,18 @@ def test_width_of_a_simplex_never_builds_its_closure():
     assert hcwr_value(K, constant_labeling(K),
                       FieldSpec.rationals()).max_rank == 0
     assert "simplices" not in vars(K)
+
+
+def test_width_report_never_builds_the_adjacency_sets(tmp_path):
+    # what `hcwr analyze` reads: neighbour masks, edges and triangles
+    L = labeled_torus(2, 5)
+    write_scx(tmp_path / "torus.scx", L.complex, L.labeling)
+    M, _ = read_scx(tmp_path / "torus.scx")
+    K, F = M.complex, FieldSpec.rationals()
+    assert not validate_labeling(K, M.labeling)
+    calc = H1Calculator(K, F)
+    assert hcwr_value(K, M.labeling, F, calc).max_rank == 1
+    assert "adjacency" not in vars(K)
 
 
 @given(small_complexes())

@@ -137,3 +137,32 @@ def test_profile_pool_lists_library_functions(workload):
     assert header.split() == ["self_s", "cum_s", "calls", "function"]
     assert 0 < len(rows) <= 15
     assert any(row.split()[3].startswith("hcwr/") for row in rows)
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs git history")
+@pytest.mark.parametrize("workload", ["analyze", "exhaustive", "anneal"])
+def test_ab_ops_times_head_against_itself(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_ops.py"), "--parent",
+         "HEAD", "--workload", workload, "--tiny", "--reps", "2"],
+        capture_output=True, text=True, timeout=300, cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    summary, parent, change, ratio = proc.stdout.splitlines()
+    assert summary.startswith(f"{workload}: ")
+    assert summary.endswith(" ops, outputs match, best of 2 per op")
+    times = [float(line.split()[1]) for line in (parent, change)]
+    assert parent.split()[0] == "parent" and change.split()[0] == "change"
+    assert all(t > 0 for t in times)
+    assert float(ratio.split()[1]) == pytest.approx(times[0] / times[1],
+                                                    rel=0.01)
+
+
+def test_ab_ops_names_the_ops_whose_outputs_differ():
+    ab_ops = _script("ab_ops")
+
+    def op(label, out):
+        return SimpleNamespace(label=label, call=lambda: out)
+
+    ops = {"parent": [op("a", '{"max_rank": 1}'), op("b", '{"max_rank": 2}')],
+           "change": [op("a", '{"max_rank": 1}'), op("b", '{"max_rank": 3}')]}
+    assert ab_ops.mismatches(ops) == ["b"]

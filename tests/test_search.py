@@ -1,6 +1,5 @@
 """Labeling search: exhaustive enumeration, annealing, certified bounds."""
 import math
-import random
 import time
 
 import pytest
@@ -9,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 from hcwr import (AnnealParams, FieldSpec, H1Calculator, anneal_min, betti1,
                   build_complex, certified_bounds, exhaustive_min,
                   generate_circle, generate_torus, hcwr_value,
-                  maximal_simplices, presentation_complex, product_complex,
-                  validate_labeling)
+                  presentation_complex, product_complex, validate_labeling)
 from hcwr import search
 from hcwr.generators import parse_relator
 from hcwr.morse import MorseLabeling, NotConnected, slab_profile
 from hcwr.search import Lcg, _derive_seed
 
-from conftest import small_complexes
+from conftest import relabelled, small_complexes
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -244,13 +242,6 @@ class TestAnneal:
         assert res.best_value == 0
 
 
-def _relabelled(K, seed):
-    perm = list(range(K.vertex_count))
-    random.Random(seed).shuffle(perm)
-    return build_complex([[perm[v] for v in s] for s in maximal_simplices(K)],
-                         K.vertex_count)
-
-
 # seeded anneal results, recorded before the search kept per-slab state;
 # every draw, accept/reject decision and certificate must stay the same
 ANNEAL_GOLDEN = [
@@ -264,8 +255,8 @@ ANNEAL_GOLDEN = [
      AnnealParams(steps=20000, restarts=2, seed=7),
      2, [-6, -6, -6, -6, -6, -6, -5, -6, -6, -5, -6, -6, -5, -6, -5, -5]),
     ("relabelled circle(3)xcircle(5)",
-     lambda: _relabelled(product_complex(generate_circle(3),
-                                         generate_circle(5)), 11), Q,
+     lambda: relabelled(product_complex(generate_circle(3),
+                                        generate_circle(5)), 11), Q,
      AnnealParams(steps=3000, restarts=2, seed=7),
      1, [-2, -2, -2, -2, 0, -1, -1, -1, -2, -1, 0, 0, -1, -2, -1]),
     # reaches 0 in its first restart and takes the early break
@@ -333,8 +324,8 @@ DIFFERENTIAL_CASES = [
     ("torus(2,3)", generate_torus(2, 3), Q),
     ("torus(2,3) F2", generate_torus(2, 3), F2),
     ("relabelled circle(3)xcircle(4)",
-     _relabelled(product_complex(generate_circle(3), generate_circle(4)),
-                 5), Q),
+     relabelled(product_complex(generate_circle(3), generate_circle(4)),
+                5), Q),
     ("<a|a^3> F3", presentation_complex(1, [parse_relator("aaa", 1)]), F3),
     # the hollow triangle keeps the value at 1 and the tail lets the
     # labels spread over up to six levels, so a move meets three slabs
