@@ -39,19 +39,22 @@ TRACE_RUNS = 3
 
 
 def git(*args):
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
-                          capture_output=True, text=True).stdout.strip()
+    proc = subprocess.run(["git", "-C", str(ROOT), *args],
+                          capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"git {' '.join(args)} failed")
+    return proc.stdout.strip()
 
 
 def export(rev, dest):
-    """The files of ``rev`` under ``dest`` (no git metadata)."""
-    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev],
-                               stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout,
-                   check=True)
-    archive.stdout.close()
-    if archive.wait():
+    """The files of ``rev`` under ``dest`` (no git metadata); exits with
+    one line, before ``tar`` runs, when ``git archive`` fails."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             capture_output=True)
+    if archive.returncode:
         raise SystemExit(f"git archive {rev} failed")
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout,
+                   check=True)
 
 
 def bench(tree, workload, seed, seconds, trace):

@@ -3,27 +3,26 @@
 All arithmetic is integer-exact, and one code path serves both fields:
 ``FieldSpec.reduce`` is the only function that tells Q from F_p, dropping
 zero entries and, over F_p, taking residues.  ``Echelon.add`` is one
-fraction-free (Bareiss-style) step with gcd-normalized rows, and
-back-substitution clears a pivot by scaling the cocycle, never by
-dividing.  No floating point anywhere.  Only echelon rows and cocycles
-hold residues; edge vectors, annotations, potentials and cycles are
+fraction-free (Bareiss-style) step with gcd-normalized rows, so no
+fraction or modular inverse is ever formed.  No floating point anywhere.
+Only echelon rows hold residues; edge vectors, potentials and cycles are
 integers, reduced by ``Echelon.add`` when a relation or a cycle formed
-from them is added.  H1-image ranks come from edge annotations
-(arXiv:1107.3793), built once per complex and field by a tree-and-peel
-pass over Z: a spanning tree fixes its edges at zero, the peel solves a
-triangle's one unsolved edge over a few free coordinates, and each
-triangle it meets with all three edges solved is a relation to
-eliminate.  Each edge vector is held packed into one ``int``, its
-entries as base-2^w digits, so solving an edge or forming a relation is
-a sum of ints and only a nonzero relation is unpacked.  The peel reads
-each triangle as the indices of its three edges, from the complex's
-``triangle_edges``.  When no relation is nonzero in F, the cocycles are
-the free coordinates and the peeled ints are the annotations.  A query's
-potentials and cycles are sums of annotations, and only a cycle not met
-before in the query is unpacked into the echelon.  A query takes a
-vertex set as an ``int`` bitmask (bit v is vertex v) and walks its own
-breadth-first forest on the complex's neighbour masks, closing each
-cycle as it discovers a vertex; it is a rank in F^betti1, a pure
+from them is added.  Edge vectors come from a tree-and-peel pass over Z
+in the manner of the edge annotations of arXiv:1107.3793, built once per
+complex and field: a spanning tree fixes its edges at zero, the peel
+solves a triangle's one unsolved edge over r free coordinates, and each
+triangle it meets with all three edges solved is a relation.  H1(K; F)
+is F^r modulo the relations, so a query ranks its cycles against an
+echelon seeded with the relation rows, one path for every complex.  Each
+edge vector is held packed into one ``int``, its entries as base-2^w
+digits, so solving an edge or forming a relation is a sum of ints and
+only a nonzero relation is unpacked.  The peel reads each triangle as
+the indices of its three edges, from the complex's ``triangle_edges``.
+A query's potentials and cycles are sums of edge vectors, and only a
+cycle not met before in the query is unpacked into the echelon.  A query
+takes a vertex set as an ``int`` bitmask (bit v is vertex v) and walks
+its own breadth-first forest on the complex's neighbour masks, closing
+each cycle as it discovers a vertex; it is a rank in F^betti1, a pure
 function of the precompute, of the whole set or of each of its
 components from the same pass; the searches keep their own memo of it.
 """
@@ -156,8 +155,10 @@ class Echelon:
         then returns it as it is.  Dividing by the gcd is exact over F_p
         too, since every g < p is a unit mod p.  A stored row is thus a
         nonzero multiple of the one exact division would give, its
-        entries residues with gcd 1 (primitive over Q).  ``vec`` itself
-        may be stored as a row, so the caller must not change it after.
+        entries residues with gcd 1 (primitive over Q).  A stored row is
+        never changed, so echelons seeded with the same rows can share
+        them.  ``vec`` itself may be stored as a row, so the caller must
+        not change it after.
         """
         rows, reduce = self.rows, self.field.reduce
         v = reduce(vec)
@@ -198,47 +199,42 @@ def boundary(s: tuple) -> list:
 class H1Calculator:
     """H1-image ranks of induced subcomplexes of a fixed complex.
 
-    Uses the edge annotations of Busaryev, Cabello, Chen, Dey and Wang,
-    "Annotating simplices with a homology basis and its applications"
-    (SWAT 2012, arXiv:1107.3793), built once per (K, F) by a tree-and-peel
-    pass over Z.  Every edge gets an integer vector over r *free*
+    Built once per (K, F) by a tree-and-peel pass over Z, after the edge
+    annotations of Busaryev, Cabello, Chen, Dey and Wang, "Annotating
+    simplices with a homology basis and its applications" (SWAT 2012,
+    arXiv:1107.3793).  Every edge gets an integer vector over r *free*
     coordinates: edges of a spanning forest get 0.  A triangle with
     exactly one edge still unsolved fixes that edge's vector, since its
     boundary must sum to zero, and solving an edge may leave further
     triangles with one unsolved edge (peeling).  When none is left, the
     first unsolved edge becomes a new free coordinate (its unit vector)
     and peeling resumes.  A triangle the peel pops with all three edges
-    solved gives a relation, added to an echelon over F when it is
-    nonzero, and back-substitution from each free column of the echelon
-    gives one of ``betti1`` cocycles on F^r.  An edge's annotation is its
-    vector's value under these cocycles, so a cycle's annotation sum is
-    its class in H1(K; F).  When the echelon is empty (no relation is
-    nonzero in F, as on the tori), the cocycles are the identity and the
-    peeled vectors are the annotations as they are.  A query takes a
-    spanning forest of the vertex set with potentials
-    P(w) = P(v) + ann(v -> w) along it; every edge a -> b of the set then
-    closes a cycle of class ann(a -> b) + P(a) - P(b), and the image rank
-    is the rank of these vectors.
+    solved gives a relation, the sum of its boundary's vectors, added to
+    the relation echelon over F when it is nonzero.  H1(K; F) is F^r
+    modulo the span of the relations, and a cycle's class is the sum of
+    its edges' vectors there, so ``betti1`` is r less the rank of the
+    relations.  A query takes a spanning forest of the vertex set with
+    potentials P(w) = P(v) + vec(v -> w) along it; every edge a -> b of
+    the set then closes a cycle of class vec(a -> b) + P(a) - P(b), and
+    the image rank is the number of these vectors that raise the rank of
+    an echelon seeded with the relation rows.  The rank is the same for
+    every complex, whether or not a relation is nonzero in F.
 
-    Edge vectors, annotations and potentials are packed ints: the vector
-    x is the int sum of x_j * 2^(w * j).  Packing is linear over Z, so
-    the peel and the queries add ints, and one-to-one on vectors whose
-    entries are below 2^(w - 1) in size, so only unpacking needs a bound.
-    The peel starts at w = bit length of (2n - 1), plus 2, with n
-    vertices, and keeps the exact largest entry of each edge vector in
-    size: 0 for zero, the operand's when the other operand of a sum is
-    zero, else read from one unpacking of the sum.  The peel runs again
-    at twice the width if the sizes of the operands of a sum or a
-    relation add up to 2^(w - 1), or if the peeled vectors are the
-    annotations and (2n - 1) * top reaches it, with top their largest
-    entry.  When the echelon is not empty, the edge vectors are
-    unpacked, mapped by the cocycles and packed again at the least w
-    with 2^(w - 1) > (2n - 1) * top.  A potential sums at
-    most n - 1 steps, so a cycle's entries stay within (2n - 1) * top and
-    ``+``, ``-``, ``==`` and hashing on the ints act exactly on the
-    vectors.  Over F_p only echelon rows and cocycles are residues;
-    edge vectors, annotations, potentials and cycles are unreduced
-    integers, which ``Echelon.add`` reduces.
+    Edge vectors and potentials are packed ints: the vector x is the int
+    sum of x_j * 2^(w * j).  Packing is linear over Z, so the peel and
+    the queries add ints, and one-to-one on vectors whose entries are
+    below 2^(w - 1) in size, so only unpacking needs a bound.  The peel
+    starts at w = bit length of (2n - 1), plus 2, with n vertices, and
+    keeps the exact largest entry of each edge vector in size: 0 for
+    zero, the operand's when the other operand of a sum is zero, else
+    read from one unpacking of the sum.  The peel runs again at twice the
+    width if the sizes of the operands of a sum or a relation add up to
+    2^(w - 1), or if (2n - 1) * top reaches it, with top the largest
+    entry of any edge vector.  A potential sums at most n - 1 steps, so a
+    cycle's entries stay within (2n - 1) * top and ``+``, ``-``, ``==``
+    and hashing on the ints act exactly on the vectors.  Over F_p only
+    echelon rows are residues; edge vectors, potentials and cycles are
+    unreduced integers, which ``Echelon.add`` reduces.
     """
 
     def __init__(self, K: SimplicialComplex, field: FieldSpec):
@@ -259,16 +255,15 @@ class H1Calculator:
         while (peeled := self._peel(forest, faces, cofaces, w)) is None:
             w *= 2
         vec, ech, r = peeled
+        self._relations = ech.rows
         self.betti1 = r - ech.rank
         # rank d2: the edges peeling solved (all but forest and free) + ech
         self.rank_d2 = len(edges) - self.rank_d1 - self.betti1
-        if ech.rows:
-            vec = self._annotate(vec, ech, r)
-        self._ann = [{} for _ in range(n)]
+        self._vec = [{} for _ in range(n)]
         for (a, b), x in zip(edges, vec):
             if x:
-                self._ann[a][b] = x
-                self._ann[b][a] = -x
+                self._vec[a][b] = x
+                self._vec[b][a] = -x
 
     def _peel(self, forest, faces, cofaces, w):
         """The tree-and-peel pass over Z at digit width ``w``:
@@ -277,7 +272,9 @@ class H1Calculator:
         of free coordinates, or None when w is too narrow (see the class
         docstring).  ``size[i]`` is the largest entry of ``vec[i]`` in
         size, exact: a sum of two nonzero vectors is unpacked only when
-        their sizes bound its entries below 2^(w - 1).
+        their sizes bound its entries below 2^(w - 1), and the queries'
+        sums of up to 2n - 1 vectors only when (2n - 1) times the largest
+        size is below it too.
         """
         self._width = w  # read by _unpack
         half = 1 << w - 1
@@ -331,42 +328,9 @@ class H1Calculator:
                 if unsolved[t] == 1:
                     ready.append(t)
         n = self.K.vertex_count
-        if not ech.rows and (2 * n - 1) * max(size, default=0) >= half:
+        if (2 * n - 1) * max(size, default=0) >= half:
             return None
         return vec, ech, r
-
-    def _annotate(self, vec, ech, r) -> list:
-        """The packed annotation of each edge vector in ``vec`` (packed at
-        the peel's width): its values under the ``betti1`` cocycles that
-        back-substitution from the free columns of ``ech`` gives, packed
-        at the width their largest entry needs."""
-        reduce = self.field.reduce
-        cocycles = []
-        for free in (j for j in range(r) if j not in ech.rows):
-            phi = {free: 1}
-            for c in sorted(ech.rows, reverse=True):
-                row = ech.rows[c]
-                s = sum(x * phi.get(k, 0) for k, x in row.items() if k != c)
-                if s:  # scale, not divide: row . phi = 0 once phi[c] = -s
-                    phi = {k: row[c] * y for k, y in phi.items()}
-                    phi[c] = -s
-                    phi = reduce(phi)
-            cocycles.append(phi)
-        anns = []
-        for x in vec:
-            v = self._unpack(x)
-            anns.append(tuple(sum(phi.get(c, 0) * y for c, y in v.items())
-                              for phi in cocycles))
-        top = max((abs(x) for ann in anns for x in ann), default=0)
-        self._width = ((2 * self.K.vertex_count - 1) * top).bit_length() + 1
-        return [self._pack(ann) for ann in anns]
-
-    def _pack(self, vector) -> int:
-        """The int sum of ``x_j * 2^(w * j)`` over the entries x_j of
-        ``vector``; linear over Z, and one-to-one on vectors whose entries
-        are below 2^(w - 1) in size."""
-        w = self._width
-        return sum(x << w * j for j, x in enumerate(vector))
 
     def _unpack(self, x: int) -> dict:
         """The vector packed in ``x`` as column -> nonzero entry: its
@@ -409,19 +373,20 @@ class H1Calculator:
         (none for an empty mask).
 
         The forest is that of ``bfs_parents``, walked here on the
-        ``neighbours`` masks.  A vertex b is handled when it is
-        discovered from its parent u: P(b) = P(u) + ann(u -> b), packed
+        ``neighbours`` masks.  Each rank is counted on an echelon seeded
+        with the relation rows.  A vertex b is handled when it is
+        discovered from its parent u: P(b) = P(u) + vec(u -> b), packed
         and left unreduced for Echelon.add, and each neighbour a of b
         discovered before it, other than u, closes a cycle of class
-        P(b) + ann(b -> a) - P(a); a zero cycle or one met before in the
+        P(b) + vec(b -> a) - P(a); a zero cycle or one met before in the
         same echelon cannot raise the rank, and neither can any cycle
         once the rank is ``betti1``, after which the walk only finishes
         the tree.  A root closes no cycle, since the vertices discovered
         before it lie in other components.
         """
         dim = self.betti1
-        field = self.field
-        ann = self._ann
+        field, relations = self.field, self._relations
+        vecs = self._vec
         neighbours = self.K.neighbours
         unpack = self._unpack
         ranks = []
@@ -437,13 +402,14 @@ class H1Calculator:
             if per_component or not ranks:
                 ranks.append(0)
                 ech = Echelon(field)
+                ech.rows.update(relations)
                 met = set()
             queue = [root]
             for u in queue:
                 new = neighbours[u] & unseen
                 unseen ^= new
                 # no potential once the rank is betti1, and none is read
-                pu, ann_u = potential.get(u), ann[u]
+                pu, vec_u = potential.get(u), vecs[u]
                 while new:
                     low = new & -new
                     new ^= low
@@ -451,15 +417,15 @@ class H1Calculator:
                     queue.append(b)
                     if ranks[-1] == dim:
                         continue
-                    pb = potential[b] = pu + ann_u.get(b, 0)
-                    ann_b = ann[b]
+                    pb = potential[b] = pu + vec_u.get(b, 0)
+                    vec_b = vecs[b]
                     closing = (neighbours[b] & before) ^ (1 << u)
                     before |= low
                     while closing:
                         bit = closing & -closing
                         closing ^= bit
                         a = bit.bit_length() - 1
-                        cycle = pb + ann_b.get(a, 0) - potential[a]
+                        cycle = pb + vec_b.get(a, 0) - potential[a]
                         if not cycle or cycle in met:
                             continue
                         met.add(cycle)

@@ -166,3 +166,20 @@ def test_ab_ops_names_the_ops_whose_outputs_differ():
     ops = {"parent": [op("a", '{"max_rank": 1}'), op("b", '{"max_rank": 2}')],
            "change": [op("a", '{"max_rank": 1}'), op("b", '{"max_rank": 3}')]}
     assert ab_ops.mismatches(ops) == ["b"]
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs git history")
+@pytest.mark.parametrize("script,args,message", [
+    ("output_digest", [], "git archive nosuchrev failed"),
+    ("ab_ops", ["--workload", "analyze", "--tiny"],
+     "git archive nosuchrev failed"),
+    ("bench_pairs", [], "git rev-parse nosuchrev failed")],
+    ids=["output_digest", "ab_ops", "bench_pairs"])
+def test_an_unknown_parent_exits_with_one_line(script, args, message):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / f"{script}.py"), "--parent",
+         "nosuchrev", *args],
+        capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode != 0
+    assert message in proc.stderr.splitlines()
+    assert "Traceback" not in proc.stderr
