@@ -5,8 +5,8 @@ tables the analysis reads are derived from them once each and cached: the
 sorted ``edges`` and ``triangles``, each triangle as the indices of its
 three edges (``triangle_edges``, what the H1 peel reads) and each
 vertex's neighbour mask (``neighbours``).  The neighbour sets
-``adjacency`` are built only for the searches, and the full face closure
-only when something reads ``simplices``.  Complexes are immutable after
+``adjacency`` are built only for the exhaustive search, and the full
+face closure only when something reads ``simplices``.  Complexes are immutable after
 construction and safe to share across threads.
 
 A vertex set is an ``int`` bitmask, bit v standing for vertex v.  Two
@@ -83,7 +83,7 @@ class SimplicialComplex:
     @cached_property
     def adjacency(self) -> tuple:
         """Neighbor sets of the 1-skeleton, indexed by vertex id; only the
-        searches read them."""
+        exhaustive search reads them."""
         adj = [set() for _ in range(self.vertex_count)]
         for a, b in self.edges:
             adj[a].add(b)

@@ -179,28 +179,21 @@ def slab_state(calc: H1Calculator, mask: int) -> tuple:
     """(max rank, #components attaining max, sum of ranks) over the
     components of the full subcomplex on the vertices of ``mask``, all
     ranked in one pass (``H1Calculator.component_ranks``)."""
-    return combine_slab_states((r, 1, r) for r in calc.component_ranks(mask))
-
-
-def combine_slab_states(states) -> tuple:
-    """(max rank, #components attaining max, sum of ranks) over the
-    components of all the given states, each a triple of that form."""
-    best = count = total = 0
-    for mx, cnt, tot in states:
-        total += tot
-        if mx > best:
-            best, count = mx, cnt
-        elif mx == best:
-            count += cnt
-    return best, count, total
+    return _state(calc.component_ranks(mask))
 
 
 def slab_profile(calc: H1Calculator, labels) -> tuple:
     """(max rank, #components attaining max, sum of ranks) over the
-    interior slabs of a labeling of a connected complex (``slab_masks``);
-    the max is the labeling's width value."""
-    return combine_slab_states(slab_state(calc, mask)
-                               for mask in slab_masks(level_masks(labels)))
+    components of the interior slabs of a labeling of a connected complex
+    (``slab_masks``); the max is the labeling's width value."""
+    return _state([r for mask in slab_masks(level_masks(labels))
+                   for r in calc.component_ranks(mask)])
+
+
+def _state(ranks: list) -> tuple:
+    """(max, #entries equal to the max, sum) of a list of ranks."""
+    top = max(ranks, default=0)
+    return top, ranks.count(top), sum(ranks)
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,16 @@
 fixed complex: branch-and-bound exhaustive search at desk scale,
 simulated annealing beyond it.
 
-Both score a labeling with the one objective of ``morse``: the states
-(max rank, #components at max, sum of ranks) of its interior slabs,
-combined.  Vertex sets are bitmasks, and each search keeps one bounded
-memo (``_Memo``, emptied at ``CACHE_LIMIT`` keys): the enumeration of
-the image ranks of the forced components it bounds by, annealing of the
-slab states of its level bitmasks.  Annealing keeps the state of each
-slab and a count of slab maxima per rank across moves, so a step is a
-few integer operations on the three slabs a move touches, and only a
-memo miss calls out.
+Both score a labeling with the one objective of ``morse``: (max rank,
+#components at max, sum of ranks) over the components of its interior
+slabs.  Both start from the constant labeling, whose one slab is K and
+whose value is therefore ``betti1``.  Vertex sets are bitmasks, and
+each search keeps one bounded memo (``_Memo``, emptied at
+``CACHE_LIMIT`` keys): the enumeration of the image ranks of the forced
+components it bounds by, annealing of the slab states of its level
+bitmasks.  Annealing keeps the state of each slab and a count of slab
+maxima per rank across moves, so a step is a few integer operations on
+the three slabs a move touches, and only a memo miss calls out.
 
 Both searches are deterministic: the enumeration visits labelings in a
 fixed breadth-first/lexicographic order and annealing draws from a fully
@@ -115,22 +116,27 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     one step of all its labeled neighbors.  The windows are kept per
     vertex and restored on backtrack; a label is a window of width zero.
 
-    Branch and bound: after a vertex gets label l, its partial component
-    in slab l - 1 and in slab l is grown through the vertices whose
-    window already lies in the slab.  Every completion puts that set
-    inside one slab component, and image rank is monotone under vertex
-    inclusion, so when its rank reaches the best value found so far the
-    subtree is skipped.  A boundary slab lies inside the adjacent
-    interior slab, so the bound needs no special case for it.  The ranks
-    of these sets are memoized by vertex mask: most of them recur across
-    sibling subtrees.
+    Branch and bound: the first complete labeling in this order, the
+    constant one, is the first incumbent, its value ``betti1`` read from
+    the precompute, so the bound prunes from the first label on.  After
+    a vertex gets label l, its partial component in slab l - 1 and in
+    slab l is grown through the vertices whose window already lies in
+    the slab.  Every completion puts that set inside one slab component,
+    and image rank is monotone under vertex inclusion, so when its rank
+    reaches the best value found so far the subtree is skipped.  A
+    boundary slab lies inside the adjacent interior slab, so the bound
+    needs no special case for it.  The ranks of these sets are memoized
+    by vertex mask: most of them recur across sibling subtrees.  A
+    complete labeling can still tie an incumbent that improved after an
+    ancestor passed the bound, so only a smaller value replaces it.
 
     The certificate is the first minimizer in this visiting order (not
     necessarily the lexicographically smallest one), and
-    ``labelings_visited`` counts the complete labelings evaluated in the
-    pruned tree.  Returns exhaustive = False (best so far is only an
-    upper bound) when the time budget runs out first; a budget of 0
-    runs out before the first label, whatever the clock's resolution.
+    ``labelings_visited`` counts the constant labeling and the complete
+    labelings evaluated in the pruned tree.  Returns exhaustive = False
+    (best so far is only an upper bound) when the time budget runs out
+    first; a budget of 0 runs out before the first label, whatever the
+    clock's resolution, and returns the constant labeling.
     Raises ValueError for a budget that is not a number >= 0 (NaN would
     never run out).
     Runs in one thread; ``workers`` has no effect.
@@ -173,8 +179,9 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
                     todo.append(w)
         return ranks[comp]
 
-    best = None  # (value, labels tuple)
-    visited = 0
+    # the first leaf: the root label and each window's lowest label are 0
+    best = (calc.betti1, (0,) * n)  # (value, labels tuple)
+    visited = 1
     completed = True
     # stack[k] yields the labels left to try at order[k] and undo[k] the
     # windows its current label overwrote, its own among them; a loop,
@@ -201,8 +208,8 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
             undo[k].append((w, lo[w], hi[w]))
             lo[w] = max(lo[w], label - 1)
             hi[w] = min(hi[w], label + 1)
-        if best is not None and (forced_rank(v, label - 1) >= best[0]
-                                 or forced_rank(v, label) >= best[0]):
+        if (forced_rank(v, label - 1) >= best[0]
+                or forced_rank(v, label) >= best[0]):
             continue
         if k + 1 < n:
             w = order[k + 1]
@@ -210,14 +217,10 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
         elif min(lo) == 0:  # every window is a label now
             visited += 1
             value = slab_profile(calc, lo)[0]
-            if best is None or value < best[0]:
+            if value < best[0]:
                 best = (value, tuple(lo))
                 if value == 0:
                     break
-    if best is None:
-        # no leaf within the budget: the constant labeling, of value betti1
-        best = (calc.betti1, (0,) * n)
-        completed = False
     return SearchResult(best_value=best[0],
                         certificate=MorseLabeling(best[1]),
                         exhaustive=completed,
@@ -290,7 +293,7 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
         s = _derive_seed(params.seed, r)  # the Lcg state
         labels = [0] * n
         level = defaultdict(int, {0: full})  # label -> mask, 0 if unused
-        start = states[full]
+        start = (top, 1, top)  # K is connected: one component, rank betti1
         slab = {0: start}  # index -> state
         # per rank, the components at their slab's max: each slab counts
         # at its own max, so the energy's max is the highest rank in use

@@ -11,8 +11,7 @@ from hcwr import (FieldSpec, H1Calculator, betti1, build_complex,
                   quotient_graph, tent_labeling, validate_labeling)
 from hcwr.generators import circle_tent_labeling, parse_relator
 from hcwr.morse import (InvalidLabeling, MorseLabeling, NotConnected,
-                        combine_slab_states, level_masks, slab_masks,
-                        slab_profile, slab_state)
+                        level_masks, slab_masks, slab_profile, slab_state)
 
 from conftest import labeled_circles, mask_of, members, small_complexes
 
@@ -236,11 +235,25 @@ def _reference_profile(calc, labels):
     return best, ranks.count(best), sum(ranks)
 
 
-def test_combine_slab_states_counts_every_component_at_the_max():
-    # a tie adds the other slab's count; a new max replaces the count
-    assert combine_slab_states([(1, 2, 2), (0, 3, 0), (1, 3, 4)]) == (1, 5, 6)
-    assert combine_slab_states([(0, 4, 0), (2, 2, 5), (1, 1, 1)]) == (2, 2, 6)
-    assert combine_slab_states([(0, 2, 0)]) == (0, 2, 0)
+def test_slab_profile_counts_every_component_at_the_max():
+    # rank-0 components count at a max of 0, in every slab
+    path = build_complex([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
+    # two hollow triangles joined by a path, one in each slab: a tie
+    # across slabs adds the counts
+    dumbbell = build_complex([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4),
+                              (4, 5), (5, 6), (4, 6)], 7)
+    # two rank-0 components in slab 0, a hollow triangle in slab 1: a
+    # higher max replaces the count
+    forked = build_complex([(0, 1), (1, 2), (0, 2), (0, 3), (3, 5),
+                            (1, 4), (4, 6)], 7)
+    for K, labels, profile in [
+            (path, (0, 1, 2, 1, 0), (0, 3, 0)),
+            (dumbbell, (0, 0, 0, 1, 2, 2, 2), (1, 2, 2)),
+            (forked, (2, 2, 2, 1, 1, 0, 0), (1, 1, 1))]:
+        calc = H1Calculator(K, Q)
+        assert slab_profile(calc, labels) == profile == \
+            _reference_profile(calc, labels)
+
 
 @pytest.mark.parametrize("K", [generate_torus(2, 4), generate_torus(3, 3)],
                          ids=["torus(2,4)", "torus(3,3)"])
@@ -249,7 +262,9 @@ def test_combine_slab_states_counts_every_component_at_the_max():
                                 st.sampled_from((-1, 1))), max_size=80))
 def test_slab_states_of_level_masks_combine_to_profile(K, moves):
     # the anneal's route: level masks kept up to date move by move, one
-    # state per interior slab mask, combined
+    # state per interior slab mask, combined as the anneal combines them:
+    # the highest slab max, and the counts of the slabs at it and every
+    # sum added
     calc = H1Calculator(K, Q)
     n = K.vertex_count
     labels = [0] * n
@@ -257,8 +272,10 @@ def test_slab_states_of_level_masks_combine_to_profile(K, moves):
 
     def check():
         assert level == level_masks(labels)
-        combined = combine_slab_states(slab_state(calc, mask)
-                                       for mask in slab_masks(level))
+        states = [slab_state(calc, mask) for mask in slab_masks(level)]
+        top = max(mx for mx, _, _ in states)
+        combined = (top, sum(cnt for mx, cnt, _ in states if mx == top),
+                    sum(total for _, _, total in states))
         assert combined == slab_profile(calc, labels) == \
             _reference_profile(calc, labels)
 

@@ -10,6 +10,7 @@ from hcwr import (AnnealParams, FieldSpec, H1Calculator, anneal_min, betti1,
                   generate_circle, generate_torus, hcwr_value,
                   presentation_complex, product_complex, validate_labeling)
 from hcwr import search
+from hcwr.complexes import bfs_parents
 from hcwr.generators import parse_relator
 from hcwr.morse import MorseLabeling, NotConnected, slab_profile
 from hcwr.search import Lcg, _derive_seed
@@ -56,6 +57,45 @@ def _labelings(K, top):
     return extend(0)
 
 
+def first_minimizer(K, F):
+    """(value, labels) of the first labeling of least value in
+    ``exhaustive_min``'s visiting order, unpruned: vertices in
+    ``bfs_parents`` order from vertex 0, the root label 0..ecc(vertex
+    0), every later vertex's window (the labels >= 0 within one step of
+    all its labeled neighbors) lowest first; only the labelings with
+    min 0 are evaluated, via the report path."""
+    calc = H1Calculator(K, F)
+    n = K.vertex_count
+    parent = bfs_parents(K.neighbours, (1 << n) - 1)
+    order = list(parent)
+    depth = {}
+    for v, u in parent.items():
+        depth[v] = 0 if u == v else depth[u] + 1
+    labels = [None] * n
+    best = None
+
+    def extend(k):
+        nonlocal best
+        if k == n:
+            if min(labels) == 0:
+                value = hcwr_value(K, MorseLabeling(labels), F,
+                                   calc).max_rank
+                if best is None or value < best[0]:
+                    best = (value, tuple(labels))
+            return
+        v = order[k]
+        near = [labels[w] for w in K.adjacency[v] if labels[w] is not None]
+        window = (range(max(0, max(near) - 1), min(near) + 2) if near
+                  else range(depth[order[-1]] + 1))
+        for label in window:
+            labels[v] = label
+            extend(k + 1)
+        labels[v] = None
+
+    extend(0)
+    return best
+
+
 def _diameter(K):
     n = K.vertex_count
     diam = 0
@@ -86,6 +126,10 @@ SMALL_CASES = [
     # two squares sharing the edge (0, 3), one triangle filled: a bound
     # grown in slab l + 1 instead of l - 1 misses the minimum 0 here
     build_complex([(0, 1, 5), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5)], 6),
+    # two hollow triangles sharing the edge (0, 2), and a pendant edge: a
+    # labeling that only ties the best value found is reached here, and
+    # must not replace it
+    build_complex([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4)], 5),
 ]
 
 
@@ -107,6 +151,20 @@ def test_pruning_matches_unpruned_enumeration(K, F):
     assert validate_labeling(K, res.certificate) == []
     assert min(res.certificate.labels) == 0
     assert hcwr_value(K, res.certificate, F).max_rank == res.best_value
+
+
+@pytest.mark.parametrize("K", SMALL_CASES)
+def test_certificate_is_the_first_minimizer(K):
+    res = exhaustive_min(K, Q)
+    assert (res.best_value, res.certificate.labels) == first_minimizer(K, Q)
+
+
+@given(small_complexes(max_vertices=7, connected=True),
+       st.sampled_from([Q, F2, F3]))
+@settings(max_examples=100)
+def test_certificate_is_the_first_minimizer_of_random_complexes(K, F):
+    res = exhaustive_min(K, F)
+    assert (res.best_value, res.certificate.labels) == first_minimizer(K, F)
 
 
 def test_known_exhaustive_values():
@@ -145,7 +203,28 @@ def test_budget_expiry_falls_back_to_the_constant_labeling():
     res = exhaustive_min(K, Q, time_budget=0)
     assert res.best_value == betti1(K, Q) == 2
     assert res.certificate.labels == (0,) * 9
-    assert res.labelings_visited == 0
+    # the constant labeling counts as visited: its value is betti1
+    assert res.labelings_visited == 1
+
+
+def test_searches_start_without_ranking_the_full_mask(monkeypatch):
+    # the constant labeling's one slab is K, whose rank is betti1
+    masks = []
+    component_ranks = H1Calculator.component_ranks
+
+    def recording(calc, mask):
+        masks.append(mask)
+        return component_ranks(calc, mask)
+
+    monkeypatch.setattr(H1Calculator, "component_ranks", recording)
+    exhaustive_min(generate_torus(2, 3), Q)
+    assert (1 << 9) - 1 not in masks
+    # a first move from the constant labeling leaves one interior slab,
+    # all of K, so the anneal is checked on a complex of width 0, on
+    # which it makes no move
+    res = anneal_min(build_complex([(0, 1, 2)], 3), Q,
+                     AnnealParams(steps=1, restarts=1))
+    assert res.best_value == 0 and masks == []
 
 
 def test_budget_must_be_a_number_at_least_0():
