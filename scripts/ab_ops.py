@@ -10,9 +10,11 @@ Builds each side's seed-1 pool of the workload through this checkout's
 unless the outputs match op by op.  Then times each op ``--reps`` times
 per side, the side that goes first alternating from run to run, and
 prints each side's sum of per-op minima and the parent's sum over the
-change's.  Both sides share one interpreter, heap and clock, so a
-difference of a few percent that run-to-run noise hides in
-``perfbench/run.py`` pairs shows here.  ``--tiny`` uses the benchmark's
+change's, then one line per op label, in pool order, with its op count,
+each side's sum and their ratio, which shows which kinds of op moved.
+Both sides share one interpreter, heap and clock, so a difference of a
+few percent that run-to-run noise hides in ``perfbench/run.py`` pairs
+shows here.  ``--tiny`` uses the benchmark's
 tiny self-check pool.
 
 Usage: python3 scripts/ab_ops.py --parent REV --workload NAME [--reps N]
@@ -81,6 +83,16 @@ def per_op_minima(ops: dict, reps: int) -> dict:
     return best
 
 
+def by_label(ops: list, best: dict) -> dict:
+    """Op label -> (op count, parent's sum, change's sum) of the per-op
+    minima ``best``, labels in order of first appearance in ``ops``."""
+    sums = {}
+    for op, parent, change in zip(ops, best["parent"], best["change"]):
+        count, p, c = sums.get(op.label, (0, 0.0, 0.0))
+        sums[op.label] = (count + 1, p + parent, c + change)
+    return sums
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision to compare")
@@ -115,6 +127,10 @@ def main() -> int:
     for name in ("parent", "change"):
         print(f"{name:<7} {total[name]:.6f} s")
     print(f"parent/change {total['parent'] / total['change']:.3f}")
+    for label, (count, parent, change) in by_label(ops["parent"],
+                                                   best).items():
+        print(f"{label}: {count} ops, parent {parent:.6f} s, change "
+              f"{change:.6f} s, parent/change {parent / change:.3f}")
     return 0
 
 

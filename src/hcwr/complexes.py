@@ -18,14 +18,18 @@ each cycle when it discovers a vertex.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 # Largest face count accepted: a simplex on m vertices has 2^m - 1 faces,
 # all of which the closure ``SimplicialComplex.simplices`` holds.
 MAX_FACES = 1 << 22
+# Work ``root_orbit`` does before it stops with the orbit found so far:
+# a vertex per colour refinement round and a tried image per step.
+ORBIT_NODE_LIMIT = 1 << 15
 
 
 class DegenerateSimplex(ValueError):
@@ -234,6 +238,143 @@ def bfs_parents(neighbours, mask: int) -> dict:
                 parent[w] = v
                 queue.append(w)
     return parent
+
+
+def root_orbit(K: SimplicialComplex, deadline: Optional[float] = None) -> int:
+    """Mask of vertex 0 and of every vertex that a verified automorphism
+    of ``K`` maps it to.
+
+    An automorphism is a vertex permutation that maps ``K.maximal`` onto
+    itself, so it keeps edges, triangles and every image rank.  The
+    candidates are the vertices that share vertex 0's colour under colour
+    refinement: it starts from (degree, triangles at v), gives each
+    vertex the pair (its colour, the sorted colours of its neighbours)
+    and stops once no class splits, or once vertex 0's class is vertex 0
+    alone.  An automorphism 0 -> u is searched by backtracking along the
+    ``bfs_parents`` order from vertex 0 (McKay and Piperno, "Practical
+    graph isomorphism, II").  The image of a vertex is a neighbour of
+    its parent's image, has its colour and the same adjacency mask to
+    the vertices mapped so far, and every maximal simplex that it
+    completes maps to a maximal simplex; the mapping of the last vertex
+    is then an automorphism.  The mask is closed under the automorphisms
+    found, and a candidate already in it is not searched.
+
+    Work past ``ORBIT_NODE_LIMIT`` nodes (each refinement round counts
+    one per vertex, and each tried image one) or past the
+    ``time.monotonic`` ``deadline`` stops it, and it returns the orbit
+    found so far, vertex 0 alone at the latest: any subset of the orbit
+    is sound for a caller that skips labelings by symmetry.
+    """
+    n = K.vertex_count
+    if n < 2 or deadline is not None and time.monotonic() >= deadline:
+        return 1
+    neighbours = K.neighbours
+    adjacency = K.adjacency
+    triangles = [0] * n
+    for t in K.triangles:
+        for v in t:
+            triangles[v] += 1
+    start = {}
+    colour = [start.setdefault((neighbours[v].bit_count(), triangles[v]),
+                               len(start))
+              for v in range(n)]
+    classes = len(start)
+    nodes = 0
+    # a single class cannot split: its vertices share their degree
+    while classes > 1 and colour.count(colour[0]) > 1:
+        nodes += n
+        if nodes > ORBIT_NODE_LIMIT or (
+                deadline is not None and time.monotonic() >= deadline):
+            return 1
+        ids = {}
+        colour = [ids.setdefault((colour[v], *sorted(map(colour.__getitem__,
+                                                         adjacency[v]))),
+                                 len(ids))
+                  for v in range(n)]
+        if len(ids) == classes:
+            break
+        classes = len(ids)
+    same = [0] * classes
+    for v in range(n):
+        same[colour[v]] |= 1 << v
+    if same[colour[0]] == 1:
+        return 1
+
+    # the search runs over positions in the breadth-first order from 0
+    parent = bfs_parents(neighbours, (1 << n) - 1)
+    order = list(parent)
+    position = [0] * n
+    for k, v in enumerate(order):
+        position[v] = k
+    up = [position[u] if u != v else -1 for v, u in parent.items()]
+    earlier = [[position[w] for w in adjacency[v] if position[w] < k]
+               for k, v in enumerate(order)]
+    closes = [[] for _ in range(n)]  # per position, the maximal simplices
+    for s in K.maximal:               # it completes, as their other ones
+        at = sorted(map(position.__getitem__, s))
+        closes[at.pop()].append(at)
+    bits = [1 << v for v in range(n)]
+    maximal = {sum(map(bits.__getitem__, s)) for s in K.maximal}
+    kind = [same[colour[v]] for v in order]
+    full = (1 << n) - 1
+    bit = [0] * n  # per position, the bit of its image
+    near = [0] * n  # per position, the neighbour mask of its image
+    target = [0] * n  # the adjacency mask an image must have there
+    choices = [0] * n  # images left to try there
+    check = 0  # node count of the next check of the cap and the deadline
+    gens = []
+    orbit = 1
+    for u in range(1, n):
+        if not kind[0] >> u & 1 or orbit >> u & 1:
+            continue
+        bit[0] = used = 1 << u
+        near[0] = neighbours[u]
+        k = 1
+        target[1] = sum(map(bit.__getitem__, earlier[1]))
+        choices[1] = (near[0] if up[1] >= 0 else full) & kind[1] & ~used
+        while k:
+            c = choices[k]
+            if not c:
+                k -= 1
+                used ^= bit[k]
+                continue
+            low = c & -c
+            choices[k] = c ^ low
+            nodes += 1
+            if nodes >= check:
+                if nodes > ORBIT_NODE_LIMIT or (
+                        deadline is not None and time.monotonic() >= deadline):
+                    return orbit
+                check = min(nodes + 256, ORBIT_NODE_LIMIT + 1)
+            x = low.bit_length() - 1
+            if neighbours[x] & used != target[k]:
+                continue
+            for rest in closes[k]:
+                if sum(map(bit.__getitem__, rest)) | low not in maximal:
+                    break
+            else:
+                bit[k] = low
+                near[k] = neighbours[x]
+                used |= low
+                k += 1
+                if k == n:
+                    break
+                target[k] = sum(map(bit.__getitem__, earlier[k]))
+                choices[k] = ((near[up[k]] if up[k] >= 0 else full)
+                              & kind[k] & ~used)
+        if k == n:  # an automorphism with 0 -> u
+            image = [0] * n
+            for v, b in zip(order, bit):
+                image[v] = b.bit_length() - 1
+            gens.append(image)
+            reached = [0]
+            orbit = 1
+            for v in reached:
+                for g in gens:
+                    if not orbit >> g[v] & 1:
+                        orbit |= 1 << g[v]
+                        reached.append(g[v])
+    return orbit
 
 
 def connected_components(K: SimplicialComplex) -> list:

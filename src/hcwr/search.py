@@ -13,6 +13,13 @@ bitmasks.  Annealing keeps the state of each slab and a count of slab
 maxima per rank across moves, so a step is a few integer operations on
 the three slabs a move touches, and only a memo miss calls out.
 
+Under the root labels >= 1, the enumeration skips every labeling with
+label 0 at a vertex that an automorphism of K maps vertex 0 to
+(``complexes.root_orbit``): it is the image of a labeling with label 0
+at vertex 0, which root label 0 has already enumerated.  This is
+symmetry breaking by orbit representatives (Crawford, Ginsberg, Luks
+and Roy, KR 1996); it makes the tree smaller and changes no result.
+
 Both searches are deterministic: the enumeration visits labelings in a
 fixed breadth-first/lexicographic order and annealing draws from a fully
 specified 64-bit linear congruential generator (``Lcg``, whose
@@ -29,7 +36,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, bfs_parents
+from .complexes import SimplicialComplex, bfs_parents, root_orbit
 from .homology import FieldSpec, H1Calculator
 from .morse import (MorseLabeling, require_connected, slab_profile,
                     slab_state)
@@ -133,10 +140,36 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     The certificate is the first minimizer in this visiting order (not
     necessarily the lexicographically smallest one), and
     ``labelings_visited`` counts the constant labeling and the complete
-    labelings evaluated in the pruned tree.  Returns exhaustive = False
-    (best so far is only an upper bound) when the time budget runs out
-    first; a budget of 0 runs out before the first label, whatever the
-    clock's resolution, and returns the constant labeling.
+    labelings evaluated in the pruned tree.
+
+    Symmetry: the first time the root takes label 1, ``root_orbit``
+    gives vertex 0's orbit under the automorphisms of K that it
+    verifies.  If that is every vertex the search ends there, complete;
+    otherwise, under every root label >= 1, the window of each other
+    orbit vertex starts at 1.  This skips only labelings whose value the
+    root label 0 subtree has already matched, and changes no output:
+    - A skipped labeling f has f(u) = 0 at an orbit vertex u, so with
+      an automorphism s, s(0) = u, f o s is a root label 0 leaf of the
+      same value.
+    - Once that subtree is done, such a leaf cannot pass the bound.
+      Every leaf that reaches evaluation has all its slab components
+      below the incumbent, and the incumbent is at most that subtree's
+      minimum.
+    - The evaluated leaves, their order and the incumbent history are
+      therefore those of the search without the orbit.  So are
+      ``best_value``, the certificate, ``exhaustive`` and
+      ``labelings_visited``.
+    - Windows only narrow, so forced sets stay inside the slab
+      components of every enumerated completion, and the bound stays
+      valid.
+    A search that ends inside root label 0 (width 0 found, or the
+    budget), or whose incumbent is 0 from the start (betti1 = 0: the
+    bound prunes every node), never computes the orbit.
+
+    Returns exhaustive = False (best so far is only an upper bound) when
+    the time budget runs out first; a budget of 0 runs out before the
+    first label, whatever the clock's resolution, and returns the
+    constant labeling.
     Raises ValueError for a budget that is not a number >= 0 (NaN would
     never run out).
     Runs in one thread; ``workers`` has no effect.
@@ -164,6 +197,7 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     # per vertex its window, lo[v] = hi[v] = the label once labeled
     lo = [0] * n
     hi = [math.inf] * n  # no labeled neighbor yet: unbounded above
+    orbit = None  # vertex 0's orbit but 0, once the root takes label 1
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
     def forced_rank(v, a):
@@ -184,7 +218,8 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     visited = 1
     completed = True
     # stack[k] yields the labels left to try at order[k] and undo[k] the
-    # windows its current label overwrote, its own among them; a loop,
+    # windows its current label overwrote, its own among them, restored
+    # newest first (the root's list can hold a vertex twice); a loop,
     # not recursion, so deep complexes stay under the recursion limit
     stack = [iter(range(ecc + 1))]
     undo = [[] for _ in range(n)]
@@ -193,7 +228,7 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
             completed = False
             break
         k = len(stack) - 1
-        for w, old_lo, old_hi in undo[k]:
+        for w, old_lo, old_hi in reversed(undo[k]):
             lo[w] = old_lo
             hi[w] = old_hi
         undo[k].clear()
@@ -208,6 +243,15 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
             undo[k].append((w, lo[w], hi[w]))
             lo[w] = max(lo[w], label - 1)
             hi[w] = min(hi[w], label + 1)
+        if not k and label and best[0]:  # at 0, every node is pruned
+            if orbit is None:
+                mask = root_orbit(K, deadline)
+                if mask == (1 << n) - 1:
+                    break
+                orbit = [w for w in range(1, n) if mask >> w & 1]
+            for w in orbit:  # label 0 there is root label 0's image
+                undo[0].append((w, lo[w], hi[w]))
+                lo[w] = max(lo[w], 1)
         if (forced_rank(v, label - 1) >= best[0]
                 or forced_rank(v, label) >= best[0]):
             continue

@@ -82,6 +82,13 @@ def _torus_lower_25(budget):
     return _torus_minimum(2, 5, budget)
 
 
+@_case("torus-2-6-lower-bound",
+       "the minimum width over all labelings of the 36-vertex 2-torus is "
+       "exactly rank(Z^2) - 1 = 1, proven by exhaustive search")
+def _torus_lower_36(budget):
+    return _torus_minimum(2, 6, budget)
+
+
 @_case("torus-k3-lower-bound",
        "the minimum width over all labelings of the 64-vertex 3-torus is "
        "exactly rank(Z^3) - 1 = 2, proven by exhaustive search; at grid "

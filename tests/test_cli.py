@@ -292,7 +292,7 @@ def test_verify_all_cases_pass(capsys):
     assert code == 0
     summary = json.loads(stdout)
     assert summary["failures"] == 0
-    assert len(summary["cases"]) == 11
+    assert len(summary["cases"]) == 12
     assert {c["status"] for c in summary["cases"]} == {"pass"}
 
 
@@ -301,12 +301,12 @@ def test_verify_zero_budget_skips_only_searches(capsys):
     assert code == 0
     status = {c["name"]: c["status"] for c in json.loads(stdout)["cases"]}
     searches = {"torus-lower-bound", "torus-2-5-lower-bound",
-                "torus-k3-lower-bound", "free-width-zero",
-                "infinite-abelian-z", "abelian-f3-search"}
+                "torus-2-6-lower-bound", "torus-k3-lower-bound",
+                "free-width-zero", "infinite-abelian-z", "abelian-f3-search"}
     assert {n for n, s in status.items() if s == "skipped(budget)"} == searches
     assert {n for n, s in status.items() if s == "pass"} == \
         set(status) - searches
-    assert len(status) == 11
+    assert len(status) == 12
 
 
 def test_verify_unknown_case_exit_2(capsys):

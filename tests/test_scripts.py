@@ -3,6 +3,7 @@ self-check, so that a library change the benchmark cannot run fails
 here."""
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -147,7 +148,7 @@ def test_ab_ops_times_head_against_itself(workload):
          "HEAD", "--workload", workload, "--tiny", "--reps", "2"],
         capture_output=True, text=True, timeout=300, cwd=ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    summary, parent, change, ratio = proc.stdout.splitlines()
+    summary, parent, change, ratio, *labels = proc.stdout.splitlines()
     assert summary.startswith(f"{workload}: ")
     assert summary.endswith(" ops, outputs match, best of 2 per op")
     times = [float(line.split()[1]) for line in (parent, change)]
@@ -155,6 +156,19 @@ def test_ab_ops_times_head_against_itself(workload):
     assert all(t > 0 for t in times)
     assert float(ratio.split()[1]) == pytest.approx(times[0] / times[1],
                                                     rel=0.01)
+    # one line per op label; its counts and sums add up to the totals
+    rows = [re.fullmatch(r"(.+): (\d+) ops, parent ([\d.]+) s, change "
+                         r"([\d.]+) s, parent/change ([\d.]+)", line)
+            for line in labels]
+    assert labels and all(rows)
+    assert len({row[1] for row in rows}) == len(rows)
+    assert sum(int(row[2]) for row in rows) == int(summary.split()[1])
+    for side, total in enumerate(times):
+        assert sum(float(row[3 + side]) for row in rows) == \
+            pytest.approx(total, abs=1e-5 * len(rows))
+    for row in rows:
+        assert float(row[5]) == pytest.approx(
+            float(row[3]) / float(row[4]), rel=0.01, abs=0.001)
 
 
 def test_ab_ops_names_the_ops_whose_outputs_differ():

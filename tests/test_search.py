@@ -263,6 +263,63 @@ def test_single_vertex_complex():
     assert res.best_value == 0 and res.exhaustive
 
 
+def _rooted_at(K, v):
+    """``K`` with the ids of vertices 0 and ``v`` exchanged."""
+    perm = list(range(K.vertex_count))
+    perm[0], perm[v] = v, 0
+    return build_complex([[perm[u] for u in s] for s in K.maximal],
+                         K.vertex_count)
+
+
+def _moore():
+    # <a | a^3>: wedge vertices 0..2, ring 3..11, cone 12
+    return presentation_complex(1, [parse_relator("aaa", 1)])
+
+
+def _with_and_without_root_orbit(K, F):
+    """``exhaustive_min(K, F)`` as JSON, and the same with ``root_orbit``
+    reporting vertex 0 alone, which enumerates every root label."""
+    res = exhaustive_min(K, F).to_json()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "root_orbit", lambda K, deadline: 1)
+        return res, exhaustive_min(K, F).to_json()
+
+
+ORBIT_CASES = [
+    ("relabelled torus(2,3)", lambda: relabelled(generate_torus(2, 3), 1), Q),
+    ("relabelled torus(2,4)", lambda: relabelled(generate_torus(2, 4), 1), Q),
+    ("<a|a^3> ring", lambda: _rooted_at(_moore(), 3), F3),
+    ("<a|a^3> wedge", _moore, F3),
+    ("<a|a^3> cone", lambda: _rooted_at(_moore(), 12), F3),
+    ("circle(6)", lambda: generate_circle(6), Q),
+    ("circle(3)xcircle(5)", lambda: product_complex(generate_circle(3),
+                                                    generate_circle(5)), Q),
+    ("<a,b|[a,b]>", lambda: presentation_complex(
+        2, [parse_relator("abAB", 2)]), Q),
+    # no labeling with vertex 0 at 0 is a minimizer, so the root labels
+    # >= 1 evaluate leaves, and an orbit that wrongly takes in vertices
+    # of vertex 0's degree (1, 3 and 5) hides the minimum
+    ("two squares, one filled triangle", lambda: SMALL_CASES[8], Q),
+]
+
+
+@pytest.mark.parametrize("make, F", [c[1:] for c in ORBIT_CASES],
+                         ids=[c[0] for c in ORBIT_CASES])
+def test_root_orbit_leaves_the_result_unchanged(make, F):
+    # every skipped labeling is the image of a root label 0 leaf, so the
+    # evaluated leaves, the certificate and the visit count stay the same
+    with_orbit, without = _with_and_without_root_orbit(make(), F)
+    assert with_orbit == without
+
+
+@given(small_complexes(max_vertices=8, connected=True, min_vertices=2),
+       st.sampled_from([Q, F2, F3]))
+@settings(max_examples=100)
+def test_root_orbit_leaves_random_results_unchanged(K, F):
+    with_orbit, without = _with_and_without_root_orbit(K, F)
+    assert with_orbit == without
+
+
 class TestLcg:
     def test_recurrence(self):
         rng = Lcg(1)
