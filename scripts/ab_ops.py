@@ -14,8 +14,7 @@ change's, then one line per op label, in pool order, with its op count,
 each side's sum and their ratio, which shows which kinds of op moved.
 Both sides share one interpreter, heap and clock, so a difference of a
 few percent that run-to-run noise hides in ``perfbench/run.py`` pairs
-shows here.  ``--tiny`` uses the benchmark's
-tiny self-check pool.
+shows here.  ``--tiny`` uses the benchmark's tiny self-check pool.
 
 Usage: python3 scripts/ab_ops.py --parent REV --workload NAME [--reps N]
            [--tiny]

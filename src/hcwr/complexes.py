@@ -7,12 +7,14 @@ three edges (``triangle_edges``, what the H1 peel reads) and each
 vertex's neighbour mask (``neighbours``).  The neighbour sets
 ``adjacency`` are built only for the exhaustive search, and the full
 face closure only when something reads ``simplices``.  Complexes are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads.  ``root_orbit`` gives the
+orbit of vertex 0 under the automorphisms of a complex that it verifies,
+which the exhaustive search uses to skip symmetric labelings.
 
 A vertex set is an ``int`` bitmask, bit v standing for vertex v.  Two
-places walk the bits of a mask: this module's ``components`` and
-``bfs_parents``, which grow a component or a search from the
-``neighbours`` masks of a complex, and the image-rank query of
+places walk the bits of a mask: this module's ``components``,
+``bfs_parents`` and ``root_orbit``, which grow a component or a search
+from the ``neighbours`` masks of a complex, and the image-rank query of
 ``homology``, which walks its own breadth-first forest so as to close
 each cycle when it discovers a vertex.
 """

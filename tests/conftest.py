@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, assume, settings, strategies as st
 from sympy import GF, Matrix, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from hcwr import FieldSpec, build_complex, generate_circle
+from hcwr import (FieldSpec, build_complex, generate_circle,
+                  presentation_complex)
+from hcwr.generators import parse_relator
 from hcwr.morse import MorseLabeling
 
 settings.register_profile(
@@ -30,6 +32,20 @@ def relabelled(K, seed):
     random.Random(seed).shuffle(perm)
     return build_complex([[perm[v] for v in s] for s in K.maximal],
                          K.vertex_count)
+
+
+def rooted_at(K, v):
+    """``K`` with the ids of vertices 0 and ``v`` exchanged."""
+    perm = list(range(K.vertex_count))
+    perm[0], perm[v] = v, 0
+    return build_complex([[perm[u] for u in s] for s in K.maximal],
+                         K.vertex_count)
+
+
+def moore_space():
+    """The presentation complex of <a | a^3>: wedge vertices 0..2, ring
+    3..11 and cone 12."""
+    return presentation_complex(1, [parse_relator("aaa", 1)])
 
 
 def mask_of(vertices) -> int:

@@ -10,15 +10,14 @@ from hcwr import (FieldSpec, H1Calculator, boundary, build_complex,
                   connected_components, constant_labeling,
                   euler_characteristic, generate_circle, generate_torus,
                   hcwr_value, induced_subcomplex, labeled_torus,
-                  maximal_simplices, presentation_complex, product_complex,
-                  validate_labeling)
+                  maximal_simplices, product_complex, validate_labeling)
 from hcwr import complexes
 from hcwr.complexes import (DegenerateSimplex, VertexOutOfRange, bfs_parents,
                             components, root_orbit)
-from hcwr.generators import parse_relator
 from hcwr.scx import read_scx, write_scx
 
-from conftest import mask_of, members, relabelled, small_complexes
+from conftest import (mask_of, members, moore_space, relabelled, rooted_at,
+                      small_complexes)
 
 
 def test_build_triangle():
@@ -228,14 +227,6 @@ def test_root_orbit_is_the_orbit_of_vertex_0(K):
     assert root_orbit(K) == brute_force_orbit(K)
 
 
-def swapped(K, v):
-    """``K`` with the ids of vertices 0 and ``v`` exchanged."""
-    perm = list(range(K.vertex_count))
-    perm[0], perm[v] = v, 0
-    return build_complex([[perm[u] for u in s] for s in K.maximal],
-                         K.vertex_count)
-
-
 def with_pendant_path(K, length):
     """``K`` with a path of ``length`` new vertices hung from vertex 0."""
     n = K.vertex_count
@@ -243,16 +234,11 @@ def with_pendant_path(K, length):
     return build_complex(list(K.maximal) + path, n + length)
 
 
-def moore():
-    # <a | a^3>: wedge vertices 0..2, ring 3..11, cone 12
-    return presentation_complex(1, [parse_relator("aaa", 1)])
-
-
 @pytest.mark.parametrize("K, size", [
     (relabelled(generate_torus(2, 4), 1), 16),
-    (swapped(moore(), 3), 9),
-    (moore(), 3),
-    (swapped(moore(), 12), 1),
+    (rooted_at(moore_space(), 3), 9),
+    (moore_space(), 3),
+    (rooted_at(moore_space(), 12), 1),
     (product_complex(generate_circle(3), generate_circle(5)), 2),
     (with_pendant_path(relabelled(generate_torus(2, 4), 1), 300), 1),
 ], ids=["torus(2,4)", "<a|a^3> ring", "<a|a^3> wedge", "<a|a^3> cone",
@@ -265,7 +251,7 @@ def test_root_orbit_sizes(K, size):
 def test_root_orbit_of_a_pendant_path_vertex_is_vertex_0():
     # refinement gives every path vertex its own colour, so no
     # automorphism is tried, or the node limit stops it first
-    K = swapped(with_pendant_path(generate_torus(2, 4), 300), 100)
+    K = rooted_at(with_pendant_path(generate_torus(2, 4), 300), 100)
     assert root_orbit(K) == 1
 
 
@@ -280,7 +266,7 @@ def test_root_orbit_node_limit_keeps_a_subset_of_the_orbit(monkeypatch):
     monkeypatch.setattr(complexes, "ORBIT_NODE_LIMIT", 0)
     assert root_orbit(K) == 1
     # a refinement round counts one node per vertex
-    assert root_orbit(swapped(moore(), 3)) == 1
+    assert root_orbit(rooted_at(moore_space(), 3)) == 1
     monkeypatch.setattr(complexes, "ORBIT_NODE_LIMIT", 12)
     orbit = root_orbit(K)
     assert orbit & 1 and 1 < orbit < (1 << 9) - 1

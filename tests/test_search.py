@@ -15,7 +15,7 @@ from hcwr.generators import parse_relator
 from hcwr.morse import MorseLabeling, NotConnected, slab_profile
 from hcwr.search import Lcg, _derive_seed
 
-from conftest import relabelled, small_complexes
+from conftest import moore_space, relabelled, rooted_at, small_complexes
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -263,19 +263,6 @@ def test_single_vertex_complex():
     assert res.best_value == 0 and res.exhaustive
 
 
-def _rooted_at(K, v):
-    """``K`` with the ids of vertices 0 and ``v`` exchanged."""
-    perm = list(range(K.vertex_count))
-    perm[0], perm[v] = v, 0
-    return build_complex([[perm[u] for u in s] for s in K.maximal],
-                         K.vertex_count)
-
-
-def _moore():
-    # <a | a^3>: wedge vertices 0..2, ring 3..11, cone 12
-    return presentation_complex(1, [parse_relator("aaa", 1)])
-
-
 def _with_and_without_root_orbit(K, F):
     """``exhaustive_min(K, F)`` as JSON, and the same with ``root_orbit``
     reporting vertex 0 alone, which enumerates every root label."""
@@ -288,9 +275,9 @@ def _with_and_without_root_orbit(K, F):
 ORBIT_CASES = [
     ("relabelled torus(2,3)", lambda: relabelled(generate_torus(2, 3), 1), Q),
     ("relabelled torus(2,4)", lambda: relabelled(generate_torus(2, 4), 1), Q),
-    ("<a|a^3> ring", lambda: _rooted_at(_moore(), 3), F3),
-    ("<a|a^3> wedge", _moore, F3),
-    ("<a|a^3> cone", lambda: _rooted_at(_moore(), 12), F3),
+    ("<a|a^3> ring", lambda: rooted_at(moore_space(), 3), F3),
+    ("<a|a^3> wedge", moore_space, F3),
+    ("<a|a^3> cone", lambda: rooted_at(moore_space(), 12), F3),
     ("circle(6)", lambda: generate_circle(6), Q),
     ("circle(3)xcircle(5)", lambda: product_complex(generate_circle(3),
                                                     generate_circle(5)), Q),
@@ -310,6 +297,22 @@ def test_root_orbit_leaves_the_result_unchanged(make, F):
     # evaluated leaves, the certificate and the visit count stay the same
     with_orbit, without = _with_and_without_root_orbit(make(), F)
     assert with_orbit == without
+
+
+def test_root_orbit_skips_only_labelings_with_0_on_the_orbit(monkeypatch):
+    # a 5-cycle with a pendant edge at vertex 3: the reflection that fixes
+    # 3 swaps 0 and 1, a neighbour of the root, so the root's windows are
+    # both narrowed and raised and must come back whole at each root label
+    K = build_complex([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (3, 5)], 6)
+    assert search.root_orbit(K, None) == 0b11
+    # no bound and no improving leaf: every enumerated labeling with
+    # min 0 is evaluated
+    monkeypatch.setattr(H1Calculator, "image_rank_of_vertices",
+                        lambda calc, mask: 0)
+    monkeypatch.setattr(search, "slab_profile", lambda calc, labels: (1,))
+    kept = sum(1 for f in _labelings(K, _diameter(K))
+               if min(f) == 0 and (f[0] == 0 or f[1] != 0))
+    assert exhaustive_min(K, Q).labelings_visited == 1 + kept
 
 
 @given(small_complexes(max_vertices=8, connected=True, min_vertices=2),
