@@ -6,10 +6,13 @@ a temporary directory, as ``scripts/output_digest.py`` does, runs every op
 of every round once under cProfile and prints the op count, the wall time
 of that pass and the top N functions by self time, with their cumulative
 time and call count.  ``--tiny`` profiles the benchmark's tiny self-check
-pool instead.  cProfile charges every Python call, so the wall time is
-above an unprofiled run's; compare shares, not seconds.
+pool instead, and ``--label PREFIX`` only the ops whose label starts with
+PREFIX (such as ``'<a|a^3>'``); when no label does, it exits 2 and lists
+the pool's labels.  cProfile charges every Python call, so the wall time
+is above an unprofiled run's; compare shares, not seconds.
 
 Usage: python3 scripts/profile_pool.py --workload NAME [--tiny] [--top N]
+           [--label PREFIX]
 """
 import argparse
 import cProfile
@@ -27,10 +30,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import run  # noqa: E402
 
 
-def profile(rounds):
+def profile(ops):
     """(op count, wall seconds, pstats.Stats) of one profiled pass over
-    every op of ``rounds``."""
-    ops = [op for ops in rounds for op in ops]
+    ``ops``."""
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
     profiler.enable()
@@ -60,11 +62,20 @@ def main() -> int:
                     help="profile the tiny self-check pool")
     ap.add_argument("--top", type=int, default=20,
                     help="functions to list (default: 20)")
+    ap.add_argument("--label", metavar="PREFIX", default="",
+                    help="profile only the ops whose label starts with "
+                         "PREFIX")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory(prefix="profile-") as work:
         rounds = run.setup(run.WORKLOADS[args.workload], SEED, args.tiny,
                            Path(work))
-        count, wall, stats = profile(rounds)
+        pool = [op for ops in rounds for op in ops]
+        ops = [op for op in pool if op.label.startswith(args.label)]
+        if not ops:
+            labels = ", ".join(dict.fromkeys(op.label for op in pool))
+            ap.error(f"no op label starts with {args.label!r}; the "
+                     f"pool's labels are: {labels}")
+        count, wall, stats = profile(ops)
     print(f"{args.workload}: {count} ops in {wall:.3f} s under cProfile")
     print(f"{'self_s':>8} {'cum_s':>8} {'calls':>9}  function")
     rows = sorted(stats.stats.items(), key=lambda item: -item[1][2])

@@ -19,6 +19,14 @@ label 0 at a vertex that an automorphism of K maps vertex 0 to
 at vertex 0, which root label 0 has already enumerated.  This is
 symmetry breaking by orbit representatives (Crawford, Ginsberg, Luks
 and Roy, KR 1996); it makes the tree smaller and changes no result.
+Two more prunes leave every output as it was.  Under those root labels
+a node whose windows all lie above 0 is skipped: no leaf below it has
+min 0, so the leaf filter would have evaluated none of them (forward
+checking of the constraint min f = 0; Haralick and Elliott, AI 1980).
+And a forced component is ranked only when the cycle rank E - V + 1 of
+its 1-skeleton, which bounds its image rank, reaches the incumbent:
+below it the rank cannot either, so every bound comparison, and with
+it the tree, is the same node for node.
 
 Both searches are deterministic: the enumeration visits labelings in a
 fixed breadth-first/lexicographic order and annealing draws from a fully
@@ -132,10 +140,23 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     and image rank is monotone under vertex inclusion, so when its rank
     reaches the best value found so far the subtree is skipped.  A
     boundary slab lies inside the adjacent interior slab, so the bound
-    needs no special case for it.  The ranks of these sets are memoized
-    by vertex mask: most of them recur across sibling subtrees.  A
-    complete labeling can still tie an incumbent that improved after an
-    ancestor passed the bound, so only a smaller value replaces it.
+    needs no special case for it; at label 0 only slab 0 is grown, since
+    windows are nonnegative and slab -1's part, the vertices fixed at 0,
+    lies inside slab 0's.  The ranks of these sets are memoized by
+    vertex mask: most of them recur across sibling subtrees.  The image
+    rank is at most the cycle rank E - V + 1 of the set's 1-skeleton,
+    which the walk that grows it counts, so a set whose cycle rank is
+    below the best value is neither ranked nor memoized; every bound
+    comparison comes out as it would with the rank.  A complete
+    labeling can still tie an incumbent that improved after an ancestor
+    passed the bound, so only a smaller value replaces it.
+
+    Under a root label >= 1, a node at which every window lies above 0
+    is skipped: windows only narrow, so none of its leaves has min 0.
+    The search without this skip walks those subtrees and evaluates none
+    of their leaves, so every leaf that reaches evaluation has min 0,
+    and the evaluated leaves, the certificate and ``labelings_visited``
+    are the same either way.
 
     The certificate is the first minimizer in this visiting order (not
     necessarily the lexicographically smallest one), and
@@ -200,18 +221,26 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     orbit = None  # vertex 0's orbit but 0, once the root takes label 1
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
-    def forced_rank(v, a):
-        """Image rank of v's partial component in slab ``a``."""
+    def forced(v, a):
+        """Whether v's partial component in slab ``a`` has image rank at
+        least ``best[0]``; its mask is ranked only when its cycle rank
+        E - V + 1 reaches ``best[0]``, as the image rank is at most that."""
         comp = bit[v]
+        size = 1
+        ends = 0  # edge ends met inside the component: 2E
         todo = [v]
         seen[v] = stamp = object()  # marks this walk's vertices
         while todo:
             for w in adjacency[todo.pop()]:
-                if seen[w] is not stamp and a <= lo[w] and hi[w] <= a + 1:
+                if seen[w] is stamp:  # in the component
+                    ends += 1
+                elif a <= lo[w] and hi[w] <= a + 1:
+                    ends += 1
                     seen[w] = stamp
                     comp |= bit[w]
+                    size += 1
                     todo.append(w)
-        return ranks[comp]
+        return ends // 2 - size + 1 >= best[0] and ranks[comp] >= best[0]
 
     # the first leaf: the root label and each window's lowest label are 0
     best = (calc.betti1, (0,) * n)  # (value, labels tuple)
@@ -252,13 +281,14 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
             for w in orbit:  # label 0 there is root label 0's image
                 undo[0].append((w, lo[w], hi[w]))
                 lo[w] = max(lo[w], 1)
-        if (forced_rank(v, label - 1) >= best[0]
-                or forced_rank(v, label) >= best[0]):
+        if lo[0] and 0 not in lo:  # windows only narrow: no leaf has min 0
+            continue
+        if label and forced(v, label - 1) or forced(v, label):
             continue
         if k + 1 < n:
             w = order[k + 1]
             stack.append(iter(range(lo[w], hi[w] + 1)))
-        elif min(lo) == 0:  # every window is a label now
+        else:  # every window is a label now, and one of them is 0
             visited += 1
             value = slab_profile(calc, lo)[0]
             if value < best[0]:

@@ -140,6 +140,29 @@ def test_profile_pool_lists_library_functions(workload):
     assert any(row.split()[3].startswith("hcwr/") for row in rows)
 
 
+def test_profile_pool_profiles_the_ops_of_one_label():
+    # the tiny exhaustive pool holds circle(3), circle(5) and torus(2,3)
+    # ops; a prefix that no label starts with lists the labels instead
+    script = [sys.executable, str(ROOT / "scripts" / "profile_pool.py"),
+              "--workload", "exhaustive", "--tiny", "--top", "5"]
+    runs = {label: subprocess.run(script + ["--label", label],
+                                  capture_output=True, text=True,
+                                  timeout=300, cwd=ROOT)
+            for label in ("", "circle(", "torus(2,3) Q", "sphere")}
+    counts = {}
+    for label in ("", "circle(", "torus(2,3) Q"):
+        assert runs[label].returncode == 0, runs[label].stderr
+        summary = runs[label].stdout.splitlines()[0]
+        counts[label] = int(re.fullmatch(r"exhaustive: (\d+) ops in .*",
+                                         summary).group(1))
+    assert counts[""] == counts["circle("] + counts["torus(2,3) Q"]
+    assert 0 < counts["circle("] < counts[""]
+    missing = runs["sphere"]
+    assert missing.returncode == 2 and missing.stdout == ""
+    assert ("no op label starts with 'sphere'; the pool's labels are: "
+            "circle(3) Q, circle(5) Q, torus(2,3) Q") in missing.stderr
+
+
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs git history")
 @pytest.mark.parametrize("workload", ["analyze", "exhaustive", "anneal"])
 def test_ab_ops_times_head_against_itself(workload):

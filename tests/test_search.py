@@ -3,7 +3,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hcwr import (AnnealParams, FieldSpec, H1Calculator, anneal_min, betti1,
                   build_complex, certified_bounds, exhaustive_min,
@@ -313,6 +313,63 @@ def test_root_orbit_skips_only_labelings_with_0_on_the_orbit(monkeypatch):
     kept = sum(1 for f in _labelings(K, _diameter(K))
                if min(f) == 0 and (f[0] == 0 or f[1] != 0))
     assert exhaustive_min(K, Q).labelings_visited == 1 + kept
+
+
+@given(small_complexes(max_vertices=8, connected=True, min_vertices=2),
+       st.sampled_from([Q, F2, F3]))
+@settings(max_examples=100)
+def test_subtrees_without_label_0_skip_no_min_0_labeling(K, F):
+    # with the root orbit off, no bound and no improving leaf, the search
+    # evaluates exactly the labelings with min 0: the subtrees it skips
+    # under a root label >= 1, once every window is above 0, hold none
+    assume(betti1(K, F) >= 1)  # at 0, the bound prunes every node
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "root_orbit", lambda K, deadline: 1)
+        m.setattr(H1Calculator, "image_rank_of_vertices",
+                  lambda calc, mask: 0)
+        m.setattr(search, "slab_profile", lambda calc, labels: (1,))
+        visited = exhaustive_min(K, F).labelings_visited
+    kept = sum(1 for f in _labelings(K, _diameter(K)) if min(f) == 0)
+    assert visited == 1 + kept
+
+
+def _ranked_masks(monkeypatch, K, F):
+    """The result of ``exhaustive_min(K, F)`` and the set of vertex masks
+    whose image rank it asked for."""
+    masks = set()
+    image_rank = H1Calculator.image_rank_of_vertices
+
+    def recording(calc, mask):
+        masks.add(mask)
+        return image_rank(calc, mask)
+
+    monkeypatch.setattr(H1Calculator, "image_rank_of_vertices", recording)
+    return exhaustive_min(K, F), masks
+
+
+@pytest.mark.parametrize("root, count", [(3, 17), (0, 4), (12, 50)],
+                         ids=["ring", "wedge", "cone"])
+def test_moore_space_ranks_only_masks_that_can_prune(monkeypatch, root,
+                                                      count):
+    # <a|a^3> over F3 has betti1 1, the first incumbent, and no labeling
+    # narrower: the search ranks more masks for the same result when it
+    # walks the subtrees with no label 0 left (ring 23 masks) or ranks
+    # the forced components of cycle rank 0 (ring 29, wedge 8, cone 80),
+    # and with neither prune 39, 8 and 80
+    res, masks = _ranked_masks(monkeypatch, rooted_at(moore_space(), root),
+                               F3)
+    assert (res.best_value, res.labelings_visited) == (1, 1)
+    assert len(masks) == count
+
+
+@pytest.mark.parametrize("m", [12, 3000])
+def test_circle_ranks_only_its_full_vertex_mask(monkeypatch, m):
+    # every forced component short of the whole circle is a path, of
+    # cycle rank 0, below the incumbent betti1 = 1; the whole circle's
+    # cycle rank equals it, so that mask is ranked, and it prunes
+    res, masks = _ranked_masks(monkeypatch, generate_circle(m), Q)
+    assert (res.best_value, res.labelings_visited) == (0, 2)
+    assert masks == {(1 << m) - 1}
 
 
 @given(small_complexes(max_vertices=8, connected=True, min_vertices=2),
