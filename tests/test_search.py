@@ -354,8 +354,7 @@ def test_moore_space_ranks_only_masks_that_can_prune(monkeypatch, root,
     # <a|a^3> over F3 has betti1 1, the first incumbent, and no labeling
     # narrower: the search ranks more masks for the same result when it
     # walks the subtrees with no label 0 left (ring 23 masks) or ranks
-    # the forced components of cycle rank 0 (ring 29, wedge 8, cone 80),
-    # and with neither prune 39, 8 and 80
+    # the forced components of cycle rank 0 (ring 26, wedge 8, cone 70)
     res, masks = _ranked_masks(monkeypatch, rooted_at(moore_space(), root),
                                F3)
     assert (res.best_value, res.labelings_visited) == (1, 1)
