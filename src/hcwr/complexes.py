@@ -111,19 +111,12 @@ class SimplicialComplex:
 
 @dataclass(frozen=True)
 class Subcomplex:
-    """The full (induced) subcomplex of ``parent`` on ``vertex_set``.
-
-    Simplices are kept in parent coordinates; ``vertex_injection`` maps
-    local ids ``0..m-1`` to parent ids in increasing order.
-    """
+    """The full (induced) subcomplex of ``parent`` on ``vertex_set``,
+    its simplices in parent coordinates."""
 
     parent: SimplicialComplex
     vertex_set: frozenset
     simplices: frozenset
-
-    @cached_property
-    def vertex_injection(self) -> tuple:
-        return tuple(sorted(self.vertex_set))
 
     @property
     def vertex_count(self) -> int:

@@ -100,10 +100,6 @@ class FieldSpec:
         return cls(p)
 
     @property
-    def is_rationals(self) -> bool:
-        return self.p is None
-
-    @property
     def label(self) -> str:
         return "Q" if self.p is None else f"Fp:{self.p}"
 

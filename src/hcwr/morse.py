@@ -55,15 +55,9 @@ class MorseLabeling:
     def max(self) -> int:
         return max(self.labels)
 
-    def shifted(self, c: int) -> "MorseLabeling":
-        return MorseLabeling(tuple(l + c for l in self.labels))
 
-    def reflected(self) -> "MorseLabeling":
-        return MorseLabeling(tuple(-l for l in self.labels))
-
-
-def constant_labeling(K: SimplicialComplex, value: int = 0) -> MorseLabeling:
-    return MorseLabeling((value,) * K.vertex_count)
+def constant_labeling(K: SimplicialComplex) -> MorseLabeling:
+    return MorseLabeling((0,) * K.vertex_count)
 
 
 def validate_labeling(K: SimplicialComplex, f: MorseLabeling) -> list:

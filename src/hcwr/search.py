@@ -29,10 +29,11 @@ below it the rank cannot either, so every bound comparison, and with
 it the tree, is the same node for node.
 
 Both searches are deterministic: the enumeration visits labelings in a
-fixed breadth-first/lexicographic order and annealing draws from a fully
-specified 64-bit linear congruential generator (``Lcg``, whose
-recurrence the anneal steps inline), so identical inputs and seeds
-produce identical results.  Both run in one thread: under the
+fixed breadth-first/lexicographic order and annealing draws from the
+64-bit linear congruential recurrence
+state' = (6364136223846793005 * state + 1442695040888963407) mod 2^64
+(``_LCG_MULT`` and ``_LCG_INC``, stepped inline), so identical inputs
+and seeds produce identical results.  Both run in one thread: under the
 interpreter lock, thread pools over root branches and restarts measured
 no speed-up, so the ``workers`` keyword is accepted and has no effect.
 """
@@ -61,25 +62,6 @@ _COOLING_RATE = 0.99999
 # Keys a search memo holds; it is emptied when full, so a long search
 # holds at most this many.  No benchmark op comes near it.
 CACHE_LIMIT = 1 << 16
-
-
-class Lcg:
-    """64-bit linear congruential generator:
-    state' = (6364136223846793005 * state + 1442695040888963407) mod 2^64.
-    """
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (_LCG_MULT * self.state + _LCG_INC) & _MASK64
-        return self.state
-
-    def next_below(self, n: int) -> int:
-        return (self.next_u64() * n) >> 64
-
-    def next_unit(self) -> float:
-        return self.next_u64() / 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -335,8 +317,9 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     independent LCG streams derived from the seed and run one after
     another in one thread; ``workers`` has no effect.
 
-    A step draws a vertex v and a direction delta from the recurrence of
-    ``Lcg``, stepped inline.  The move of v from l to l + delta is
+    A step draws a vertex v and a direction delta from the recurrence
+    state' = (_LCG_MULT * state + _LCG_INC) mod 2^64, stepped inline.
+    The move of v from l to l + delta is
     invalid iff a neighbour of v has label l - delta.  A restart keeps
     the labeling as level bitmasks (label -> vertex mask), the state of
     each interior slab (the one level of a constant labeling), the number
@@ -364,7 +347,7 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     absent = (0, 0, 0)  # the state of a slab outside the interior
 
     def run_restart(r):
-        s = _derive_seed(params.seed, r)  # the Lcg state
+        s = _derive_seed(params.seed, r)  # the LCG state
         labels = [0] * n
         level = defaultdict(int, {0: full})  # label -> mask, 0 if unused
         start = (top, 1, top)  # K is connected: one component, rank betti1

@@ -9,6 +9,7 @@ heuristic results separate.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Optional
 
 from .complexes import euler_characteristic
@@ -68,34 +69,20 @@ def _torus_minimum(k, n, budget):
             {"best_value": value, "exhaustive": True})
 
 
-@_case("torus-lower-bound",
-       "the minimum width over all labelings of the 16-vertex 2-torus is "
-       "exactly rank(Z^2) - 1 = 1, proven by exhaustive search")
-def _torus_lower(budget):
-    return _torus_minimum(2, 4, budget)
-
-
-@_case("torus-2-5-lower-bound",
-       "the minimum width over all labelings of the 25-vertex 2-torus is "
-       "exactly rank(Z^2) - 1 = 1, proven by exhaustive search")
-def _torus_lower_25(budget):
-    return _torus_minimum(2, 5, budget)
-
-
-@_case("torus-2-6-lower-bound",
-       "the minimum width over all labelings of the 36-vertex 2-torus is "
-       "exactly rank(Z^2) - 1 = 1, proven by exhaustive search")
-def _torus_lower_36(budget):
-    return _torus_minimum(2, 6, budget)
-
-
-@_case("torus-k3-lower-bound",
-       "the minimum width over all labelings of the 64-vertex 3-torus is "
-       "exactly rank(Z^3) - 1 = 2, proven by exhaustive search; at grid "
-       "resolution 3 the minima are resolution artifacts, torus(3,3) -> 3 "
-       "and torus(2,3) -> 2")
-def _torus_k3_lower(budget):
-    return _torus_minimum(3, 4, budget)
+# the exhaustive minima of the k-torus at resolution n, registered in
+# this order as name -> (claim, case)
+_CASES.update({
+    name: ("the minimum width over all labelings of the "
+           f"{n ** k}-vertex {k}-torus is exactly rank(Z^{k}) - 1 = "
+           f"{k - 1}, proven by exhaustive search{note}",
+           partial(_torus_minimum, k, n))
+    for name, k, n, note in (
+        ("torus-lower-bound", 2, 4, ""),
+        ("torus-2-5-lower-bound", 2, 5, ""),
+        ("torus-2-6-lower-bound", 2, 6, ""),
+        ("torus-k3-lower-bound", 3, 4,
+         "; at grid resolution 3 the minima are resolution artifacts, "
+         "torus(3,3) -> 3 and torus(2,3) -> 2"))})
 
 
 @_case("free-width-zero",

@@ -62,7 +62,7 @@ def oracle_rank(M, F: FieldSpec) -> int:
     """Exact matrix rank via sympy, independent of the package echelon."""
     if not M or not M[0]:
         return 0
-    domain = QQ if F.is_rationals else GF(F.p)
+    domain = QQ if F.p is None else GF(F.p)
     return DomainMatrix.from_list([list(r) for r in M], ZZ) \
         .convert_to(domain).rank()
 

@@ -141,8 +141,10 @@ def test_8_property_suite_spot_checks():
         f = circle_tent_labeling(6)
         C6 = generate_circle(6)
         v = hcwr_value(C6, f, Q).max_rank
-        assert hcwr_value(C6, f.shifted(5), Q).max_rank == v
-        assert hcwr_value(C6, f.reflected(), Q).max_rank == v
+        shifted = MorseLabeling(tuple(l + 5 for l in f.labels))
+        reflected = MorseLabeling(tuple(-l for l in f.labels))
+        assert hcwr_value(C6, shifted, Q).max_rank == v
+        assert hcwr_value(C6, reflected, Q).max_rank == v
         # normalization soundness vs unpruned brute force (<= 6 vertices)
         C5 = generate_circle(5)
         brute = min(

@@ -13,7 +13,7 @@ from hcwr import search
 from hcwr.complexes import bfs_parents
 from hcwr.generators import parse_relator
 from hcwr.morse import MorseLabeling, NotConnected, slab_profile
-from hcwr.search import Lcg, _derive_seed
+from hcwr.search import _derive_seed
 
 from conftest import moore_space, relabelled, rooted_at, small_complexes
 
@@ -377,6 +377,26 @@ def test_circle_ranks_only_its_full_vertex_mask(monkeypatch, m):
 def test_root_orbit_leaves_random_results_unchanged(K, F):
     with_orbit, without = _with_and_without_root_orbit(K, F)
     assert with_orbit == without
+
+
+class Lcg:
+    """The anneal's 64-bit linear congruential generator, as an object:
+    state' = (6364136223846793005 * state + 1442695040888963407) mod 2^64.
+    """
+
+    def __init__(self, seed: int):
+        self.state = seed % 2 ** 64
+
+    def next_u64(self) -> int:
+        self.state = (6364136223846793005 * self.state
+                      + 1442695040888963407) % 2 ** 64
+        return self.state
+
+    def next_below(self, n: int) -> int:
+        return (self.next_u64() * n) >> 64
+
+    def next_unit(self) -> float:
+        return self.next_u64() / 2.0 ** 64
 
 
 class TestLcg:
