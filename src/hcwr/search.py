@@ -11,7 +11,10 @@ each search keeps one bounded memo (``_Memo``, emptied at
 components it bounds by, annealing of the slab states of its level
 bitmasks.  Annealing keeps the state of each slab and a count of slab
 maxima per rank across moves, so a step is a few integer operations on
-the three slabs a move touches, and only a memo miss calls out.
+the three slabs a move touches.  A memo miss ranks the slab only when
+the moved vertex's link in it is disconnected; when it is connected,
+the slab's state is the one it had before the move (the link condition
+for simple points of digital topology; Kong and Rosenfeld, CVGIP 1989).
 
 Under the root labels >= 1, the enumeration skips every labeling with
 label 0 at a vertex that an automorphism of K maps vertex 0 to
@@ -295,10 +298,40 @@ class _Memo(dict):
         self.fn = fn
 
     def __missing__(self, key):
+        return self.put(key, self.fn(key))
+
+    def put(self, key, value):
+        """Store ``value`` at ``key``, emptying the memo first when full."""
         if len(self) >= CACHE_LIMIT:
             self.clear()
-        value = self[key] = self.fn(key)
+        self[key] = value
         return value
+
+
+def _links(K: SimplicialComplex) -> list:
+    """Per vertex v, a map from each neighbour x that shares a triangle
+    with v to the mask of the vertices y with {v, x, y} a triangle: the
+    edges of v's link."""
+    links = [{} for _ in range(K.vertex_count)]
+    for a, b, c in K.triangles:
+        for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
+            link = links[v]
+            link[x] = link.get(x, 0) | 1 << y
+            link[y] = link.get(y, 0) | 1 << x
+    return links
+
+
+def _link_connected(link: dict, near: int) -> bool:
+    """Whether ``near``, a vertex's neighbours in a slab without it, is
+    nonempty and connected by the edges of its ``link`` (``_links``)."""
+    reached = todo = near & -near
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        grown = link.get(low.bit_length() - 1, 0) & near & ~reached
+        reached |= grown
+        todo |= grown
+    return near != 0 and reached == near
 
 
 def _energy(mx: int, cnt: int, total: int) -> int:
@@ -330,7 +363,21 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     and counts if it is rejected.  Slab states are looked up by vertex
     mask in a memo shared by the restarts and emptied when it holds
     ``CACHE_LIMIT`` masks; long runs revisit slab states far more often
-    than labelings.  The certificate is the smallest (value, labels)
+    than labelings.
+
+    Slabs a - 1 and a + 1 each gain or lose v alone.  When the memo
+    misses such a slab, interior before and after the move, let N be
+    v's neighbours in the slab without v, two of them joined when they
+    span a triangle with v (v's link, ``_links``).  If N is nonempty and
+    connected, the slab's state is its state before the move, and the
+    memo stores that; otherwise ``slab_state`` ranks the slab.  Proof:
+    N lies in one component, which v joins or leaves, and every cycle
+    through v, x -> v -> y, differs from a path x -> ... -> y in N by
+    boundaries of triangles at v, which are zero in H1(K; F) for every
+    field and every set of relations; so no component and no image rank
+    changes.
+
+    The certificate is the smallest (value, labels)
     that a restart reached, its constant start included.
     ``labelings_visited`` is the step budget, steps x restarts, even when
     a restart stops early at width 0.
@@ -342,9 +389,22 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     states = _Memo(lambda mask: slab_state(calc, mask))
     n = K.vertex_count
     neighbours = K.neighbours
+    links = _links(K)
     full = (1 << n) - 1
     top = calc.betti1
     absent = (0, 0, 0)  # the state of a slab outside the interior
+
+    def moved(mask, old, v):
+        """The state of an interior slab whose vertex mask gained or lost
+        v in this move; ``old`` is its state before the move."""
+        state = states.get(mask)
+        if state is None:
+            near = neighbours[v] & mask & ~(1 << v)
+            if old is not absent and _link_connected(links[v], near):
+                state = states.put(mask, old)
+            else:
+                state = states.put(mask, slab_state(calc, mask))
+        return state
 
     def run_restart(r):
         s = _derive_seed(params.seed, r)  # the LCG state
@@ -385,9 +445,9 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
             # slab i is interior iff levels i and i + 1 are in use (K is
             # connected, so the labels in use are a range), or level i
             # is everything (a constant labeling)
-            n0 = states[l0 | l1] if l0 and (l1 or l0 == full) else absent
+            n0 = moved(l0 | l1, o0, v) if l0 and (l1 or l0 == full) else absent
             n1 = states[l1 | l2] if l1 and (l2 or l1 == full) else absent
-            n2 = states[l2 | l3] if l2 and (l3 or l2 == full) else absent
+            n2 = moved(l2 | l3, o2, v) if l2 and (l3 or l2 == full) else absent
             at_max[o0[0]] -= o0[1]
             at_max[o1[0]] -= o1[1]
             at_max[o2[0]] -= o2[1]

@@ -1,5 +1,6 @@
 """Labeling search: exhaustive enumeration, annealing, certified bounds."""
 import math
+import random
 import time
 
 import pytest
@@ -12,10 +13,11 @@ from hcwr import (AnnealParams, FieldSpec, H1Calculator, anneal_min, betti1,
 from hcwr import search
 from hcwr.complexes import bfs_parents
 from hcwr.generators import parse_relator
-from hcwr.morse import MorseLabeling, NotConnected, slab_profile
+from hcwr.morse import MorseLabeling, NotConnected, slab_profile, slab_state
 from hcwr.search import _derive_seed
 
-from conftest import moore_space, relabelled, rooted_at, small_complexes
+from conftest import (members, moore_space, relabelled, rooted_at,
+                      small_complexes)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -549,6 +551,13 @@ DIFFERENTIAL_CASES = [
                    7), Q),
     ("one vertex", build_complex([], 1), Q),
     ("one edge", build_complex([(0, 1)], 2), Q),
+    # the filled triangle (0, 1, 2) and the hollow (0, 3, 4) meet at 0:
+    # vertex 0's link in a slab is connected with 1 and 2 alone and
+    # disconnected once 3 or 4 is there too
+    ("bowtie with a tail", build_complex(
+        [(0, 1, 2), (0, 3), (0, 4), (3, 4), (4, 5), (5, 6)], 7), Q),
+    ("<a,b|abaB> F2", presentation_complex(2, [parse_relator("abaB", 2)]),
+     F2),
 ]
 
 
@@ -564,28 +573,130 @@ def test_anneal_matches_reference_anneal(case, seed, steps, restarts):
         reference_anneal(K, F, params)
 
 
+@pytest.mark.parametrize("name", ["bowtie with a tail", "<a,b|abaB> F2"])
+def test_reference_anneal_meets_both_link_outcomes(monkeypatch, name):
+    # on a slab-state miss the anneal tests the moved vertex's link, and
+    # on these complexes it finds the link both connected (the old state
+    # is reused) and disconnected (the slab is ranked)
+    _, K, F = next(c for c in DIFFERENTIAL_CASES if c[0] == name)
+    params = AnnealParams(steps=300, restarts=2, seed=1)
+    outcomes = []
+    link_connected = search._link_connected
+
+    def recording(link, near):
+        outcomes.append(link_connected(link, near))
+        return outcomes[-1]
+
+    monkeypatch.setattr(search, "_link_connected", recording)
+    assert anneal_min(K, F, params).to_json() == \
+        reference_anneal(K, F, params)
+    assert True in outcomes and False in outcomes
+
+
 def test_full_search_memo_is_emptied(monkeypatch):
     K = generate_torus(2, 4)
     params = AnnealParams(steps=3000, restarts=2, seed=7)
     uncapped = (anneal_min(K, Q, params).to_json(),
                 exhaustive_min(K, Q).to_json())
     sizes = []
-    fill = search._Memo.__missing__
 
-    def recording_fill(memo, key):
-        value = fill(memo, key)
+    def recording_store(memo, key, value):
+        dict.__setitem__(memo, key, value)
         sizes.append(len(memo))
-        return value
 
-    monkeypatch.setattr(search._Memo, "__missing__", recording_fill)
+    monkeypatch.setattr(search._Memo, "__setitem__", recording_store)
     monkeypatch.setattr(search, "CACHE_LIMIT", 2)
-    # the anneal's slab states, then the enumeration's forced ranks: only
-    # a miss adds a key; each memo fills to the cap and is emptied
+    # the anneal's slab states, then the enumeration's forced ranks: every
+    # store is recorded, a miss's and a reused state's alike, so a store
+    # that skipped the cap would leave a size above 2; each memo fills to
+    # the cap and is emptied
     for run, result in zip((lambda: anneal_min(K, Q, params),
                             lambda: exhaustive_min(K, Q)), uncapped):
         sizes.clear()
         assert run().to_json() == result
         assert max(sizes) == 2 and sizes.count(1) > 1
+
+
+def _link_predicate(links, K, v, mask):
+    """Whether v's neighbours in ``mask`` without v are nonempty and
+    connected through the triangles at v."""
+    return search._link_connected(links[v],
+                                  K.neighbours[v] & mask & ~(1 << v))
+
+
+def _link_oracle(K, v, mask):
+    """``_link_predicate`` from ``K.triangles`` and vertex sets: the
+    triangles at v, grown from one neighbour until nothing changes."""
+    near = members(K.neighbours[v] & mask) - {v}
+    edges = [set(t) - {v} for t in K.triangles if v in t]
+    reached = {min(near)} if near else set()
+    grown = True
+    while grown:
+        grown = False
+        for e in edges:
+            if e <= near and e & reached and not e <= reached:
+                reached |= e
+                grown = True
+    return bool(near) and reached == near
+
+
+def _assert_link_keeps_states(K, F, masks):
+    """For every vertex v and mask in ``masks``, the link predicate
+    agrees with ``_link_oracle``, and where it holds ``slab_state`` is
+    the same with and without v; returns the number of (v, mask) at
+    which it held."""
+    calc = H1Calculator(K, F)
+    links = search._links(K)
+    held = 0
+    for mask in masks:
+        for v in range(K.vertex_count):
+            connected = _link_predicate(links, K, v, mask)
+            assert connected == _link_oracle(K, v, mask), (v, mask)
+            if connected:
+                held += 1
+                assert slab_state(calc, mask | 1 << v) == \
+                    slab_state(calc, mask & ~(1 << v)), (v, mask)
+    return held
+
+
+@given(small_complexes(), st.sampled_from([Q, F2, F3]), st.data())
+@settings(max_examples=200)
+def test_connected_link_keeps_the_slab_state(K, F, data):
+    masks = data.draw(st.lists(
+        st.integers(min_value=0, max_value=(1 << K.vertex_count) - 1),
+        min_size=1, max_size=4))
+    _assert_link_keeps_states(K, F, masks)
+
+
+@pytest.mark.parametrize("make", [
+    moore_space,
+    lambda: presentation_complex(2, [parse_relator("abaB", 2)]),
+], ids=["<a|a^3>", "<a,b|abaB>"])
+@pytest.mark.parametrize("F", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_connected_link_keeps_the_slab_state_under_relations(make, F):
+    # relators that give nonzero relations: a^3 over Q and F2, abaB
+    # over Q and F3
+    K = make()
+    rng = random.Random(5)
+    masks = [rng.getrandbits(K.vertex_count) for _ in range(150)]
+    assert _assert_link_keeps_states(K, F, masks) > 100
+
+
+@pytest.mark.parametrize("K, v, mask, without, with_v", [
+    # the vertex that closes a circle: its neighbours 0 and 2 span no
+    # triangle with it, and it adds a cycle
+    (generate_circle(4), 3, 0b0111, (0, 1, 0), (1, 1, 1)),
+    # the pinch vertex of two filled triangles: the two edges of its link
+    # are apart, and it joins two components
+    (build_complex([(0, 1, 2), (0, 3, 4)], 5), 0, 0b11110, (0, 2, 0),
+     (0, 1, 0)),
+], ids=["closes a circle", "pinch"])
+def test_disconnected_link_changes_the_slab_state(K, v, mask, without,
+                                                  with_v):
+    assert not _link_predicate(search._links(K), K, v, mask)
+    calc = H1Calculator(K, Q)
+    assert slab_state(calc, mask) == without
+    assert slab_state(calc, mask | 1 << v) == with_v
 
 
 class TestCertifiedBounds:
