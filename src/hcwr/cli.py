@@ -16,7 +16,7 @@ from .generators import (circle_tent_labeling, generate_circle, generate_torus,
                          tent_labeling, wedge, LabeledComplex)
 from .homology import FieldSpec, betti1
 from .morse import MorseLabeling, constant_labeling, hcwr_value
-from .scx import MissingLabels, read_scx, to_dict, write_scx
+from .scx import read_scx, to_dict, write_scx
 from .search import AnnealParams, anneal_min, exhaustive_min
 from .verify import run_cases
 
@@ -80,7 +80,7 @@ def _cmd_generate(args) -> int:
             meta["n2"] = L2.complex.vertex_count
             if labels == "pullback":
                 if L1.labeling is None:
-                    raise MissingLabels("pullback labels need a labeled --in1")
+                    raise ValueError("pullback labels need a labeled --in1")
                 labeling = pullback_labeling(L1.labeling, meta["n2"])
     if labels == "constant":
         labeling = constant_labeling(K)
@@ -97,8 +97,8 @@ def _resolve_labeling(args, L: LabeledComplex, meta: dict) -> MorseLabeling:
     K = L.complex
     if args.labels in (None, "file"):
         if L.labeling is None:
-            raise MissingLabels("file carries no labels; pass --labels "
-                                "tent or constant")
+            raise ValueError("file carries no labels; pass --labels "
+                             "tent or constant")
         return L.labeling
     if args.labels == "constant":
         return constant_labeling(K)
@@ -107,8 +107,8 @@ def _resolve_labeling(args, L: LabeledComplex, meta: dict) -> MorseLabeling:
     keys = ({"torus": ("k", "n", "axis"), "circle": ("m",)}.get(gen, ())
             if isinstance(gen, str) else ())
     if not keys or not all(type(meta.get(key)) is int for key in keys):
-        raise MissingLabels("--labels tent needs the integer meta k, n "
-                            "(and axis) of a torus or m of a circle")
+        raise ValueError("--labels tent needs the integer meta k, n "
+                         "(and axis) of a torus or m of a circle")
     if gen == "circle" and meta["m"] == size:
         return circle_tent_labeling(size)
     if gen == "torus":
@@ -117,8 +117,8 @@ def _resolve_labeling(args, L: LabeledComplex, meta: dict) -> MorseLabeling:
         # larger k is refused before a huge n is raised to it
         if 0 < k <= size.bit_length() and n ** k == size:
             return tent_labeling(k, n, meta["axis"])
-    raise MissingLabels(f"{gen} meta does not match the {size} vertices "
-                        f"of the complex")
+    raise ValueError(f"{gen} meta does not match the {size} vertices "
+                     f"of the complex")
 
 
 def _cmd_analyze(args) -> int:

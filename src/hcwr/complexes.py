@@ -34,14 +34,6 @@ MAX_FACES = 1 << 22
 ORBIT_NODE_LIMIT = 1 << 15
 
 
-class DegenerateSimplex(ValueError):
-    """A simplex listed the same vertex twice."""
-
-
-class VertexOutOfRange(ValueError):
-    """A vertex id falls outside 0..vertex_count-1."""
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A finite simplicial complex given by its maximal simplices.
@@ -105,9 +97,6 @@ class SimplicialComplex:
             masks[b] |= 1 << a
         return tuple(masks)
 
-    def __contains__(self, simplex) -> bool:
-        return tuple(simplex) in self.simplices
-
 
 @dataclass(frozen=True)
 class Subcomplex:
@@ -140,11 +129,11 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
     """Complex of the given simplices; isolated vertices are kept.
 
     A given simplex that is a proper face of another one is dropped.
-    Raises DegenerateSimplex on repeated vertices within a tuple,
-    VertexOutOfRange on ids outside ``0..vertex_count-1`` and ValueError
-    as soon as the simplices read so far have more than ``MAX_FACES``
-    faces, counting 2^m - 1 for each m-vertex simplex, or at once when
-    ``vertex_count`` does, since every vertex is a face.
+    Raises ValueError on repeated vertices within a tuple, on ids
+    outside ``0..vertex_count-1`` and as soon as the simplices read so
+    far have more than ``MAX_FACES`` faces, counting 2^m - 1 for each
+    m-vertex simplex, or at once when ``vertex_count`` does, since every
+    vertex is a face.
     """
     require_under_cap(vertex_count)
     simps = set()
@@ -152,9 +141,9 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
     for raw in maximal_simplices:
         t = tuple(sorted(raw))
         if len(set(t)) != len(t):
-            raise DegenerateSimplex(f"repeated vertex in simplex {tuple(raw)}")
+            raise ValueError(f"repeated vertex in simplex {tuple(raw)}")
         if t and (t[0] < 0 or t[-1] >= vertex_count):
-            raise VertexOutOfRange(
+            raise ValueError(
                 f"simplex {tuple(raw)} has a vertex outside 0..{vertex_count - 1}")
         faces += (1 << len(t)) - 1
         if faces > MAX_FACES:
@@ -182,7 +171,7 @@ def induced_subcomplex(K: SimplicialComplex, S: Iterable[int]) -> Subcomplex:
     vs = frozenset(S)
     for v in vs:
         if not (0 <= v < K.vertex_count):
-            raise VertexOutOfRange(f"vertex {v} outside 0..{K.vertex_count - 1}")
+            raise ValueError(f"vertex {v} outside 0..{K.vertex_count - 1}")
     simps = frozenset(s for s in K.simplices if all(v in vs for v in s))
     return Subcomplex(K, vs, simps)
 

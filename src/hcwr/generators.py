@@ -15,29 +15,9 @@ from itertools import (chain, combinations, pairwise, permutations,
 from math import comb, factorial
 from typing import Optional, Sequence
 
-from .complexes import (MAX_FACES, SimplicialComplex, VertexOutOfRange,
-                        build_complex, maximal_simplices, require_under_cap)
+from .complexes import (MAX_FACES, SimplicialComplex, build_complex,
+                        maximal_simplices, require_under_cap)
 from .morse import MorseLabeling, require_valid
-
-
-class TooFewVertices(ValueError):
-    """A simplicial circle needs at least 3 vertices."""
-
-
-class ResolutionTooSmall(ValueError):
-    """Torus grids need n >= 3 or wraparound degenerates simplices."""
-
-
-class BadAxis(ValueError):
-    """Axis index outside 0..k-1."""
-
-
-class ArcTooShort(ValueError):
-    """The connecting arc cannot interpolate between the label ranges."""
-
-
-class EmptyRelator(ValueError):
-    """Relator words must be nonempty."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +33,7 @@ class LabeledComplex:
 def generate_circle(m: int) -> SimplicialComplex:
     """Simplicial circle with m vertices (m >= 3)."""
     if m < 3:
-        raise TooFewVertices(f"a simplicial circle needs m >= 3, got {m}")
+        raise ValueError(f"a simplicial circle needs m >= 3, got {m}")
     require_under_cap(m, 3 * m)  # m edges of 3 faces each
     return build_complex(((i, (i + 1) % m) for i in range(m)), m)
 
@@ -71,9 +51,9 @@ def _torus_vertex(coords, n: int) -> int:
 
 
 def require_axis(k: int, axis: int) -> None:
-    """Raise BadAxis unless ``axis`` is a grid axis of a k-torus."""
+    """Raise ValueError unless ``axis`` is a grid axis of a k-torus."""
     if not 0 <= axis < k:
-        raise BadAxis(f"axis {axis} outside 0..{k - 1}")
+        raise ValueError(f"axis {axis} outside 0..{k - 1}")
 
 
 def torus_coordinate(v: int, k: int, n: int, axis: int) -> int:
@@ -91,7 +71,7 @@ def generate_torus(k: int, n: int) -> SimplicialComplex:
     if k < 1:
         raise ValueError(f"torus dimension must be >= 1, got {k}")
     if n < 3:
-        raise ResolutionTooSmall(f"torus grid needs n >= 3, got {n}")
+        raise ValueError(f"torus grid needs n >= 3, got {n}")
     # n^k >= max(n, 2^k) vertices: refused before the power is taken
     if n > MAX_FACES or k >= MAX_FACES.bit_length():
         raise ValueError(f"a {k}-torus of resolution {n} has more than "
@@ -139,9 +119,9 @@ def wedge(K1: SimplicialComplex, v1: int,
           K2: SimplicialComplex, v2: int) -> SimplicialComplex:
     """Disjoint union with v1 identified to v2, vertex ids renumbered densely."""
     if not 0 <= v1 < K1.vertex_count:
-        raise VertexOutOfRange(f"v1={v1} outside first complex")
+        raise ValueError(f"v1={v1} outside first complex")
     if not 0 <= v2 < K2.vertex_count:
-        raise VertexOutOfRange(f"v2={v2} outside second complex")
+        raise ValueError(f"v2={v2} outside second complex")
     n1 = K1.vertex_count
     require_under_cap(n1 + K2.vertex_count - 1,
                       _face_count(K1) + _face_count(K2))
@@ -168,14 +148,14 @@ def spread_wedge(L1: LabeledComplex, v1: int,
     if f1 is None or f2 is None:
         raise ValueError("spread_wedge needs labeled inputs")
     if not 0 <= v1 < K1.vertex_count:
-        raise VertexOutOfRange(f"v1={v1} outside first complex")
+        raise ValueError(f"v1={v1} outside first complex")
     if not 0 <= v2 < K2.vertex_count:
-        raise VertexOutOfRange(f"v2={v2} outside second complex")
+        raise ValueError(f"v2={v2} outside second complex")
     if arc_len < 1:
-        raise ArcTooShort("arc needs at least one edge")
+        raise ValueError("arc needs at least one edge")
     shift = f1[v1] + arc_len - f2[v2]
     if min(f2.labels) + shift <= max(f1.labels):
-        raise ArcTooShort(
+        raise ValueError(
             f"arc_len={arc_len} cannot lift the second label range above the first")
     n1, n2 = K1.vertex_count, K2.vertex_count
     # 3 faces per arc edge
@@ -263,7 +243,7 @@ def presentation_complex(num_generators: int,
         raise ValueError("need at least one generator")
     for w in relators:
         if not w:
-            raise EmptyRelator("empty relator word")
+            raise ValueError("empty relator word")
         for l in w:
             if l == 0 or abs(l) > num_generators:
                 raise ValueError(f"bad relator letter {l}")

@@ -18,10 +18,6 @@ from .complexes import SimplicialComplex, components, connected_components
 from .homology import FieldSpec, H1Calculator
 
 
-class NotConnected(ValueError):
-    """The construction requires a connected complex."""
-
-
 class InvalidLabeling(ValueError):
     """The labeling violates the one-step simplex-span constraint;
     ``violations`` lists the edges that span more than one step."""
@@ -79,9 +75,9 @@ def require_valid(K: SimplicialComplex, f: MorseLabeling):
 
 
 def require_connected(K: SimplicialComplex, purpose: str):
-    """Raise NotConnected unless the 1-skeleton of K is connected."""
+    """Raise ValueError unless the 1-skeleton of K is connected."""
     if len(connected_components(K)) != 1:
-        raise NotConnected(f"{purpose} requires a connected complex")
+        raise ValueError(f"{purpose} requires a connected complex")
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,6 @@ FORMAT = "scx-1"
 MAX_VERTICES = 1 << 20
 
 
-class MissingLabels(ValueError):
-    """The operation needs a labeling but the file carries none."""
-
-
 def to_dict(K: SimplicialComplex, labeling: Optional[MorseLabeling] = None,
             meta: Optional[dict] = None) -> dict:
     doc = {
@@ -93,4 +89,8 @@ def write_scx(path, K: SimplicialComplex,
 
 def read_scx(path):
     with open(path) as fh:
-        return from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("SCX document is nested too deeply") from None
+    return from_dict(doc)

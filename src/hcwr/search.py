@@ -15,6 +15,8 @@ the three slabs a move touches.  A memo miss ranks the slab only when
 the moved vertex's link in it is disconnected; when it is connected,
 the slab's state is the one it had before the move (the link condition
 for simple points of digital topology; Kong and Rosenfeld, CVGIP 1989).
+The link test is ``complexes.components`` run on the link's neighbour
+masks, the kernel that finds slab components too.
 
 Under the root labels >= 1, the enumeration skips every labeling with
 label 0 at a vertex that an automorphism of K maps vertex 0 to
@@ -48,7 +50,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, bfs_parents, root_orbit
+from .complexes import (SimplicialComplex, bfs_parents, components,
+                        root_orbit)
 from .homology import FieldSpec, H1Calculator
 from .morse import (MorseLabeling, require_connected, slab_profile,
                     slab_state)
@@ -309,29 +312,18 @@ class _Memo(dict):
 
 
 def _links(K: SimplicialComplex) -> list:
-    """Per vertex v, a map from each neighbour x that shares a triangle
-    with v to the mask of the vertices y with {v, x, y} a triangle: the
-    edges of v's link."""
+    """Per vertex v, a map from each neighbour x to the mask of the
+    vertices y with {v, x, y} a triangle (0 when none is): v's link as
+    the neighbour masks that ``components`` reads."""
     links = [{} for _ in range(K.vertex_count)]
+    for a, b in K.edges:
+        links[a][b] = links[b][a] = 0
     for a, b, c in K.triangles:
         for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
             link = links[v]
-            link[x] = link.get(x, 0) | 1 << y
-            link[y] = link.get(y, 0) | 1 << x
+            link[x] |= 1 << y
+            link[y] |= 1 << x
     return links
-
-
-def _link_connected(link: dict, near: int) -> bool:
-    """Whether ``near``, a vertex's neighbours in a slab without it, is
-    nonempty and connected by the edges of its ``link`` (``_links``)."""
-    reached = todo = near & -near
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        grown = link.get(low.bit_length() - 1, 0) & near & ~reached
-        reached |= grown
-        todo |= grown
-    return near != 0 and reached == near
 
 
 def _energy(mx: int, cnt: int, total: int) -> int:
@@ -369,8 +361,9 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     misses such a slab, interior before and after the move, let N be
     v's neighbours in the slab without v, two of them joined when they
     span a triangle with v (v's link, ``_links``).  If N is nonempty and
-    connected, the slab's state is its state before the move, and the
-    memo stores that; otherwise ``slab_state`` ranks the slab.  Proof:
+    connected (``components`` of the link on N is N alone), the slab's
+    state is its state before the move, and the memo stores that;
+    otherwise ``slab_state`` ranks the slab.  Proof:
     N lies in one component, which v joins or leaves, and every cycle
     through v, x -> v -> y, differs from a path x -> ... -> y in N by
     boundaries of triangles at v, which are zero in H1(K; F) for every
@@ -400,7 +393,7 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
         state = states.get(mask)
         if state is None:
             near = neighbours[v] & mask & ~(1 << v)
-            if old is not absent and _link_connected(links[v], near):
+            if old is not absent and components(links[v], near) == [near]:
                 state = states.put(mask, old)
             else:
                 state = states.put(mask, slab_state(calc, mask))

@@ -365,6 +365,22 @@ def test_malformed_scx_exit_2(tmp_path, capsys, doc, culprit):
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{deep}"],
+    ["generate", "product", "--in1", "{deep}", "--in2", "{deep}"],
+], ids=["analyze", "generate-product"])
+def test_deeply_nested_scx_exit_2(tmp_path, capsys, argv):
+    # json.dumps cannot build a document this deep, so the text is raw;
+    # json.load runs out of recursion depth on it
+    path = tmp_path / "deep.scx"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, stdout, stderr = run(capsys, *[str(path) if a == "{deep}" else a
+                                         for a in argv])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: SCX document is nested too deeply\n"
+
+
 @pytest.mark.parametrize("meta, culprit", [
     ({"generator": "torus"}, "integer meta"),
     ({"generator": "circle"}, "integer meta"),

@@ -8,9 +8,7 @@ from hcwr import (FieldSpec, LabeledComplex, betti1, build_complex,
                   maximal_simplices, presentation_complex, product_complex,
                   pullback_labeling, spread_wedge, tent_labeling,
                   validate_labeling, wedge)
-from hcwr.generators import (ArcTooShort, BadAxis, EmptyRelator,
-                             ResolutionTooSmall, TooFewVertices,
-                             parse_relator, torus_coordinate)
+from hcwr.generators import parse_relator, torus_coordinate
 
 Q = FieldSpec.rationals()
 F3 = FieldSpec.prime(3)
@@ -24,7 +22,7 @@ class TestCircle:
         assert betti1(K, Q) == 1
 
     def test_too_small(self):
-        with pytest.raises(TooFewVertices):
+        with pytest.raises(ValueError, match="needs m >= 3"):
             generate_circle(2)
 
     def test_tent_is_valid(self):
@@ -48,7 +46,7 @@ class TestTorus:
         assert betti1(K, Q) == 2
 
     def test_resolution_floor(self):
-        with pytest.raises(ResolutionTooSmall):
+        with pytest.raises(ValueError, match="needs n >= 3"):
             generate_torus(2, 2)
 
     def test_coordinates_round_trip(self):
@@ -59,14 +57,14 @@ class TestTorus:
             for c in coords:
                 rebuilt = rebuilt * n + c
             assert rebuilt == v
-        with pytest.raises(BadAxis):
+        with pytest.raises(ValueError, match="axis 3 outside"):
             torus_coordinate(0, k, n, 3)
 
     def test_tent_valid_any_axis(self):
         K = generate_torus(2, 5)
         for axis in range(2):
             assert validate_labeling(K, tent_labeling(2, 5, axis)) == []
-        with pytest.raises(BadAxis):
+        with pytest.raises(ValueError, match="axis 2 outside"):
             tent_labeling(2, 5, 2)
 
     def test_tent_axis_symmetry(self):
@@ -96,9 +94,9 @@ class TestSpreadWedge:
         assert hcwr_value(sw.complex, sw.labeling, Q).max_rank == 0
 
     def test_arc_too_short(self):
-        with pytest.raises(ArcTooShort):
+        with pytest.raises(ValueError, match="cannot lift"):
             spread_wedge(self._hexa(), 0, self._hexa(), 0, arc_len=3)
-        with pytest.raises(ArcTooShort):
+        with pytest.raises(ValueError, match="at least one edge"):
             spread_wedge(self._hexa(), 0, self._hexa(), 0, arc_len=0)
 
     def test_torus_pair_takes_max(self):
@@ -157,7 +155,7 @@ class TestPresentation:
             presentation_complex(0, [])
 
     def test_bad_relators(self):
-        with pytest.raises(EmptyRelator):
+        with pytest.raises(ValueError, match="empty relator"):
             presentation_complex(1, [[]])
         with pytest.raises(ValueError):
             presentation_complex(1, [[2]])

@@ -13,7 +13,7 @@ from hcwr import (AnnealParams, FieldSpec, H1Calculator, anneal_min, betti1,
 from hcwr import search
 from hcwr.complexes import bfs_parents
 from hcwr.generators import parse_relator
-from hcwr.morse import MorseLabeling, NotConnected, slab_profile, slab_state
+from hcwr.morse import MorseLabeling, slab_profile, slab_state
 from hcwr.search import _derive_seed
 
 from conftest import (members, moore_space, relabelled, rooted_at,
@@ -254,9 +254,9 @@ def test_budget_returns_on_deep_complexes():
 
 def test_disconnected_rejected():
     K = build_complex([(0, 1), (2, 3)], 4)
-    with pytest.raises(NotConnected):
+    with pytest.raises(ValueError, match="requires a connected complex"):
         exhaustive_min(K, Q)
-    with pytest.raises(NotConnected):
+    with pytest.raises(ValueError, match="requires a connected complex"):
         anneal_min(K, Q)
 
 
@@ -581,13 +581,14 @@ def test_reference_anneal_meets_both_link_outcomes(monkeypatch, name):
     _, K, F = next(c for c in DIFFERENTIAL_CASES if c[0] == name)
     params = AnnealParams(steps=300, restarts=2, seed=1)
     outcomes = []
-    link_connected = search._link_connected
+    components = search.components  # the anneal calls it for links only
 
     def recording(link, near):
-        outcomes.append(link_connected(link, near))
-        return outcomes[-1]
+        comps = components(link, near)
+        outcomes.append(comps == [near])
+        return comps
 
-    monkeypatch.setattr(search, "_link_connected", recording)
+    monkeypatch.setattr(search, "components", recording)
     assert anneal_min(K, F, params).to_json() == \
         reference_anneal(K, F, params)
     assert True in outcomes and False in outcomes
@@ -619,9 +620,9 @@ def test_full_search_memo_is_emptied(monkeypatch):
 
 def _link_predicate(links, K, v, mask):
     """Whether v's neighbours in ``mask`` without v are nonempty and
-    connected through the triangles at v."""
-    return search._link_connected(links[v],
-                                  K.neighbours[v] & mask & ~(1 << v))
+    connected through the triangles at v: the anneal's link test."""
+    near = K.neighbours[v] & mask & ~(1 << v)
+    return search.components(links[v], near) == [near]
 
 
 def _link_oracle(K, v, mask):
@@ -697,6 +698,30 @@ def test_disconnected_link_changes_the_slab_state(K, v, mask, without,
     calc = H1Calculator(K, Q)
     assert slab_state(calc, mask) == without
     assert slab_state(calc, mask | 1 << v) == with_v
+
+
+_BOWTIE = next(K for name, K, _ in DIFFERENTIAL_CASES
+               if name == "bowtie with a tail")
+
+
+@pytest.mark.parametrize("K, v, near, comps", [
+    # the vertex that closes circle(4): neither neighbour shares a
+    # triangle with it
+    (generate_circle(4), 3, 0b0101, [0b0001, 0b0100]),
+    # the bowtie's pinch vertex with 1 and 2 of its filled triangle and 3
+    # of its hollow one
+    (_BOWTIE, 0, 0b1110, [0b0110, 0b1000]),
+    # the bowtie's tail: vertex 5 between 4 and 6, in no triangle
+    (_BOWTIE, 5, 0b1010000, [0b0010000, 0b1000000]),
+], ids=["circle(4) closing vertex", "bowtie pinch", "bowtie tail"])
+def test_a_neighbour_in_no_triangle_at_v_is_its_own_link_component(
+        K, v, near, comps):
+    # every neighbour is keyed in v's link, with mask 0 when it shares no
+    # triangle with v, so the link test meets it as a component of its own
+    links = search._links(K)
+    assert set(links[v]) == members(K.neighbours[v])
+    assert search.components(links[v], near) == comps
+    assert not _link_predicate(links, K, v, near)
 
 
 class TestCertifiedBounds:
