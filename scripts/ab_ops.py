@@ -124,12 +124,12 @@ def main() -> int:
     print(f"{args.workload}: {len(best['parent'])} ops, outputs match, "
           f"best of {args.reps} per op")
     for name in ("parent", "change"):
-        print(f"{name:<7} {total[name]:.6f} s")
+        print(f"{name:<7} {total[name]:.9f} s")
     print(f"parent/change {total['parent'] / total['change']:.3f}")
     for label, (count, parent, change) in by_label(ops["parent"],
                                                    best).items():
-        print(f"{label}: {count} ops, parent {parent:.6f} s, change "
-              f"{change:.6f} s, parent/change {parent / change:.3f}")
+        print(f"{label}: {count} ops, parent {parent:.9f} s, change "
+              f"{change:.9f} s, parent/change {parent / change:.3f}")
     return 0
 
 

@@ -75,38 +75,30 @@ def require_valid(K: SimplicialComplex, f: MorseLabeling):
 
 
 def require_connected(K: SimplicialComplex, purpose: str):
-    """Raise ValueError unless the 1-skeleton of K is connected."""
-    if len(connected_components(K)) != 1:
+    """Raise ValueError unless the 1-skeleton of K is connected; too few
+    edges are refused first, not after n isolated vertices' n-bit masks."""
+    if (len(K.edges) < K.vertex_count - 1
+            or len(connected_components(K)) != 1):
         raise ValueError(f"{purpose} requires a connected complex")
-
-
-@dataclass(frozen=True)
-class QVertex:
-    slab_index: int
-    component_id: int
-    members: int  # vertex mask
-
-
-@dataclass(frozen=True)
-class QEdge:
-    level_index: int
-    component_id: int
-    members: int  # vertex mask
-    endpoints: tuple  # indices into q_vertices: (slab i-1 side, slab i side)
 
 
 @dataclass
 class QuotientGraph:
-    q_vertices: list
-    q_edges: list
+    """Component masks by smallest vertex: ``slabs[i]``, i in [min f - 1,
+    max f], are the vertices, ``levels[i]``, i in [min f, max f], the
+    edges; a level-i component lies in exactly one component of slab
+    i - 1 and one of slab i, the ends of its edge."""
+
+    slabs: dict
+    levels: dict
 
     @property
     def vertex_count(self) -> int:
-        return len(self.q_vertices)
+        return sum(map(len, self.slabs.values()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.q_edges)
+        return sum(map(len, self.levels.values()))
 
 
 def quotient_graph(K: SimplicialComplex, f: MorseLabeling) -> QuotientGraph:
@@ -120,20 +112,10 @@ def quotient_graph(K: SimplicialComplex, f: MorseLabeling) -> QuotientGraph:
     require_connected(K, "quotient graph")
     level = level_masks(f.labels)
     lo, hi = f.min, f.max
-    slabs = {i: components(K.neighbours, level.get(i, 0) | level.get(i + 1, 0))
-             for i in range(lo - 1, hi + 1)}
-    q_vertices = [QVertex(i, cid, comp) for i, comps in slabs.items()
-                  for cid, comp in enumerate(comps)]
-    index = {(qv.slab_index, qv.component_id): k
-             for k, qv in enumerate(q_vertices)}
-    # a level-i component is connected, so it lies in the one component
-    # of slab i - 1 and the one of slab i that it meets
-    q_edges = [QEdge(i, cid, comp, tuple(
-                   index[j, next(c for c, s in enumerate(slabs[j])
-                                 if s & comp)] for j in (i - 1, i)))
-               for i in range(lo, hi + 1)
-               for cid, comp in enumerate(components(K.neighbours, level[i]))]
-    return QuotientGraph(q_vertices, q_edges)
+    return QuotientGraph(
+        {i: components(K.neighbours, level.get(i, 0) | level.get(i + 1, 0))
+         for i in range(lo - 1, hi + 1)},
+        {i: components(K.neighbours, level[i]) for i in range(lo, hi + 1)})
 
 
 def qf_betti1(Q: QuotientGraph) -> int:
@@ -186,17 +168,10 @@ def _state(ranks: list) -> tuple:
     return top, ranks.count(top), sum(ranks)
 
 
-@dataclass(frozen=True)
-class SlabRank:
-    slab_index: int
-    component_id: int
-    size: int
-    rank: int
-
-
 @dataclass
 class WidthReport:
-    """Per-slab image ranks and the quotient-graph classification.
+    """Per-slab image ranks, one ``{"i", "component", "size", "rank"}``
+    entry per slab component, and the quotient-graph classification.
 
     ``max_rank`` is the homological connected width rank of the labeled
     complex over ``field``; it lower-bounds the group-theoretic quantity
@@ -222,11 +197,7 @@ class WidthReport:
                 "betti1": self.qf_betti1,
                 "class": self.qf_class,
             },
-            "slabs": [
-                {"i": s.slab_index, "component": s.component_id,
-                 "size": s.size, "rank": s.rank}
-                for s in self.per_slab
-            ],
+            "slabs": self.per_slab,
         }
 
 
@@ -251,15 +222,13 @@ def hcwr_value(K: SimplicialComplex, f: MorseLabeling,
     elif calc.field != F or (calc.K is not K and calc.K != K):
         raise ValueError(f"the calculator is not one of this complex over "
                          f"{F.label}")
-    per_slab = []
-    max_rank = 0
-    for qv in Q.q_vertices:
-        r = calc.image_rank_of_vertices(qv.members)
-        per_slab.append(SlabRank(qv.slab_index, qv.component_id,
-                                 qv.members.bit_count(), r))
-        max_rank = max(max_rank, r)
+    per_slab = [{"i": i, "component": cid, "size": comp.bit_count(),
+                 "rank": calc.image_rank_of_vertices(comp)}
+                for i, comps in Q.slabs.items()
+                for cid, comp in enumerate(comps)]
     b1 = qf_betti1(Q)
-    return WidthReport(per_slab=per_slab, max_rank=max_rank,
+    return WidthReport(per_slab=per_slab,
+                       max_rank=max(s["rank"] for s in per_slab),
                        qf_vertex_count=Q.vertex_count,
                        qf_edge_count=Q.edge_count,
                        qf_betti1=b1, qf_class=_qf_class(b1), field=F)

@@ -77,6 +77,9 @@ class AnnealParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not int:
+                raise ValueError(f"{name} {value!r} is not an int")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.restarts < 1:
@@ -102,9 +105,11 @@ class SearchResult:
 
 
 def require_budget(time_budget: Optional[float]) -> None:
-    """Raise ValueError unless ``time_budget`` is None or a number >= 0."""
-    if time_budget is not None and not time_budget >= 0:
-        raise ValueError(f"budget must be a number >= 0, got {time_budget}")
+    """Raise ValueError unless ``time_budget`` is None or an int or float
+    >= 0."""
+    if time_budget is not None and (type(time_budget) not in (int, float)
+                                    or not time_budget >= 0):
+        raise ValueError(f"budget must be a number >= 0, got {time_budget!r}")
 
 
 def exhaustive_min(K: SimplicialComplex, F: FieldSpec,

@@ -513,6 +513,24 @@ def test_generator_just_over_cap_lists_nothing(tmp_path, kind, argv):
     assert peak_mb < 64
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--labels", "constant"],
+                                  ["search"]])
+def test_isolated_vertices_exit_2_in_small_memory(tmp_path, argv):
+    # 2^17 vertices and no simplex: a few bytes of SCX.  The components of
+    # n isolated vertices are n masks, each as wide as its vertex id, about
+    # n^2/16 bytes (1 GB here); too few edges are refused before them
+    path = tmp_path / "isolated.scx"
+    path.write_text(json.dumps({"format": "scx-1", "vertex_count": 1 << 17,
+                                "maximal_simplices": []}))
+    cmd, *options = argv
+    code, stderr, peak_mb = run_measured(cmd, str(path), *options)
+    assert code == 2
+    assert stderr.startswith("error:") and \
+        "requires a connected complex" in stderr
+    assert stderr.count("\n") == 0
+    assert peak_mb < 64
+
+
 def test_wide_simplex_bad_label_exit_2_at_once(tmp_path, capsys):
     # a 21-vertex simplex has 2^21 - 1 faces; validation reads its edges
     path = tmp_path / "s21.scx"

@@ -13,7 +13,8 @@ from hcwr.generators import circle_tent_labeling, parse_relator
 from hcwr.morse import (InvalidLabeling, MorseLabeling, level_masks,
                         slab_masks, slab_profile, slab_state)
 
-from conftest import labeled_circles, mask_of, members, small_complexes
+from conftest import (labeled_circles, mask_of, members, oracle_image_rank,
+                      small_complexes)
 
 Q = FieldSpec.rationals()
 
@@ -50,15 +51,13 @@ def test_hexagon_tent_decomposition():
     f = circle_tent_labeling(6)
     assert f.labels == (0, 1, 2, 3, 2, 1)
     G = quotient_graph(K, f)
-    slabs = {i: [members(v.members) for v in G.q_vertices
-                 if v.slab_index == i] for i in range(-1, 4)}
-    levels = {i: [members(e.members) for e in G.q_edges
-                  if e.level_index == i] for i in range(4)}
-    assert slabs[0] == [{0, 1, 5}]
-    assert levels[1] == [{1}, {5}]
-    assert levels[3] == [{3}]
+    assert sorted(G.slabs) == [-1, 0, 1, 2, 3]
+    assert sorted(G.levels) == [0, 1, 2, 3]
+    assert list(map(members, G.slabs[0])) == [{0, 1, 5}]
+    assert list(map(members, G.levels[1])) == [{1}, {5}]
+    assert list(map(members, G.levels[3])) == [{3}]
     # two arcs meet in the middle slab
-    assert slabs[1] == [{1, 2}, {4, 5}]
+    assert list(map(members, G.slabs[1])) == [{1, 2}, {4, 5}]
 
 
 def test_hexagon_tent_quotient_graph():
@@ -132,23 +131,25 @@ def test_disconnected_complex_rejected():
 def test_quotient_incidence(pair):
     K, f = pair
     G = quotient_graph(K, f)
-    # every level-i component joins a slab-(i-1) vertex to a slab-i vertex
-    for e in G.q_edges:
-        left, right = e.endpoints
-        assert G.q_vertices[left].slab_index == e.level_index - 1
-        assert G.q_vertices[right].slab_index == e.level_index
-        assert e.members & ~G.q_vertices[left].members == 0
-        assert e.members & ~G.q_vertices[right].members == 0
+    assert sorted(G.slabs) == list(range(f.min - 1, f.max + 1))
+    assert sorted(G.levels) == list(range(f.min, f.max + 1))
+
+    def inside(part, wholes):
+        return sum(part & ~whole == 0 for whole in wholes)
+
+    # every level-i component (an edge) lies inside exactly one component
+    # of slab i - 1 and exactly one of slab i (its ends)
+    for i, comps in G.levels.items():
+        for comp in comps:
+            assert inside(comp, G.slabs[i - 1]) == 1
+            assert inside(comp, G.slabs[i]) == 1
+    # boundary slabs (min - 1 and max) are leaves: each of their
+    # components holds exactly one level component
+    for j, i in ((f.min - 1, f.min), (f.max, f.max)):
+        for comp in G.slabs[j]:
+            assert sum(inside(e, [comp]) for e in G.levels[i]) == 1
     # connected K gives a connected quotient: b1 = E - V + 1
     assert qf_betti1(G) == G.edge_count - G.vertex_count + 1
-    # boundary slabs (min-1 and max) are leaves
-    degree = [0] * G.vertex_count
-    for e in G.q_edges:
-        degree[e.endpoints[0]] += 1
-        degree[e.endpoints[1]] += 1
-    for i, qv in enumerate(G.q_vertices):
-        if qv.slab_index in (f.min - 1, f.max):
-            assert degree[i] == 1
 
 
 @given(labeled_circles())
@@ -206,10 +207,11 @@ def test_slab_profile_max_equals_report_on_walks(K, start):
                 hcwr_value(K, f, Q, calc).max_rank
 
 
-def _slab_components(K, labels, i):
-    """Vertex sets of the components of slab ``i``, found by a search of
-    its own over ``K.edges``, independent of the library's kernel."""
-    slab = {v for v, l in enumerate(labels) if l in (i, i + 1)}
+def _slab_components(K, labels, i, span=(0, 1)):
+    """Vertex sets of the components of slab ``i`` (of level ``i`` when
+    ``span`` is ``(0,)``), in order of smallest vertex, found by a search
+    of its own over ``K.edges``, independent of the library's kernel."""
+    slab = {v for v, l in enumerate(labels) if l - i in span}
     comps = []
     for root in sorted(slab):
         if any(root in c for c in comps):
@@ -224,6 +226,40 @@ def _slab_components(K, labels, i):
                     grew = True
         comps.append(comp)
     return comps
+
+
+def _reference_report(K, labels, F):
+    """The whole ``hcwr_value(...).to_json()`` document, every rank from
+    ``oracle_image_rank`` and every component from ``_slab_components``."""
+    lo, hi = min(labels), max(labels)
+    slabs = [{"i": i, "component": cid, "size": len(comp),
+              "rank": oracle_image_rank(K, comp, F)}
+             for i in range(lo - 1, hi + 1)
+             for cid, comp in enumerate(_slab_components(K, labels, i))]
+    edges = sum(len(_slab_components(K, labels, i, span=(0,)))
+                for i in range(lo, hi + 1))
+    b1 = edges - len(slabs) + 1
+    return {"field": F.label, "max_rank": max(s["rank"] for s in slabs),
+            "qf": {"vertices": len(slabs), "edges": edges, "betti1": b1,
+                   "class": {0: "tree", 1: "circle"}.get(b1, "other")},
+            "slabs": slabs}
+
+
+@st.composite
+def _walked_complexes(draw):
+    """A connected small complex and a seeded random-walk labeling of it."""
+    K = draw(small_complexes(connected=True))
+    *_, f = _walk_labelings(K, constant_labeling(K),
+                            draw(st.integers(0, 2**16)), steps=12)
+    return K, f
+
+
+@pytest.mark.parametrize("F", [Q, FieldSpec.prime(2), FieldSpec.prime(3)],
+                         ids=["Q", "F2", "F3"])
+@given(pair=st.one_of(labeled_circles(), _walked_complexes()))
+def test_report_matches_reference(F, pair):
+    K, f = pair
+    assert hcwr_value(K, f, F).to_json() == _reference_report(K, f.labels, F)
 
 
 def _reference_profile(calc, labels):

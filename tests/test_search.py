@@ -232,7 +232,7 @@ def test_searches_start_without_ranking_the_full_mask(monkeypatch):
 def test_budget_must_be_a_number_at_least_0():
     # NaN never compares past a deadline, so it would never cut the search
     C = generate_circle(4)
-    for budget in (float("nan"), -1, -0.5, float("-inf")):
+    for budget in (float("nan"), -1, -0.5, float("-inf"), "1", True, [1]):
         with pytest.raises(ValueError, match="must be a number >= 0"):
             exhaustive_min(C, Q, time_budget=budget)
     assert exhaustive_min(C, Q, time_budget=float("inf")).exhaustive
@@ -425,6 +425,13 @@ class TestAnnealParams:
             AnnealParams(steps=0)
         with pytest.raises(ValueError, match="restarts must be >= 1"):
             AnnealParams(restarts=0)
+        # a float passes the range checks and fails only inside
+        # anneal_min, after the precompute; True would run one step
+        for name, value in [("steps", 1.5), ("steps", float("nan")),
+                            ("steps", True), ("restarts", 2.0),
+                            ("seed", 1.5)]:
+            with pytest.raises(ValueError, match=f"{name} .* is not an int"):
+                AnnealParams(**{name: value})
 
 
 class TestAnneal:
