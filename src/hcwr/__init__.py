@@ -13,7 +13,7 @@ from .generators import (LabeledComplex, circle_tent_labeling, generate_circle,
                          tent_labeling, wedge)
 from .homology import FieldSpec, H1Calculator, betti1, boundary
 from .morse import (MorseLabeling, QuotientGraph, WidthReport,
-                    constant_labeling, hcwr_value, qf_betti1, quotient_graph,
+                    constant_labeling, hcwr_value, quotient_graph,
                     validate_labeling)
 from .search import (AnnealParams, SearchResult, anneal_min, certified_bounds,
                      exhaustive_min)

@@ -105,14 +105,15 @@ class FieldSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
-        """Accepts ``Q``, ``F<p>`` or ``Fp:<p>``."""
+        """Accepts ``Q``, ``F<p>`` or ``Fp:<p>``, p in ASCII digits (``int``
+        would also read "3_1" as 31)."""
         t = text.strip()
         if t in ("Q", "q"):
             return cls.rationals()
-        if t.startswith("Fp:"):
-            return cls.prime(int(t[3:]))
-        if t and t[0] in "Ff":
-            return cls.prime(int(t[1:]))
+        if t[:1] in ("F", "f"):
+            digits = t[3:] if t.startswith("Fp:") else t[1:]
+            if digits.isascii() and digits.isdigit():
+                return cls.prime(int(digits))
         raise ValueError(f"cannot parse field {text!r}")
 
     def reduce(self, vec: dict) -> dict:

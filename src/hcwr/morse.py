@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, components, connected_components
+from .complexes import SimplicialComplex, bfs_parents, components
 from .homology import FieldSpec, H1Calculator
 
 
@@ -43,14 +43,6 @@ class MorseLabeling:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def min(self) -> int:
-        return min(self.labels)
-
-    @property
-    def max(self) -> int:
-        return max(self.labels)
-
 
 def constant_labeling(K: SimplicialComplex) -> MorseLabeling:
     return MorseLabeling((0,) * K.vertex_count)
@@ -75,10 +67,12 @@ def require_valid(K: SimplicialComplex, f: MorseLabeling):
 
 
 def require_connected(K: SimplicialComplex, purpose: str):
-    """Raise ValueError unless the 1-skeleton of K is connected; too few
-    edges are refused first, not after n isolated vertices' n-bit masks."""
-    if (len(K.edges) < K.vertex_count - 1
-            or len(connected_components(K)) != 1):
+    """Raise ValueError unless the 1-skeleton of K is connected: its
+    breadth-first spanning forest has one root.  Too few edges are refused
+    first, without a walk."""
+    n = K.vertex_count
+    if len(K.edges) < n - 1 or sum(v == p for v, p in bfs_parents(
+            K.neighbours, (1 << n) - 1).items()) != 1:
         raise ValueError(f"{purpose} requires a connected complex")
 
 
@@ -92,14 +86,6 @@ class QuotientGraph:
     slabs: dict
     levels: dict
 
-    @property
-    def vertex_count(self) -> int:
-        return sum(map(len, self.slabs.values()))
-
-    @property
-    def edge_count(self) -> int:
-        return sum(map(len, self.levels.values()))
-
 
 def quotient_graph(K: SimplicialComplex, f: MorseLabeling) -> QuotientGraph:
     """Slab components as vertices, level components as edges.
@@ -111,17 +97,11 @@ def quotient_graph(K: SimplicialComplex, f: MorseLabeling) -> QuotientGraph:
     require_valid(K, f)
     require_connected(K, "quotient graph")
     level = level_masks(f.labels)
-    lo, hi = f.min, f.max
+    lo, hi = min(level), max(level)
     return QuotientGraph(
         {i: components(K.neighbours, level.get(i, 0) | level.get(i + 1, 0))
          for i in range(lo - 1, hi + 1)},
         {i: components(K.neighbours, level[i]) for i in range(lo, hi + 1)})
-
-
-def qf_betti1(Q: QuotientGraph) -> int:
-    """#edges - #vertices + 1: quotient_graph requires a connected complex,
-    and the quotient of a connected complex is connected."""
-    return Q.edge_count - Q.vertex_count + 1
 
 
 def level_masks(labels) -> dict:
@@ -171,7 +151,9 @@ def _state(ranks: list) -> tuple:
 @dataclass
 class WidthReport:
     """Per-slab image ranks, one ``{"i", "component", "size", "rank"}``
-    entry per slab component, and the quotient-graph classification.
+    entry per slab component, and the quotient graph's ``qf``: its
+    ``vertices``, ``edges``, ``betti1`` = edges - vertices + 1 and
+    ``class`` (tree, circle or other), as the JSON emits them.
 
     ``max_rank`` is the homological connected width rank of the labeled
     complex over ``field``; it lower-bounds the group-theoretic quantity
@@ -181,32 +163,12 @@ class WidthReport:
 
     per_slab: list
     max_rank: int
-    qf_vertex_count: int
-    qf_edge_count: int
-    qf_betti1: int
-    qf_class: str
+    qf: dict
     field: FieldSpec
 
     def to_json(self) -> dict:
-        return {
-            "field": self.field.label,
-            "max_rank": self.max_rank,
-            "qf": {
-                "vertices": self.qf_vertex_count,
-                "edges": self.qf_edge_count,
-                "betti1": self.qf_betti1,
-                "class": self.qf_class,
-            },
-            "slabs": self.per_slab,
-        }
-
-
-def _qf_class(b1: int) -> str:
-    if b1 == 0:
-        return "tree"
-    if b1 == 1:
-        return "circle"
-    return "other"
+        return {"field": self.field.label, "max_rank": self.max_rank,
+                "qf": self.qf, "slabs": self.per_slab}
 
 
 def hcwr_value(K: SimplicialComplex, f: MorseLabeling,
@@ -226,9 +188,12 @@ def hcwr_value(K: SimplicialComplex, f: MorseLabeling,
                  "rank": calc.image_rank_of_vertices(comp)}
                 for i, comps in Q.slabs.items()
                 for cid, comp in enumerate(comps)]
-    b1 = qf_betti1(Q)
-    return WidthReport(per_slab=per_slab,
-                       max_rank=max(s["rank"] for s in per_slab),
-                       qf_vertex_count=Q.vertex_count,
-                       qf_edge_count=Q.edge_count,
-                       qf_betti1=b1, qf_class=_qf_class(b1), field=F)
+    # the quotient of a connected complex is connected: b1 = E - V + 1
+    V = sum(map(len, Q.slabs.values()))
+    E = sum(map(len, Q.levels.values()))
+    b1 = E - V + 1
+    return WidthReport(
+        per_slab=per_slab, max_rank=max(s["rank"] for s in per_slab),
+        qf={"vertices": V, "edges": E, "betti1": b1,
+            "class": {0: "tree", 1: "circle"}.get(b1, "other")},
+        field=F)

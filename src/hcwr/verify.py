@@ -50,7 +50,7 @@ def _torus_k2(budget):
     L = labeled_torus(2, 4)
     rep = hcwr_value(L.complex, L.labeling, FieldSpec.rationals())
     return ({"max_rank": 1, "qf_betti1": 1},
-            {"max_rank": rep.max_rank, "qf_betti1": rep.qf_betti1})
+            {"max_rank": rep.max_rank, "qf_betti1": rep.qf["betti1"]})
 
 
 @_case("torus-k3",

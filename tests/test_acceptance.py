@@ -42,7 +42,7 @@ def test_1_torus_width_k2():
         L = labeled_torus(2, 4)
         rep = hcwr_value(L.complex, L.labeling, Q)
         assert rep.max_rank == 1
-        assert rep.qf_betti1 == 1 and rep.qf_class == "circle"
+        assert rep.qf["betti1"] == 1 and rep.qf["class"] == "circle"
 
 
 def test_2_torus_width_k3():

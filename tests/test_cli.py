@@ -228,6 +228,16 @@ def test_analyze_bad_field_exit_2(tmp_path, capsys):
         assert stderr.startswith("error:") and stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("field", ["F", "Fp:", "Fx", "F3.0"])
+def test_analyze_mistyped_field_names_the_field(tmp_path, capsys, field):
+    out = tmp_path / "c5.scx"
+    run(capsys, "generate", "circle", "--m", "5", "--out", str(out))
+    code, stdout, stderr = run(capsys, "analyze", str(out),
+                               "--labels", "constant", "--field", field)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: cannot parse field {field!r}\n"
+
+
 def test_search_triangle(tmp_path, capsys):
     out = tmp_path / "tri.scx"
     run(capsys, "generate", "circle", "--m", "3", "--out", str(out))
@@ -518,17 +528,22 @@ def test_generator_just_over_cap_lists_nothing(tmp_path, kind, argv):
 def test_isolated_vertices_exit_2_in_small_memory(tmp_path, argv):
     # 2^17 vertices and no simplex: a few bytes of SCX.  The components of
     # n isolated vertices are n masks, each as wide as its vertex id, about
-    # n^2/16 bytes (1 GB here); too few edges are refused before them
-    path = tmp_path / "isolated.scx"
-    path.write_text(json.dumps({"format": "scx-1", "vertex_count": 1 << 17,
-                                "maximal_simplices": []}))
+    # n^2/16 bytes (1 GB here); too few edges are refused before them.  A
+    # 257-vertex clique brings the edges up to n - 1 for n = 32,897, and
+    # the walk that follows keeps no mask per component
     cmd, *options = argv
-    code, stderr, peak_mb = run_measured(cmd, str(path), *options)
-    assert code == 2
-    assert stderr.startswith("error:") and \
-        "requires a connected complex" in stderr
-    assert stderr.count("\n") == 0
-    assert peak_mb < 64
+    for clique in (0, 257):
+        edges = [[a, b] for a in range(clique) for b in range(a + 1, clique)]
+        n = len(edges) + 1 if clique else 1 << 17
+        path = tmp_path / f"isolated{clique}.scx"
+        path.write_text(json.dumps({"format": "scx-1", "vertex_count": n,
+                                    "maximal_simplices": edges}))
+        code, stderr, peak_mb = run_measured(cmd, str(path), *options)
+        assert code == 2
+        assert stderr.startswith("error:") and \
+            "requires a connected complex" in stderr
+        assert stderr.count("\n") == 0
+        assert peak_mb < 64
 
 
 def test_wide_simplex_bad_label_exit_2_at_once(tmp_path, capsys):

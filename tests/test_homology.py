@@ -2,6 +2,7 @@
 fully independent sympy oracle."""
 import copy
 import random
+import re
 import time
 from collections import Counter
 from math import gcd
@@ -42,8 +43,13 @@ class TestFieldSpec:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             FieldSpec.parse("R")
-        with pytest.raises(ValueError):
-            FieldSpec.parse("F4")  # 4 is not prime
+        with pytest.raises(ValueError, match="4 is not prime"):
+            FieldSpec.parse("F4")
+        for text in ("F", "Fp:", "Fx", "F3.0", "Fp:x", "f", "", "F3_1",
+                     "F+3", "Fp:-3", "F 3", "F\u0661\u0663"):
+            message = re.escape(f"cannot parse field {text!r}")
+            with pytest.raises(ValueError, match=message):
+                FieldSpec.parse(text)
         with pytest.raises(ValueError):
             FieldSpec.prime(6)
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hcwr import (FieldSpec, H1Calculator, betti1, build_complex,
                   constant_labeling, generate_circle, generate_torus,
                   hcwr_value, labeled_torus, presentation_complex,
-                  product_complex, pullback_labeling, qf_betti1,
-                  quotient_graph, tent_labeling, validate_labeling)
+                  product_complex, pullback_labeling, quotient_graph,
+                  tent_labeling, validate_labeling)
 from hcwr.generators import circle_tent_labeling, parse_relator
 from hcwr.morse import (InvalidLabeling, MorseLabeling, level_masks,
                         slab_masks, slab_profile, slab_state)
@@ -63,33 +63,30 @@ def test_hexagon_tent_decomposition():
 def test_hexagon_tent_quotient_graph():
     K = generate_circle(6)
     f = circle_tent_labeling(6)
-    G = quotient_graph(K, f)
-    assert G.vertex_count == 6  # slabs -1..3: 1,1,2,1,1 components
-    assert G.edge_count == 6    # levels 0..3: 1,2,2,1 components
-    assert qf_betti1(G) == 1    # the quotient is a circle
     rep = hcwr_value(K, f, Q)
+    assert rep.qf["vertices"] == 6  # slabs -1..3: 1,1,2,1,1 components
+    assert rep.qf["edges"] == 6     # levels 0..3: 1,2,2,1 components
+    assert rep.qf["betti1"] == 1    # the quotient is a circle
     assert rep.max_rank == 0
-    assert rep.qf_class == "circle"
+    assert rep.qf["class"] == "circle"
 
 
 def test_constant_labeling_single_slab():
     K = generate_circle(5)
     rep = hcwr_value(K, constant_labeling(K), Q)
     assert rep.max_rank == betti1(K, Q) == 1
-    assert rep.qf_vertex_count == 2  # slab -1 and slab 0, both the whole K
-    assert rep.qf_class == "tree"
+    assert rep.qf["vertices"] == 2  # slab -1 and slab 0, both the whole K
+    assert rep.qf["class"] == "tree"
 
 
 def test_torus_tent_report_shape():
     L = labeled_torus(2, 4)
     rep = hcwr_value(L.complex, L.labeling, Q)
     assert rep.max_rank == 1
-    assert rep.qf_betti1 == 1 and rep.qf_class == "circle"
     doc = rep.to_json()
     assert doc["field"] == "Q"
-    assert doc["qf"] == {"vertices": rep.qf_vertex_count,
-                         "edges": rep.qf_edge_count,
-                         "betti1": 1, "class": "circle"}
+    assert doc["qf"] == {"vertices": 4, "edges": 4, "betti1": 1,
+                         "class": "circle"}
     assert all(set(s) == {"i", "component", "size", "rank"}
                for s in doc["slabs"])
     assert max(s["rank"] for s in doc["slabs"]) == 1
@@ -131,8 +128,9 @@ def test_disconnected_complex_rejected():
 def test_quotient_incidence(pair):
     K, f = pair
     G = quotient_graph(K, f)
-    assert sorted(G.slabs) == list(range(f.min - 1, f.max + 1))
-    assert sorted(G.levels) == list(range(f.min, f.max + 1))
+    lo, hi = min(f.labels), max(f.labels)
+    assert sorted(G.slabs) == list(range(lo - 1, hi + 1))
+    assert sorted(G.levels) == list(range(lo, hi + 1))
 
     def inside(part, wholes):
         return sum(part & ~whole == 0 for whole in wholes)
@@ -145,11 +143,13 @@ def test_quotient_incidence(pair):
             assert inside(comp, G.slabs[i]) == 1
     # boundary slabs (min - 1 and max) are leaves: each of their
     # components holds exactly one level component
-    for j, i in ((f.min - 1, f.min), (f.max, f.max)):
+    for j, i in ((lo - 1, lo), (hi, hi)):
         for comp in G.slabs[j]:
             assert sum(inside(e, [comp]) for e in G.levels[i]) == 1
     # connected K gives a connected quotient: b1 = E - V + 1
-    assert qf_betti1(G) == G.edge_count - G.vertex_count + 1
+    V = sum(len(comps) for comps in G.slabs.values())
+    E = sum(len(comps) for comps in G.levels.values())
+    assert hcwr_value(K, f, Q).qf["betti1"] == E - V + 1
 
 
 @given(labeled_circles())
