@@ -2,11 +2,13 @@
 
 A complex stores only its maximal simplices as sorted vertex tuples.  The
 tables the analysis reads are derived from them once each and cached: the
-sorted ``edges`` and ``triangles``, each triangle as the indices of its
-three edges (``triangle_edges``, what the H1 peel reads) and each
-vertex's neighbour mask (``neighbours``).  The neighbour sets
-``adjacency`` are built only for the exhaustive search, and the full
-face closure only when something reads ``simplices``.  Complexes are immutable after
+sorted ``edges``, the cone triangles (v0, a, b) of each maximal simplex
+with smallest vertex v0 as the indices of their three edges
+(``cone_triangles``, what the H1 peel reads) and each vertex's neighbour
+mask (``neighbours``).  The sorted ``triangles`` are built only for the
+root orbit, the anneal's links and the tests, the neighbour sets
+``adjacency`` only for the exhaustive search, and the full face closure
+only when something reads ``simplices``.  Complexes are immutable after
 construction and safe to share across threads.  ``root_orbit`` gives the
 orbit of vertex 0 under the automorphisms of a complex that it verifies,
 which the exhaustive search uses to skip symmetric labelings.
@@ -68,15 +70,21 @@ class SimplicialComplex:
                          for f in combinations(s, r))
 
     @cached_property
-    def triangle_edges(self) -> tuple:
-        """Each triangle (a, b, c) of ``triangles`` as the indices in
-        ``edges`` of its faces (b, c), (a, c), (a, b), the order of
-        ``homology.boundary``."""
+    def cone_triangles(self) -> tuple:
+        """The triangles (v0, a, b), a < b, of each maximal simplex with
+        smallest vertex v0, each as the indices in ``edges`` of its faces
+        (a, b), (v0, b), (v0, a), the order of ``homology.boundary``; a
+        triangle in several maximal simplices is listed once, where it
+        first occurs.  Their boundaries span those of all triangles over
+        Z (the cone lemma of ``homology.H1Calculator``), and every edge
+        of a simplex on 3 or more vertices is a face of one of them."""
         index = [{} for _ in range(self.vertex_count)]  # a -> {b: i}
         for i, (a, b) in enumerate(self.edges):
             index[a][b] = i
-        return tuple((index[b][c], index[a][c], index[a][b])
-                     for a, b, c in self.triangles)
+        return tuple(dict.fromkeys(
+            (index[a][b], cone[b], cone[a])
+            for s in self.maximal for cone in (index[s[0]],)
+            for a, b in combinations(s[1:], 2)))
 
     @cached_property
     def adjacency(self) -> tuple:
@@ -136,7 +144,7 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
     vertex is a face.
     """
     require_under_cap(vertex_count)
-    simps = set()
+    simps = {}  # in first-seen order, so sorted input sorts in one pass
     faces = 0
     for raw in maximal_simplices:
         t = tuple(sorted(raw))
@@ -149,16 +157,17 @@ def build_complex(maximal_simplices: Iterable[Sequence[int]],
         if faces > MAX_FACES:
             require_under_cap(vertex_count, faces)
         if len(t) > 1:
-            simps.add(t)
+            simps[t] = None
     # only faces of a size some given simplex has can be given simplices,
     # and a vertex is maximal exactly when no larger simplex covers it
     sizes = {len(s) for s in simps}
     nonmax = {f for s in simps for r in sizes if r < len(s)
               for f in combinations(s, r) if f in simps}
     covered = set(chain.from_iterable(simps))
-    simps -= nonmax
-    simps.update((v,) for v in range(vertex_count) if v not in covered)
-    return SimplicialComplex(vertex_count, tuple(sorted(simps)))
+    maximal = [s for s in simps if s not in nonmax]
+    maximal += ((v,) for v in range(vertex_count) if v not in covered)
+    maximal.sort()
+    return SimplicialComplex(vertex_count, tuple(maximal))
 
 
 def maximal_simplices(K: SimplicialComplex) -> list:

@@ -10,14 +10,19 @@ integers, reduced by ``Echelon.add`` when a relation or a cycle formed
 from them is added.  Edge vectors come from a tree-and-peel pass over Z
 in the manner of the edge annotations of arXiv:1107.3793, built once per
 complex and field: a spanning tree fixes its edges at zero, the peel
-solves a triangle's one unsolved edge over r free coordinates, and each
-triangle it meets with all three edges solved is a relation.  H1(K; F)
+solves a cone triangle's one unsolved edge over r free coordinates, and
+each cone triangle it meets with all three edges solved is a relation.
+The cone triangles are those (v0, a, b) of each maximal simplex with
+smallest vertex v0: their boundaries span those of all triangles over Z
+(the cone lemma, proved in ``H1Calculator``), so they are all the peel
+reads, O(m^2) of them per m-vertex simplex instead of O(m^3).  H1(K; F)
 is F^r modulo the relations, so a query ranks its cycles against an
 echelon seeded with the relation rows, one path for every complex.  Each
 edge vector is held packed into one ``int``, its entries as base-2^w
 digits, so solving an edge or forming a relation is a sum of ints and
-only a nonzero relation is unpacked.  The peel reads each triangle as
-the indices of its three edges, from the complex's ``triangle_edges``.
+only a nonzero relation is unpacked.  The peel reads each cone triangle
+as the indices of its three edges, from the complex's
+``cone_triangles``.
 A query's potentials and cycles are sums of edge vectors, and only a
 cycle not met before in the query is unpacked into the echelon.  A query
 takes a vertex set as an ``int`` bitmask (bit v is vertex v) and walks
@@ -106,13 +111,19 @@ class FieldSpec:
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         """Accepts ``Q``, ``F<p>`` or ``Fp:<p>``, p in ASCII digits (``int``
-        would also read "3_1" as 31)."""
+        would also read "3_1" as 31).  A p with more significant digits
+        than ``_PRIME_LIMIT`` is refused before ``int`` reads it, since
+        ``int`` and ``str`` refuse numbers of over 4300 digits."""
         t = text.strip()
         if t in ("Q", "q"):
             return cls.rationals()
         if t[:1] in ("F", "f"):
             digits = t[3:] if t.startswith("Fp:") else t[1:]
             if digits.isascii() and digits.isdigit():
+                size = len(digits.lstrip("0"))
+                if size > len(str(_PRIME_LIMIT)):
+                    raise ValueError(f"field size of {size} digits is not "
+                                     f"below the limit of {_PRIME_LIMIT}")
                 return cls.prime(int(digits))
         raise ValueError(f"cannot parse field {text!r}")
 
@@ -199,13 +210,25 @@ class H1Calculator:
     Built once per (K, F) by a tree-and-peel pass over Z, after the edge
     annotations of Busaryev, Cabello, Chen, Dey and Wang, "Annotating
     simplices with a homology basis and its applications" (SWAT 2012,
-    arXiv:1107.3793).  Every edge gets an integer vector over r *free*
-    coordinates: edges of a spanning forest get 0.  A triangle with
-    exactly one edge still unsolved fixes that edge's vector, since its
-    boundary must sum to zero, and solving an edge may leave further
-    triangles with one unsolved edge (peeling).  When none is left, the
-    first unsolved edge becomes a new free coordinate (its unit vector)
-    and peeling resumes.  A triangle the peel pops with all three edges
+    arXiv:1107.3793).  The peel reads only the cone triangles
+    ``K.cone_triangles``: for each maximal simplex s with smallest vertex
+    v0, the triangles (v0, a, b) with a < b in s.  Cone lemma: their
+    boundaries span the boundaries of all triangles over Z.  A triangle
+    t = (a, b, c) of s that misses v0 is a face of the simplex
+    (v0, a, b, c) of s, and from dd(v0, a, b, c) = 0,
+    dt = d(v0, b, c) - d(v0, a, c) + d(v0, a, b).  So the relations the
+    cone triangles give span those of every triangle, over Z and over
+    every F, and ``betti1``, ``rank_d2`` and every image rank are those
+    of the full complex; only the basis the edge vectors are written in
+    depends on the choice.
+
+    Every edge gets an integer vector over r *free* coordinates: edges
+    of a spanning forest get 0.  A cone triangle with exactly one edge
+    still unsolved fixes that edge's vector, since its boundary must sum
+    to zero, and solving an edge may leave further cone triangles with
+    one unsolved edge (peeling).  When none is left, the first unsolved
+    edge becomes a new free coordinate (its unit vector) and peeling
+    resumes.  Each cone triangle the peel pops with all three edges
     solved gives a relation, the sum of its boundary's vectors, added to
     the relation echelon over F when it is nonzero.  H1(K; F) is F^r
     modulo the span of the relations, and a cycle's class is the sum of
@@ -242,7 +265,7 @@ class H1Calculator:
         parent = bfs_parents(K.neighbours, (1 << n) - 1)
         forest = [a == parent[b] or b == parent[a] for a, b in edges]
         self.rank_d1 = forest.count(True)
-        faces = K.triangle_edges
+        faces = K.cone_triangles
         cofaces = [[] for _ in edges]
         for t, (i, j, k) in enumerate(faces):
             cofaces[i].append(t)

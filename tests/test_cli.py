@@ -228,6 +228,17 @@ def test_analyze_bad_field_exit_2(tmp_path, capsys):
         assert stderr.startswith("error:") and stderr.count("\n") == 1
 
 
+def test_analyze_field_of_5000_digits_exit_2(tmp_path, capsys):
+    # int() refuses to read more than 4300 digits, and str() to print them
+    out = tmp_path / "c5.scx"
+    run(capsys, "generate", "circle", "--m", "5", "--out", str(out))
+    code, stdout, stderr = run(capsys, "analyze", str(out), "--labels",
+                               "constant", "--field", "F" + "7" * 5000)
+    assert code == 2 and stdout == ""
+    assert stderr == ("error: field size of 5000 digits is not below the "
+                      "limit of 3317044064679887385961981\n")
+
+
 @pytest.mark.parametrize("field", ["F", "Fp:", "Fx", "F3.0"])
 def test_analyze_mistyped_field_names_the_field(tmp_path, capsys, field):
     out = tmp_path / "c5.scx"

@@ -89,19 +89,50 @@ def test_maximal_simplices_match_a_brute_force_filter(case):
     assert build_complex(simplices, n).maximal == tuple(maximal)
 
 
-def check_triangle_edges(K):
-    assert len(K.triangle_edges) == len(K.triangles)
-    for t, face in zip(K.triangles, K.triangle_edges):
-        assert [K.edges[i] for i in face] == [f for f, _ in boundary(t)]
+def check_cone_triangles(K):
+    """Each row of ``cone_triangles`` is the faces of a triangle
+    (min s, a, b) of a maximal simplex s in the order of ``boundary``,
+    each such triangle has one row, and the rows reach every edge of a
+    simplex on 3 or more vertices."""
+    rows = K.cone_triangles
+    assert len(set(rows)) == len(rows)
+    cones = {(s[0], a, b) for s in K.maximal
+             for a, b in combinations(s[1:], 2)}
+    triangles = []
+    for row in rows:
+        t = tuple(sorted({v for i in row for v in K.edges[i]}))
+        assert [K.edges[i] for i in row] == [f for f, _ in boundary(t)]
+        triangles.append(t)
+    assert set(triangles) == cones and len(triangles) == len(cones)
+    reached = {K.edges[i] for row in rows for i in row}
+    assert reached == {e for s in K.maximal if len(s) > 2
+                       for e in combinations(s, 2)}
 
 
-@given(small_complexes())
-def test_triangle_edges_are_the_faces_of_the_boundary(K):
-    check_triangle_edges(K)
+@given(simplex_lists())
+def test_cone_triangles_are_the_faces_of_the_boundary(case):
+    # simplices of up to 4 vertices, which share some cone triangles
+    check_cone_triangles(build_complex(*case))
 
 
-def test_triangle_edges_of_a_relabelled_torus():
-    check_triangle_edges(relabelled(generate_torus(3, 3), 7))
+def test_cone_triangles_of_a_relabelled_torus():
+    check_cone_triangles(relabelled(generate_torus(3, 3), 7))
+
+
+def test_cone_triangles_of_a_simplex():
+    # the triangles at vertex 0: C(20, 2) of the C(21, 3) = 1330
+    K = build_complex([range(21)], 21)
+    check_cone_triangles(K)
+    assert len(K.cone_triangles) == 190
+
+
+@given(simplex_lists(), st.randoms(use_true_random=False))
+def test_build_ignores_the_order_and_repeats_of_its_input(case, rng):
+    simplices, n = case
+    shuffled = [rng.sample(s, len(s)) for s in simplices]
+    shuffled += rng.choices(shuffled, k=rng.randrange(3)) if shuffled else []
+    rng.shuffle(shuffled)
+    assert build_complex(shuffled, n) == build_complex(simplices, n)
 
 
 @given(small_complexes())
@@ -130,16 +161,17 @@ def test_skeleta_come_from_maximal_simplices(K):
 
 
 def test_width_of_a_simplex_never_builds_its_closure():
-    # 2^21 - 1 faces, of which the analysis reads 210 edges and 1330
-    # triangles
+    # 2^21 - 1 faces, of which the analysis reads 210 edges and the 190
+    # cone triangles at vertex 0
     K = build_complex([range(21)], 21)
     assert hcwr_value(K, constant_labeling(K),
                       FieldSpec.rationals()).max_rank == 0
     assert "simplices" not in vars(K)
 
 
-def test_width_report_never_builds_the_adjacency_sets(tmp_path):
-    # what `hcwr analyze` reads: neighbour masks, edges and triangles
+def test_width_report_never_builds_the_adjacency_sets_or_triangles(
+        tmp_path):
+    # what `hcwr analyze` reads: neighbour masks, edges and cone triangles
     L = labeled_torus(2, 5)
     write_scx(tmp_path / "torus.scx", L.complex, L.labeling)
     M, _ = read_scx(tmp_path / "torus.scx")
@@ -147,7 +179,7 @@ def test_width_report_never_builds_the_adjacency_sets(tmp_path):
     assert not validate_labeling(K, M.labeling)
     calc = H1Calculator(K, F)
     assert hcwr_value(K, M.labeling, F, calc).max_rank == 1
-    assert "adjacency" not in vars(K)
+    assert "adjacency" not in vars(K) and "triangles" not in vars(K)
 
 
 @given(small_complexes())

@@ -20,7 +20,7 @@ from hcwr.homology import Echelon, _is_prime
 
 from conftest import (mask_of, oracle_betti1, oracle_image_rank,
                       oracle_rank, oracle_rank_d1, oracle_rank_d2,
-                      small_complexes)
+                      relabelled, small_complexes)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -215,6 +215,9 @@ def test_query_order_does_not_change_answers():
 # leftover relation then kills, over every field (dunce hat) or over all
 # but F_2 (Klein bottle).  Two Klein-bottle relators leave two relation
 # rows over Q and F_3 (betti1 2), so a query reduces against both.
+# The 3-dimensional cases are made of tetrahedra, whose triangles that
+# miss their smallest vertex the peel never reads; they are relabelled,
+# as the benchmark's inputs are, so that vertex falls on varying corners.
 ANNOTATION_CASES = {
     "torus(2,3)": generate_torus(2, 3),
     "circle(4)xcircle(5)": product_complex(generate_circle(4),
@@ -227,6 +230,9 @@ ANNOTATION_CASES = {
     "<a,b|a^2b^3>": presentation_complex(2, [parse_relator("aabbb", 2)]),
     "<a,b,c,d|a^2b^2,c^2d^2>": presentation_complex(
         4, [parse_relator("aabb", 4), parse_relator("ccdd", 4)]),
+    "torus(3,3) relabelled": relabelled(generate_torus(3, 3), 7),
+    "circle(3)xtorus(2,3) relabelled": relabelled(
+        product_complex(generate_circle(3), generate_torus(2, 3)), 5),
 }
 
 
