@@ -4,21 +4,21 @@ A complex stores only its maximal simplices as sorted vertex tuples.  The
 tables the analysis reads are derived from them once each and cached: the
 sorted ``edges``, the cone triangles (v0, a, b) of each maximal simplex
 with smallest vertex v0 as the indices of their three edges
-(``cone_triangles``, what the H1 peel reads) and each vertex's neighbour
-mask (``neighbours``).  The sorted ``triangles`` are built only for the
-root orbit, the anneal's links and the tests, the neighbour sets
-``adjacency`` only for the exhaustive search, and the full face closure
-only when something reads ``simplices``.  Complexes are immutable after
-construction and safe to share across threads.  ``root_orbit`` gives the
-orbit of vertex 0 under the automorphisms of a complex that it verifies,
-which the exhaustive search uses to skip symmetric labelings.
+(``cone_triangles``, what the H1 peel reads), each vertex's neighbour
+mask (``neighbours``) and the breadth-first spanning forest of the
+1-skeleton (``forest``).  The neighbour sets ``adjacency`` are built only
+for the exhaustive search, and the full face closure only when something
+reads ``simplices``.  Complexes are immutable after construction and safe
+to share across threads.  ``root_orbit`` gives the orbit of vertex 0 under
+the automorphisms of a complex that it verifies, which the exhaustive
+search uses to skip symmetric labelings.
 
 A vertex set is an ``int`` bitmask, bit v standing for vertex v.  Two
 places walk the bits of a mask: this module's ``components``,
-``bfs_parents`` and ``root_orbit``, which grow a component or a search
-from the ``neighbours`` masks of a complex, and the image-rank query of
-``homology``, which walks its own breadth-first forest so as to close
-each cycle when it discovers a vertex.
+``forest`` and ``root_orbit``, which grow a component or a search from
+the ``neighbours`` masks of a complex, and the image-rank query of
+``homology``, which walks its own breadth-first forest of a vertex set
+so as to close each cycle when it discovers a vertex.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 # Largest face count accepted: a simplex on m vertices has 2^m - 1 faces,
@@ -57,11 +58,6 @@ class SimplicialComplex:
     def edges(self) -> tuple:
         return tuple(sorted({e for s in self.maximal
                              for e in combinations(s, 2)}))
-
-    @cached_property
-    def triangles(self) -> tuple:
-        return tuple(sorted({t for s in self.maximal
-                             for t in combinations(s, 3)}))
 
     @cached_property
     def simplices(self) -> frozenset:
@@ -104,6 +100,30 @@ class SimplicialComplex:
             masks[a] |= 1 << b
             masks[b] |= 1 << a
         return tuple(masks)
+
+    @cached_property
+    def forest(self) -> MappingProxyType:
+        """Parents in the breadth-first spanning forest of the 1-skeleton,
+        read-only, in visiting order: roots and each vertex's neighbours
+        are taken in ascending order, and each root is its own parent."""
+        neighbours = self.neighbours
+        parent = {}
+        unseen = (1 << self.vertex_count) - 1
+        while unseen:
+            root = (unseen & -unseen).bit_length() - 1
+            unseen ^= 1 << root
+            parent[root] = root
+            queue = [root]
+            for v in queue:
+                new = neighbours[v] & unseen
+                unseen ^= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    w = low.bit_length() - 1
+                    parent[w] = v
+                    queue.append(w)
+        return MappingProxyType(parent)
 
 
 @dataclass(frozen=True)
@@ -207,32 +227,6 @@ def components(neighbours, mask: int) -> list:
     return comps
 
 
-def bfs_parents(neighbours, mask: int) -> dict:
-    """Parents in a breadth-first spanning forest of the graph induced on
-    ``mask``, in visiting order; each root is its own parent.
-
-    Roots are taken in ascending order, and each vertex's unvisited
-    neighbours are visited in ascending order.
-    """
-    parent = {}
-    unseen = mask
-    while unseen:
-        root = (unseen & -unseen).bit_length() - 1
-        unseen ^= 1 << root
-        parent[root] = root
-        queue = [root]
-        for v in queue:
-            new = neighbours[v] & unseen
-            unseen ^= new
-            while new:
-                low = new & -new
-                new ^= low
-                w = low.bit_length() - 1
-                parent[w] = v
-                queue.append(w)
-    return parent
-
-
 def root_orbit(K: SimplicialComplex, deadline: Optional[float] = None) -> int:
     """Mask of vertex 0 and of every vertex that a verified automorphism
     of ``K`` maps it to.
@@ -240,17 +234,18 @@ def root_orbit(K: SimplicialComplex, deadline: Optional[float] = None) -> int:
     An automorphism is a vertex permutation that maps ``K.maximal`` onto
     itself, so it keeps edges, triangles and every image rank.  The
     candidates are the vertices that share vertex 0's colour under colour
-    refinement: it starts from (degree, triangles at v), gives each
-    vertex the pair (its colour, the sorted colours of its neighbours)
-    and stops once no class splits, or once vertex 0's class is vertex 0
-    alone.  An automorphism 0 -> u is searched by backtracking along the
-    ``bfs_parents`` order from vertex 0 (McKay and Piperno, "Practical
-    graph isomorphism, II").  The image of a vertex is a neighbour of
-    its parent's image, has its colour and the same adjacency mask to
-    the vertices mapped so far, and every maximal simplex that it
-    completes maps to a maximal simplex; the mapping of the last vertex
-    is then an automorphism.  The mask is closed under the automorphisms
-    found, and a candidate already in it is not searched.
+    refinement: it starts from (degree, triangles at v, counted once per
+    maximal simplex that holds them), gives each vertex the pair (its
+    colour, the sorted colours of its neighbours) and stops once no class
+    splits, or once vertex 0's class is vertex 0 alone.  An automorphism
+    0 -> u is searched by backtracking along the ``K.forest`` order from
+    vertex 0 (McKay and Piperno, "Practical graph isomorphism, II").  The
+    image of a vertex is a neighbour of its parent's image, has its
+    colour and the same adjacency mask to the vertices mapped so far, and
+    every maximal simplex that it completes maps to a maximal simplex;
+    the mapping of the last vertex is then an automorphism.  The mask is
+    closed under the automorphisms found, and a candidate already in it
+    is not searched.
 
     Work past ``ORBIT_NODE_LIMIT`` nodes (each refinement round counts
     one per vertex, and each tried image one) or past the
@@ -264,9 +259,10 @@ def root_orbit(K: SimplicialComplex, deadline: Optional[float] = None) -> int:
     neighbours = K.neighbours
     adjacency = K.adjacency
     triangles = [0] * n
-    for t in K.triangles:
-        for v in t:
-            triangles[v] += 1
+    for s in K.maximal:
+        at_v = (len(s) - 1) * (len(s) - 2) // 2  # triangles of s at a vertex
+        for v in s:
+            triangles[v] += at_v
     start = {}
     colour = [start.setdefault((neighbours[v].bit_count(), triangles[v]),
                                len(start))
@@ -294,7 +290,7 @@ def root_orbit(K: SimplicialComplex, deadline: Optional[float] = None) -> int:
         return 1
 
     # the search runs over positions in the breadth-first order from 0
-    parent = bfs_parents(neighbours, (1 << n) - 1)
+    parent = K.forest
     order = list(parent)
     position = [0] * n
     for k, v in enumerate(order):

@@ -213,13 +213,13 @@ def pullback_labeling(f1: MorseLabeling, vertex_count2: int) -> MorseLabeling:
 
 
 def parse_relator(word: str, num_generators: int) -> list:
-    """Parse a relator like "aaa" or "abAB": lowercase letters are
-    generators 1..g, uppercase their inverses."""
+    """Parse a relator like "aaa" or "abAB": the ASCII letters a..z are
+    generators 1..26, A..Z their inverses."""
     letters = []
     for ch in word:
-        if ch.islower():
+        if "a" <= ch <= "z":
             j = ord(ch) - ord("a") + 1
-        elif ch.isupper():
+        elif "A" <= ch <= "Z":
             j = -(ord(ch) - ord("A") + 1)
         else:
             raise ValueError(f"bad relator character {ch!r}")

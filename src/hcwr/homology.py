@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .complexes import SimplicialComplex, bfs_parents
+from .complexes import SimplicialComplex
 
 
 # Miller-Rabin with the thirteen prime bases up to 41 has no strong
@@ -218,12 +218,12 @@ class H1Calculator:
     (v0, a, b, c) of s, and from dd(v0, a, b, c) = 0,
     dt = d(v0, b, c) - d(v0, a, c) + d(v0, a, b).  So the relations the
     cone triangles give span those of every triangle, over Z and over
-    every F, and ``betti1``, ``rank_d2`` and every image rank are those
-    of the full complex; only the basis the edge vectors are written in
-    depends on the choice.
+    every F, and ``betti1`` and every image rank are those of the full
+    complex; only the basis the edge vectors are written in depends on
+    the choice.
 
     Every edge gets an integer vector over r *free* coordinates: edges
-    of a spanning forest get 0.  A cone triangle with exactly one edge
+    of the forest ``K.forest`` get 0.  A cone triangle with exactly one edge
     still unsolved fixes that edge's vector, since its boundary must sum
     to zero, and solving an edge may leave further cone triangles with
     one unsolved edge (peeling).  When none is left, the first unsolved
@@ -262,9 +262,8 @@ class H1Calculator:
         self.field = field
         edges = K.edges
         n = K.vertex_count
-        parent = bfs_parents(K.neighbours, (1 << n) - 1)
+        parent = K.forest
         forest = [a == parent[b] or b == parent[a] for a, b in edges]
-        self.rank_d1 = forest.count(True)
         faces = K.cone_triangles
         cofaces = [[] for _ in edges]
         for t, (i, j, k) in enumerate(faces):
@@ -277,8 +276,6 @@ class H1Calculator:
         vec, ech, r = peeled
         self._relations = ech.rows
         self.betti1 = r - ech.rank
-        # rank d2: the edges peeling solved (all but forest and free) + ech
-        self.rank_d2 = len(edges) - self.rank_d1 - self.betti1
         self._vec = [{} for _ in range(n)]
         for (a, b), x in zip(edges, vec):
             if x:
@@ -392,12 +389,13 @@ class H1Calculator:
         tree when ``per_component``, else one for the union of the trees
         (none for an empty mask).
 
-        The forest is that of ``bfs_parents``, walked here on the
-        ``neighbours`` masks.  Each rank is counted on an echelon seeded
-        with the relation rows.  A vertex b is handled when it is
-        discovered from its parent u: P(b) = P(u) + vec(u -> b), packed
-        and left unreduced for Echelon.add, and each neighbour a of b
-        discovered before it, other than u, closes a cycle of class
+        The forest follows the rule of ``K.forest`` (roots and each
+        vertex's neighbours ascending) on the graph induced on ``mask``,
+        walked here on the ``neighbours`` masks.  Each rank is counted on
+        an echelon seeded with the relation rows.  A vertex b is handled
+        when it is discovered from its parent u: P(b) = P(u) + vec(u -> b),
+        packed and left unreduced for Echelon.add, and each neighbour a of
+        b discovered before it, other than u, closes a cycle of class
         P(b) + vec(b -> a) - P(a); a zero cycle or one met before in the
         same echelon cannot raise the rank, and neither can any cycle
         once the rank is ``betti1``, after which the walk only finishes

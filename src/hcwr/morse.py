@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, bfs_parents, components
+from .complexes import SimplicialComplex, components
 from .homology import FieldSpec, H1Calculator
 
 
@@ -68,11 +68,10 @@ def require_valid(K: SimplicialComplex, f: MorseLabeling):
 
 def require_connected(K: SimplicialComplex, purpose: str):
     """Raise ValueError unless the 1-skeleton of K is connected: its
-    breadth-first spanning forest has one root.  Too few edges are refused
-    first, without a walk."""
-    n = K.vertex_count
-    if len(K.edges) < n - 1 or sum(v == p for v, p in bfs_parents(
-            K.neighbours, (1 << n) - 1).items()) != 1:
+    breadth-first spanning forest ``K.forest`` has one root.  Too few
+    edges are refused first, without a walk."""
+    if len(K.edges) < K.vertex_count - 1 or sum(
+            v == p for v, p in K.forest.items()) != 1:
         raise ValueError(f"{purpose} requires a connected complex")
 
 

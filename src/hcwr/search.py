@@ -48,10 +48,10 @@ import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
-from .complexes import (SimplicialComplex, bfs_parents, components,
-                        root_orbit)
+from .complexes import SimplicialComplex, components, root_orbit
 from .homology import FieldSpec, H1Calculator
 from .morse import (MorseLabeling, require_connected, slab_profile,
                     slab_state)
@@ -117,7 +117,7 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
                    workers: int = 1) -> SearchResult:
     """Proven minimum over all morse labelings, normalized to min label 0.
 
-    Labels are assigned in breadth-first order from vertex 0; the root
+    Labels are assigned in the ``K.forest`` order from vertex 0; the root
     label ranges over 0..ecc(vertex 0), which covers every
     translation-normalized labeling, and every later vertex takes the
     labels, lowest first, of its *window*: the nonnegative labels within
@@ -196,7 +196,7 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     adjacency = K.adjacency
     bit = [1 << v for v in range(n)]
     seen = [None] * n  # per vertex, the stamp of the walk that last met it
-    parent = bfs_parents(K.neighbours, (1 << n) - 1)  # connected: root 0
+    parent = K.forest  # connected: root 0
     order = list(parent)
     position = [0] * n
     for k, v in enumerate(order):
@@ -323,7 +323,7 @@ def _links(K: SimplicialComplex) -> list:
     links = [{} for _ in range(K.vertex_count)]
     for a, b in K.edges:
         links[a][b] = links[b][a] = 0
-    for a, b, c in K.triangles:
+    for a, b, c in (t for s in K.maximal for t in combinations(s, 3)):
         for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
             link = links[v]
             link[x] |= 1 << y

@@ -6,6 +6,7 @@ homology number is checked by two independent routes.
 """
 import math
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
@@ -72,7 +73,7 @@ def _boundary_columns(K):
     edges = K.edges
     eidx = {e: j for j, e in enumerate(edges)}
     cols = []
-    for (a, b, c) in K.triangles:
+    for (a, b, c) in (s for s in K.simplices if len(s) == 3):
         col = [0] * len(edges)
         col[eidx[(b, c)]] += 1
         col[eidx[(a, c)]] -= 1
@@ -96,8 +97,11 @@ def oracle_rank_d1(K, F: FieldSpec) -> int:
     return oracle_rank(d1, F) if edges else 0
 
 
+@lru_cache(maxsize=64)
 def oracle_rank_d2(K, F: FieldSpec) -> int:
-    """Rank of the ambient d2 (triangles to edges), ranked by sympy."""
+    """Rank of the ambient d2 (triangles to edges), ranked by sympy once
+    per complex and field: both are frozen dataclasses, so they are
+    hashed by value."""
     return oracle_rank([list(r) for r in zip(*_boundary_columns(K))], F)
 
 
@@ -123,8 +127,7 @@ def oracle_image_rank(K, vertex_set, F: FieldSpec) -> int:
     null = Matrix(d1c).nullspace()
     if not null:
         return 0
-    b1_cols = _boundary_columns(K)
-    cols = list(b1_cols)
+    cols = _boundary_columns(K)
     for vec in null:
         denom = 1
         for x in vec:
@@ -134,8 +137,7 @@ def oracle_image_rank(K, vertex_set, F: FieldSpec) -> int:
             col[eidx[e]] = int(vec[j] * denom)
         cols.append(col)
     r_all = oracle_rank([list(r) for r in zip(*cols)], F)
-    r_b1 = oracle_rank([list(r) for r in zip(*b1_cols)], F)
-    return r_all - r_b1
+    return r_all - oracle_rank_d2(K, F)
 
 
 @st.composite

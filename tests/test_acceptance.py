@@ -124,7 +124,7 @@ def test_8_property_suite_spot_checks():
         assert (0, 2) in K.simplices and (2, 4) in K.simplices
         # d1 . d2 = 0
         from hcwr import boundary
-        for t in K.triangles:
+        for t in (s for s in K.simplices if len(s) == 3):
             dd = {}
             for e, x in boundary(t):
                 for v, y in boundary(e):

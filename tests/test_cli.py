@@ -92,6 +92,14 @@ def test_generate_presentation(capsys):
     assert json.loads(stdout)["vertex_count"] == 13
 
 
+@pytest.mark.parametrize("gens", ["1", "26", "200"])
+def test_generate_presentation_refuses_a_non_ascii_letter(capsys, gens):
+    code, stdout, stderr = run(capsys, "generate", "presentation",
+                               "--gens", gens, "--relator", "ßß")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: bad relator character 'ß'\n"
+
+
 def _generated(tmp_path, capsys, name, *argv):
     """Path of the file ``hcwr generate *argv`` writes, and its summary."""
     out = tmp_path / f"{name}.scx"

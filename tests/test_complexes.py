@@ -4,7 +4,7 @@ import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from itertools import chain, combinations, permutations, repeat
+from itertools import chain, combinations, repeat
 
 from hcwr import (FieldSpec, H1Calculator, boundary, build_complex,
                   connected_components, constant_labeling,
@@ -13,7 +13,7 @@ from hcwr import (FieldSpec, H1Calculator, boundary, build_complex,
                   maximal_simplices, product_complex, validate_labeling,
                   wedge)
 from hcwr import complexes
-from hcwr.complexes import bfs_parents, components, root_orbit
+from hcwr.complexes import components, root_orbit
 from hcwr.scx import read_scx, write_scx
 
 from conftest import (mask_of, members, moore_space, relabelled, rooted_at,
@@ -25,7 +25,6 @@ def test_build_triangle():
     assert K.vertex_count == 3
     assert K.dim == 2
     assert K.edges == ((0, 1), (0, 2), (1, 2))
-    assert K.triangles == ((0, 1, 2),)
     assert (1, 2) in K.simplices
     assert (2, 1) not in K.simplices  # simplices are sorted tuples
 
@@ -157,7 +156,6 @@ def test_skeleta_come_from_maximal_simplices(K):
     assert K.simplices == closure
     assert not any(set(s) < set(t) for s in K.maximal for t in K.maximal)
     assert K.edges == tuple(sorted(s for s in closure if len(s) == 2))
-    assert K.triangles == tuple(sorted(s for s in closure if len(s) == 3))
 
 
 def test_width_of_a_simplex_never_builds_its_closure():
@@ -169,8 +167,7 @@ def test_width_of_a_simplex_never_builds_its_closure():
     assert "simplices" not in vars(K)
 
 
-def test_width_report_never_builds_the_adjacency_sets_or_triangles(
-        tmp_path):
+def test_width_report_never_builds_the_adjacency_sets(tmp_path):
     # what `hcwr analyze` reads: neighbour masks, edges and cone triangles
     L = labeled_torus(2, 5)
     write_scx(tmp_path / "torus.scx", L.complex, L.labeling)
@@ -179,7 +176,7 @@ def test_width_report_never_builds_the_adjacency_sets_or_triangles(
     assert not validate_labeling(K, M.labeling)
     calc = H1Calculator(K, F)
     assert hcwr_value(K, M.labeling, F, calc).max_rank == 1
-    assert "adjacency" not in vars(K) and "triangles" not in vars(K)
+    assert "adjacency" not in vars(K)
 
 
 @given(small_complexes())
@@ -214,11 +211,10 @@ def test_components_partition_vertices(K):
     assert all((a in c) == (b in c) for a, b in K.edges for c in comps)
 
 
-@given(small_complexes(), st.data())
-def test_mask_kernels_match_a_sorted_search(K, data):
-    # a queue search with ascending roots and sorted neighbour lists
-    vs = data.draw(st.sets(st.integers(min_value=0,
-                                       max_value=K.vertex_count - 1)))
+def sorted_search(K, vs):
+    """(parents in visiting order, component sets) of a queue search of
+    the graph induced on ``vs``, with ascending roots and sorted
+    neighbour lists; each root is its own parent."""
     parent, comps = {}, []
     for root in sorted(vs):
         if root not in parent:
@@ -230,10 +226,24 @@ def test_mask_kernels_match_a_sorted_search(K, data):
                         parent[w] = v
                         queue.append(w)
             comps.append(set(queue))
-    assert list(bfs_parents(K.neighbours, mask_of(vs)).items()) == \
-        list(parent.items())
+    return parent, comps
+
+
+@given(small_complexes(), st.data())
+def test_mask_kernels_match_a_sorted_search(K, data):
+    vs = data.draw(st.sets(st.integers(min_value=0,
+                                       max_value=K.vertex_count - 1)))
     assert [members(c) for c in components(K.neighbours, mask_of(vs))] == \
-        comps
+        sorted_search(K, vs)[1]
+    parent, _ = sorted_search(K, set(range(K.vertex_count)))
+    assert list(K.forest.items()) == list(parent.items())
+
+
+def test_forest_is_read_only():
+    K = generate_torus(2, 3)
+    with pytest.raises(TypeError):
+        K.forest[0] = 1
+    assert K.forest[0] == 0
 
 
 def test_euler_characteristic_examples():
@@ -245,16 +255,49 @@ def test_euler_characteristic_examples():
 
 def brute_force_orbit(K):
     """Mask of the images of vertex 0 under every vertex permutation
-    that maps ``K.maximal`` onto itself."""
-    maximal = set(K.maximal)
-    return mask_of(p[0] for p in permutations(range(K.vertex_count))
-                   if {tuple(sorted(p[v] for v in s)) for s in maximal}
-                   == maximal)
+    that maps ``K.maximal`` onto itself.
+
+    For each image u of vertex 0, the permutations are tried in id
+    order, vertex by vertex; a partial one that does not keep which
+    vertex pairs are edges is dropped, since an automorphism keeps
+    them."""
+    n, adj, maximal = K.vertex_count, K.adjacency, set(K.maximal)
+    image = []
+
+    def extend(v):
+        if v == n:
+            return {tuple(sorted(map(image.__getitem__, s)))
+                    for s in maximal} == maximal
+        for x in set(range(n)).difference(image):
+            if all((w in adj[v]) == (image[w] in adj[x]) for w in range(v)):
+                image.append(x)
+                if extend(v + 1):
+                    return True
+                image.pop()
+        return False
+
+    orbit = 0
+    for u in range(n):
+        image[:] = [u]
+        if extend(1):
+            orbit |= 1 << u
+    return orbit
 
 
 @given(small_complexes(max_vertices=6))
 @settings(max_examples=100)
 def test_root_orbit_is_the_orbit_of_vertex_0(K):
+    assert root_orbit(K) == brute_force_orbit(K)
+
+
+@pytest.mark.parametrize("K", [
+    build_complex([(0, 1, 2, 3), (1, 2, 3, 4)], 5),
+    rooted_at(build_complex([(0, 1, 2, 3), (1, 2, 3, 4)], 5), 1),
+    *(rooted_at(relabelled(generate_torus(3, 3), 7), v)
+      for v in (0, 5, 13, 26)),
+], ids=["two tetrahedra", "two tetrahedra at the common face",
+        *(f"torus(3,3) at {v}" for v in (0, 5, 13, 26))])
+def test_root_orbit_where_maximal_simplices_share_triangles(K):
     assert root_orbit(K) == brute_force_orbit(K)
 
 

@@ -35,7 +35,8 @@ class TestTorus:
     def test_counts_k2_n3(self):
         K = generate_torus(2, 3)
         assert K.vertex_count == 9
-        assert len(K.edges) == 27 and len(K.triangles) == 18
+        assert len(K.edges) == 27
+        assert sum(len(s) == 3 for s in K.simplices) == 18
         assert euler_characteristic(K) == 0
         assert betti1(K, Q) == 2
 
@@ -137,6 +138,13 @@ class TestPresentation:
             parse_relator("ab", 1)
         with pytest.raises(ValueError):
             parse_relator("a1", 1)
+        assert parse_relator("zZ", 26) == [26, -26]
+        # only the ASCII letters name generators, whatever their count
+        for ch in "ßµäÄé":
+            for g in (1, 26, 200):
+                with pytest.raises(ValueError,
+                                   match=f"^bad relator character {ch!r}$"):
+                    parse_relator("a" + ch, g)
 
     def test_moore_space(self):
         P = presentation_complex(1, [parse_relator("aaa", 1)])

@@ -11,7 +11,6 @@ from hcwr import (AnnealParams, FieldSpec, H1Calculator, anneal_min, betti1,
                   generate_circle, generate_torus, hcwr_value,
                   presentation_complex, product_complex, validate_labeling)
 from hcwr import search
-from hcwr.complexes import bfs_parents
 from hcwr.generators import parse_relator
 from hcwr.morse import MorseLabeling, slab_profile, slab_state
 from hcwr.search import _derive_seed
@@ -62,13 +61,13 @@ def _labelings(K, top):
 def first_minimizer(K, F):
     """(value, labels) of the first labeling of least value in
     ``exhaustive_min``'s visiting order, unpruned: vertices in
-    ``bfs_parents`` order from vertex 0, the root label 0..ecc(vertex
+    ``K.forest`` order from vertex 0, the root label 0..ecc(vertex
     0), every later vertex's window (the labels >= 0 within one step of
     all its labeled neighbors) lowest first; only the labelings with
     min 0 are evaluated, via the report path."""
     calc = H1Calculator(K, F)
     n = K.vertex_count
-    parent = bfs_parents(K.neighbours, (1 << n) - 1)
+    parent = K.forest
     order = list(parent)
     depth = {}
     for v, u in parent.items():
@@ -633,10 +632,10 @@ def _link_predicate(links, K, v, mask):
 
 
 def _link_oracle(K, v, mask):
-    """``_link_predicate`` from ``K.triangles`` and vertex sets: the
-    triangles at v, grown from one neighbour until nothing changes."""
+    """``_link_predicate`` from the closure's triangles and vertex sets:
+    the triangles at v, grown from one neighbour until nothing changes."""
     near = members(K.neighbours[v] & mask) - {v}
-    edges = [set(t) - {v} for t in K.triangles if v in t]
+    edges = [set(t) - {v} for t in K.simplices if len(t) == 3 and v in t]
     reached = {min(near)} if near else set()
     grown = True
     while grown:
@@ -646,6 +645,19 @@ def _link_oracle(K, v, mask):
                 reached |= e
                 grown = True
     return bool(near) and reached == near
+
+
+def test_links_are_those_of_the_closure_triangles():
+    K = relabelled(generate_torus(3, 3), 7)
+    links = [dict.fromkeys(members(K.neighbours[v]), 0)
+             for v in range(K.vertex_count)]
+    for t in K.simplices:
+        if len(t) == 3:
+            for v in t:
+                x, y = set(t) - {v}
+                links[v][x] |= 1 << y
+                links[v][y] |= 1 << x
+    assert search._links(K) == links
 
 
 def _assert_link_keeps_states(K, F, masks):
