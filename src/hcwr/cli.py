@@ -1,12 +1,14 @@
 """Command-line interface: generate | analyze | search | verify.
 
 Reports are JSON on stdout unless --out is given.  Exit codes: 0 success,
-1 verification failure, 2 usage or input error.
+1 verification failure or a reader that closed stdout early, 2 usage or
+input error.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .complexes import euler_characteristic
@@ -21,7 +23,8 @@ from .search import AnnealParams, anneal_min, exhaustive_min
 from .verify import run_cases
 
 # every input error the library raises is a ValueError (malformed JSON,
-# labelings, generator parameters, SCX documents) or an OSError
+# labelings, generator parameters, SCX documents) or an OSError; a closed
+# stdout (BrokenPipeError) is an OSError too, but ``main`` takes it first
 _INPUT_ERRORS = (ValueError, OSError)
 
 
@@ -243,7 +246,16 @@ def main(argv=None) -> int:
                 "search": _cmd_search, "verify": _cmd_verify}
     try:
         args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # meet a closed reader here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, which is no input error: the Python
+        # docs' SIGPIPE recipe points stdout at devnull, so that the flush
+        # at exit does not fail again, and exits 1
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 1
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,6 +33,16 @@ its 1-skeleton, which bounds its image rank, reaches the incumbent:
 below it the rank cannot either, so every bound comparison, and with
 it the tree, is the same node for node.
 
+When ``betti1`` is 1, the enumeration first looks for a lower bound
+that ends the proof before the tree: three pairwise adjacent vertices
+that span no triangle of K and whose 3-cycle has image rank 1.  Labels
+of adjacent vertices differ by at most 1, so every labeling puts the
+three in one interior slab, and image rank is monotone under vertex
+inclusion, so every labeling has width at least 1 and the constant one
+is a minimizer.  The search without the bound would prune every node
+whose forced set takes in the three and evaluate no leaf, so its
+output is the same.
+
 Both searches are deterministic: the enumeration visits labelings in a
 fixed breadth-first/lexicographic order and annealing draws from the
 64-bit linear congruential recurrence
@@ -180,6 +190,27 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     budget), or whose incumbent is 0 from the start (betti1 = 0: the
     bound prunes every node), never computes the orbit.
 
+    Clique bound: when ``betti1`` is 1, and before the deadline, the
+    search first lists the 3-cliques a < b < c of the 1-skeleton
+    (``_rank_1_clique``).  If one spans no triangle of K and its vertex
+    set has image rank 1, the search returns at once: best value 1, the
+    constant labeling, complete, ``labelings_visited`` 1, without the
+    orbit.  Proof and sameness:
+    - Pairwise adjacent vertices have labels in {l, l + 1} for some l,
+      so every labeling puts the clique inside one interior slab, whose
+      component holding it has image rank at least 1 by monotonicity.
+      No labeling is narrower than the constant one, whose value is 1.
+    - Without the bound, the node that labels the clique's last vertex
+      grows a forced set holding all three, of cycle rank and image
+      rank at least 1, the incumbent, so every path to a leaf is pruned
+      and only the constant labeling is counted: the same output.
+    - Only 3-cliques are listed: they are the smallest vertex sets that
+      every labeling keeps in one slab and that hold a cycle, and they
+      are found from the edges and their common neighbours, with no
+      cost per vertex.  Their full subcomplex is a 3-cycle or a filled
+      triangle, of image rank at most 1, so the bound can end a proof
+      only at incumbent 1; at 0 there is nothing to refute.
+
     Returns exhaustive = False (best so far is only an upper bound) when
     the time budget runs out first; a budget of 0 runs out before the
     first label, whatever the clock's resolution, and returns the
@@ -191,8 +222,15 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     require_budget(time_budget)
     require_connected(K, "search")
     calc = H1Calculator(K, F)
-    ranks = _Memo(calc.image_rank_of_vertices)
     n = K.vertex_count
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    if (calc.betti1 == 1 and (deadline is None or time.monotonic() < deadline)
+            and _rank_1_clique(K, calc)):
+        # every labeling has width >= 1 = betti1: the constant one is minimal
+        return SearchResult(best_value=1,
+                            certificate=MorseLabeling((0,) * n),
+                            exhaustive=True, labelings_visited=1)
+    ranks = _Memo(calc.image_rank_of_vertices)
     adjacency = K.adjacency
     bit = [1 << v for v in range(n)]
     seen = [None] * n  # per vertex, the stamp of the walk that last met it
@@ -212,7 +250,6 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     lo = [0] * n
     hi = [math.inf] * n  # no labeled neighbor yet: unbounded above
     orbit = None  # vertex 0's orbit but 0, once the root takes label 1
-    deadline = None if time_budget is None else time.monotonic() + time_budget
 
     def forced(v, a):
         """Whether v's partial component in slab ``a`` has image rank at
@@ -292,6 +329,18 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
                         certificate=MorseLabeling(best[1]),
                         exhaustive=completed,
                         labelings_visited=visited)
+
+
+def _rank_1_clique(K: SimplicialComplex, calc: H1Calculator) -> bool:
+    """Whether three pairwise adjacent vertices a < b < c of K span no
+    triangle of K and their full subcomplex, a 3-cycle, has image rank
+    1.  The cliques are listed from ``K.edges`` and ``K.adjacency``, so
+    the work follows the edges and their common neighbours, not n."""
+    adjacency = K.adjacency
+    filled = {t for s in K.maximal for t in combinations(s, 3)}
+    return any(calc.image_rank_of_vertices(1 << a | 1 << b | 1 << c)
+               for a, b in K.edges for c in adjacency[a] & adjacency[b]
+               if c > b and (a, b, c) not in filled)
 
 
 def _derive_seed(seed: int, restart: int) -> int:

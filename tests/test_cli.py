@@ -1,4 +1,5 @@
 """End-to-end CLI runs through main(argv); exit codes 0/1/2."""
+import io
 import json
 import os
 import re
@@ -749,6 +750,53 @@ def test_usage_error_returns_2(capsys, argv, culprit):
     assert stdout == ""
     assert stderr.startswith("error: hcwr") and culprit in stderr
     assert stderr.count("\n") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises, as one to a
+    closed pipe does; ``fileno`` is a real descriptor, for the redirect."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_exits_1_without_an_error_line(tmp_path, capsys,
+                                                       monkeypatch):
+    # a reader that stops early (`hcwr ... | head`) is not bad input
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main(["generate", "circle", "--m", "4"]) == 1
+        # stdout now writes to devnull, so the flush at exit cannot fail
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_exits_1_in_a_fresh_process():
+    # the reader is gone before the first write, so the write or the
+    # flush meets the closed pipe every time, and nothing reaches stderr,
+    # not even at interpreter exit
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(hcwr.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from hcwr.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "generate", "circle", "--m", "4"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 @pytest.mark.parametrize("argv, command, extras", [

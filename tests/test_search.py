@@ -15,7 +15,7 @@ from hcwr.generators import parse_relator
 from hcwr.morse import MorseLabeling, slab_profile, slab_state
 from hcwr.search import _derive_seed
 
-from conftest import (members, moore_space, relabelled, rooted_at,
+from conftest import (mask_of, members, moore_space, relabelled, rooted_at,
                       small_complexes)
 
 Q = FieldSpec.rationals()
@@ -348,18 +348,25 @@ def _ranked_masks(monkeypatch, K, F):
     return exhaustive_min(K, F), masks
 
 
-@pytest.mark.parametrize("root, count", [(3, 17), (0, 4), (12, 50)],
+@pytest.mark.parametrize("root, loop", [(3, (1, 2, 3)), (0, (0, 1, 2)),
+                                        (12, (1, 2, 12))],
                          ids=["ring", "wedge", "cone"])
 def test_moore_space_ranks_only_masks_that_can_prune(monkeypatch, root,
-                                                      count):
-    # <a|a^3> over F3 has betti1 1, the first incumbent, and no labeling
-    # narrower: the search ranks more masks for the same result when it
-    # walks the subtrees with no label 0 left (ring 23 masks) or ranks
-    # the forced components of cycle rank 0 (ring 26, wedge 8, cone 70)
+                                                      loop):
+    # <a|a^3> over F3 has betti1 1, the first incumbent, and its generator
+    # loop is a hollow 3-cycle of image rank 1, which every labeling puts
+    # in one slab: that one mask ends the proof before the enumeration,
+    # which ranked 17 / 4 / 50 masks for the same result
     res, masks = _ranked_masks(monkeypatch, rooted_at(moore_space(), root),
                                F3)
     assert (res.best_value, res.labelings_visited) == (1, 1)
-    assert len(masks) == count
+    assert masks == {mask_of(loop)}
+
+
+def test_hollow_triangle_ranks_only_its_vertex_mask(monkeypatch):
+    res, masks = _ranked_masks(monkeypatch, generate_circle(3), Q)
+    assert (res.best_value, res.labelings_visited) == (1, 1)
+    assert masks == {0b111}
 
 
 @pytest.mark.parametrize("m", [12, 3000])
@@ -378,6 +385,67 @@ def test_circle_ranks_only_its_full_vertex_mask(monkeypatch, m):
 def test_root_orbit_leaves_random_results_unchanged(K, F):
     with_orbit, without = _with_and_without_root_orbit(K, F)
     assert with_orbit == without
+
+
+def _with_and_without_clique_bound(K, F):
+    """``exhaustive_min(K, F)`` as JSON, and the same with
+    ``_rank_1_clique`` reporting no clique, which runs the enumeration."""
+    res = exhaustive_min(K, F).to_json()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_rank_1_clique", lambda K, calc: False)
+        return res, exhaustive_min(K, F).to_json()
+
+
+MOORE_ROOTS = {"ring": 3, "wedge": 0, "cone": 12}
+
+
+@pytest.mark.parametrize(
+    "K, F", [(K, Q) for K in SMALL_CASES]
+    + [(rooted_at(moore_space(), r), F3) for r in MOORE_ROOTS.values()],
+    ids=[f"small {i}" for i in range(len(SMALL_CASES))]
+    + [f"<a|a^3> {name}" for name in MOORE_ROOTS])
+def test_clique_bound_leaves_the_result_unchanged(K, F):
+    # with the incumbent at the bound, the enumeration prunes every node
+    # whose forced set holds the clique, so it evaluates no leaf either
+    with_bound, without = _with_and_without_clique_bound(K, F)
+    assert with_bound == without
+
+
+@given(small_complexes(max_vertices=8, connected=True, min_vertices=2),
+       st.sampled_from([Q, F2, F3]))
+@settings(max_examples=100)
+def test_clique_bound_leaves_random_results_unchanged(K, F):
+    with_bound, without = _with_and_without_clique_bound(K, F)
+    assert with_bound == without
+
+
+def test_a_clique_that_bounds_a_disk_does_not_end_the_search():
+    # the hollow triangle (0, 1, 2) is coned off by vertex 3, so its image
+    # rank is 0; the one cycle of H1 is the square 0-4-5-6, which has no
+    # 3-clique, so the enumeration runs and finds width 0 below betti1 1
+    K = build_complex([(0, 1, 3), (1, 2, 3), (0, 2, 3),
+                       (0, 4), (4, 5), (5, 6), (0, 6)], 7)
+    assert betti1(K, Q) == 1
+    assert not search._rank_1_clique(K, H1Calculator(K, Q))
+    res = exhaustive_min(K, Q)
+    assert res.exhaustive and res.best_value == brute_force_min(K, Q) == 0
+    assert hcwr_value(K, res.certificate, Q).max_rank == 0
+
+
+def test_clique_bound_waits_for_the_budget():
+    # a budget of 0 runs out before the bound, which ends no search then
+    res = exhaustive_min(moore_space(), F3, time_budget=0)
+    assert (res.best_value, res.exhaustive, res.labelings_visited) == \
+        (1, False, 1)
+
+
+def test_clique_bound_ends_the_search_before_the_root_orbit(monkeypatch):
+    def no_orbit(K, deadline):
+        raise AssertionError("root_orbit called")
+
+    monkeypatch.setattr(search, "root_orbit", no_orbit)
+    res = exhaustive_min(moore_space(), F3)
+    assert (res.best_value, res.exhaustive) == (1, True)
 
 
 class Lcg:
