@@ -355,8 +355,7 @@ def test_moore_space_ranks_only_masks_that_can_prune(monkeypatch, root,
                                                       loop):
     # <a|a^3> over F3 has betti1 1, the first incumbent, and its generator
     # loop is a hollow 3-cycle of image rank 1, which every labeling puts
-    # in one slab: that one mask ends the proof before the enumeration,
-    # which ranked 17 / 4 / 50 masks for the same result
+    # in one slab: that one mask ends the proof before the enumeration
     res, masks = _ranked_masks(monkeypatch, rooted_at(moore_space(), root),
                                F3)
     assert (res.best_value, res.labelings_visited) == (1, 1)
