@@ -111,19 +111,20 @@ class FieldSpec:
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         """Accepts ``Q``, ``F<p>`` or ``Fp:<p>``, p in ASCII digits (``int``
-        would also read "3_1" as 31).  A p with more significant digits
-        than ``_PRIME_LIMIT`` is refused before ``int`` reads it, since
-        ``int`` and ``str`` refuse numbers of over 4300 digits."""
+        would also read "3_1" as 31).  Leading zeros are dropped, and a p
+        with more digits than ``_PRIME_LIMIT`` is refused before ``int``
+        reads it, since ``int`` and ``str`` refuse numbers of over 4300
+        digits."""
         t = text.strip()
         if t in ("Q", "q"):
             return cls.rationals()
         if t[:1] in ("F", "f"):
             digits = t[3:] if t.startswith("Fp:") else t[1:]
             if digits.isascii() and digits.isdigit():
-                size = len(digits.lstrip("0"))
-                if size > len(str(_PRIME_LIMIT)):
-                    raise ValueError(f"field size of {size} digits is not "
-                                     f"below the limit of {_PRIME_LIMIT}")
+                digits = digits.lstrip("0") or "0"
+                if len(digits) > len(str(_PRIME_LIMIT)):
+                    raise ValueError(f"field size of {len(digits)} digits is "
+                                     f"not below the limit of {_PRIME_LIMIT}")
                 return cls.prime(int(digits))
         raise ValueError(f"cannot parse field {text!r}")
 

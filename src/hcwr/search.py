@@ -43,6 +43,19 @@ is a minimizer.  The search without the bound would prune every node
 whose forced set takes in the three and evaluate no leaf, so its
 output is the same.
 
+When ``betti1`` is 2 or more, the bound is the closed stars: the full
+subcomplexes N[v] on a vertex v and its neighbours.  Every labeling f
+puts N[u] in one interior slab for a vertex u of label min f, since
+u's neighbours carry min f or min f + 1; N[u] is connected, so its
+slab component holds it, and every labeling has width at least
+min_v rank(N[v]).  When every star has image rank ``betti1``, the
+constant labeling is a minimizer.  The search without the bound
+prunes the node that gives any vertex u label 0: its forced set holds
+N[u], of rank ``betti1``, at least the incumbent.  Every evaluated
+leaf has min 0, so none is evaluated and the output is the same.  On
+the coarse tori torus(2,3) and torus(3,3) every star wraps around the
+torus, and the proof ends there, before ``root_orbit``.
+
 Both searches are deterministic: the enumeration visits labelings in a
 fixed breadth-first/lexicographic order and annealing draws from the
 64-bit linear congruential recurrence
@@ -211,6 +224,34 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
       triangle, of image rank at most 1, so the bound can end a proof
       only at incumbent 1; at 0 there is nothing to refute.
 
+    Star bound: when ``betti1`` is 2 or more, and before the deadline,
+    the search ranks the closed star N[v] of v = 0, 1, ..., n - 1, the
+    full subcomplex on v and its neighbours, and stops at the first of
+    rank below ``betti1`` (``_stars_carry_h1``).  If there is none, it
+    returns at once: best value ``betti1``, the constant labeling,
+    complete, ``labelings_visited`` 1, without the orbit.  Proof and
+    sameness:
+    - Let u be a vertex of label min f in a labeling f.  Its neighbours
+      have labels min f or min f + 1, so N[u] lies in the interior slab
+      min f.  N[u] is connected, so one slab component holds it, of
+      image rank at least rank(N[u]) = ``betti1`` by monotonicity.  No
+      labeling is narrower than the constant one, whose value is
+      ``betti1``.
+    - Without the bound, the node that gives a vertex u label 0 narrows
+      every neighbour's window to within [0, 1], so the forced set it
+      grows in slab 0 holds N[u]; its cycle rank and image rank are at
+      least ``betti1``, which is at least the incumbent, and the node is
+      pruned.  Every evaluated leaf has min 0, so none is evaluated: the
+      same output.
+    - The ranks go through the search's memo, and star 0 is exactly the
+      forced set of root label 0.  So a bound that fails at vertex 0, on
+      a star whose cycle rank reaches ``betti1`` (as on every torus),
+      asks for no rank the enumeration would not.  At ``betti1`` 1 the
+      clique bound stays: every cycle of N[v] is a sum of 3-cycles
+      v, x, y over the edges xy between neighbours, so a star of rank 1
+      holds a hollow 3-clique of rank 1, and listing the cliques
+      measured faster there than ranking the stars.
+
     Returns exhaustive = False (best so far is only an upper bound) when
     the time budget runs out first; a budget of 0 runs out before the
     first label, whatever the clock's resolution, and returns the
@@ -231,6 +272,12 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
                             certificate=MorseLabeling((0,) * n),
                             exhaustive=True, labelings_visited=1)
     ranks = _Memo(calc.image_rank_of_vertices)
+    if (calc.betti1 >= 2 and (deadline is None or time.monotonic() < deadline)
+            and _stars_carry_h1(K, ranks, calc.betti1)):
+        # every labeling has width >= betti1 >= 2: the constant one is minimal
+        return SearchResult(best_value=calc.betti1,
+                            certificate=MorseLabeling((0,) * n),
+                            exhaustive=True, labelings_visited=1)
     adjacency = K.adjacency
     bit = [1 << v for v in range(n)]
     seen = [None] * n  # per vertex, the stamp of the walk that last met it
@@ -341,6 +388,16 @@ def _rank_1_clique(K: SimplicialComplex, calc: H1Calculator) -> bool:
     return any(calc.image_rank_of_vertices(1 << a | 1 << b | 1 << c)
                for a, b in K.edges for c in adjacency[a] & adjacency[b]
                if c > b and (a, b, c) not in filled)
+
+
+def _stars_carry_h1(K: SimplicialComplex, ranks: _Memo,
+                    betti1: int) -> bool:
+    """Whether the closed star of every vertex v, v and its neighbours,
+    has image rank ``betti1`` in ``ranks``; stops at the first that falls
+    short.  Star 0 is the root's forced set at label 0, so a search that
+    goes on to the enumeration finds its rank in the memo."""
+    return all(ranks[near | 1 << v] >= betti1
+               for v, near in enumerate(K.neighbours))
 
 
 def _derive_seed(seed: int, restart: int) -> int:

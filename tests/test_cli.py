@@ -248,6 +248,21 @@ def test_analyze_field_of_5000_digits_exit_2(tmp_path, capsys):
                       "limit of 3317044064679887385961981\n")
 
 
+def test_analyze_field_with_5000_leading_zeros(tmp_path, capsys):
+    # only the significant digits are read, so int() sees "3", and all
+    # zeros read as 0
+    out = tmp_path / "c3.scx"
+    run(capsys, "generate", "circle", "--m", "3", "--out", str(out))
+    code, stdout, stderr = run(capsys, "analyze", str(out), "--labels",
+                               "constant", "--field", "F" + "0" * 5000 + "3")
+    assert code == 0 and stderr == ""
+    assert json.loads(stdout)["field"] == "Fp:3"
+    code, stdout, stderr = run(capsys, "analyze", str(out), "--labels",
+                               "constant", "--field", "F" + "0" * 5000)
+    assert code == 2 and stdout == ""
+    assert stderr == "error: 0 is not prime\n"
+
+
 @pytest.mark.parametrize("field", ["F", "Fp:", "Fx", "F3.0"])
 def test_analyze_mistyped_field_names_the_field(tmp_path, capsys, field):
     out = tmp_path / "c5.scx"

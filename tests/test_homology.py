@@ -36,6 +36,10 @@ class TestFieldSpec:
         assert FieldSpec.parse("Q") == Q
         assert FieldSpec.parse("F3") == F3
         assert FieldSpec.parse("Fp:5") == FieldSpec.prime(5)
+        # leading zeros are not digits that int() must read
+        assert FieldSpec.parse("F" + "0" * 5000 + "3") == F3
+        with pytest.raises(ValueError, match="^0 is not prime$"):
+            FieldSpec.parse("Fp:" + "0" * 5000)
         assert F3.label == "Fp:3"
         assert Q.label == "Q"
 

@@ -11,7 +11,7 @@ from hcwr import (AnnealParams, FieldSpec, H1Calculator, anneal_min, betti1,
                   generate_circle, generate_torus, hcwr_value,
                   presentation_complex, product_complex, validate_labeling)
 from hcwr import search
-from hcwr.generators import parse_relator
+from hcwr.generators import parse_relator, wedge
 from hcwr.morse import MorseLabeling, slab_profile, slab_state
 from hcwr.search import _derive_seed
 
@@ -200,8 +200,11 @@ def test_budget_expiry_is_not_an_error():
 
 
 def test_budget_expiry_falls_back_to_the_constant_labeling():
+    # a budget of 0 runs out before the star bound, which would prove
+    # this torus's minimum betti1 at once
     K = generate_torus(2, 3)
     res = exhaustive_min(K, Q, time_budget=0)
+    assert not res.exhaustive
     assert res.best_value == betti1(K, Q) == 2
     assert res.certificate.labels == (0,) * 9
     # the constant labeling counts as visited: its value is betti1
@@ -264,12 +267,22 @@ def test_single_vertex_complex():
     assert res.best_value == 0 and res.exhaustive
 
 
-def _with_and_without_root_orbit(K, F):
-    """``exhaustive_min(K, F)`` as JSON, and the same with ``root_orbit``
-    reporting vertex 0 alone, which enumerates every root label."""
+# the search's seams, each stubbed out: ``root_orbit`` reporting vertex 0
+# alone, which enumerates every root label, and each lower bound
+# reporting none, which runs the enumeration
+SEAMS_OFF = {
+    "root_orbit": lambda K, deadline: 1,
+    "_rank_1_clique": lambda K, calc: False,
+    "_stars_carry_h1": lambda K, ranks, betti1: False,
+}
+
+
+def _with_and_without(seam, K, F):
+    """``exhaustive_min(K, F)`` as JSON, and the same with the search's
+    ``seam`` stubbed out as in ``SEAMS_OFF``."""
     res = exhaustive_min(K, F).to_json()
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(search, "root_orbit", lambda K, deadline: 1)
+        m.setattr(search, seam, SEAMS_OFF[seam])
         return res, exhaustive_min(K, F).to_json()
 
 
@@ -296,7 +309,7 @@ ORBIT_CASES = [
 def test_root_orbit_leaves_the_result_unchanged(make, F):
     # every skipped labeling is the image of a root label 0 leaf, so the
     # evaluated leaves, the certificate and the visit count stay the same
-    with_orbit, without = _with_and_without_root_orbit(make(), F)
+    with_orbit, without = _with_and_without("root_orbit", make(), F)
     assert with_orbit == without
 
 
@@ -382,17 +395,8 @@ def test_circle_ranks_only_its_full_vertex_mask(monkeypatch, m):
        st.sampled_from([Q, F2, F3]))
 @settings(max_examples=100)
 def test_root_orbit_leaves_random_results_unchanged(K, F):
-    with_orbit, without = _with_and_without_root_orbit(K, F)
+    with_orbit, without = _with_and_without("root_orbit", K, F)
     assert with_orbit == without
-
-
-def _with_and_without_clique_bound(K, F):
-    """``exhaustive_min(K, F)`` as JSON, and the same with
-    ``_rank_1_clique`` reporting no clique, which runs the enumeration."""
-    res = exhaustive_min(K, F).to_json()
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(search, "_rank_1_clique", lambda K, calc: False)
-        return res, exhaustive_min(K, F).to_json()
 
 
 MOORE_ROOTS = {"ring": 3, "wedge": 0, "cone": 12}
@@ -406,7 +410,7 @@ MOORE_ROOTS = {"ring": 3, "wedge": 0, "cone": 12}
 def test_clique_bound_leaves_the_result_unchanged(K, F):
     # with the incumbent at the bound, the enumeration prunes every node
     # whose forced set holds the clique, so it evaluates no leaf either
-    with_bound, without = _with_and_without_clique_bound(K, F)
+    with_bound, without = _with_and_without("_rank_1_clique", K, F)
     assert with_bound == without
 
 
@@ -414,7 +418,7 @@ def test_clique_bound_leaves_the_result_unchanged(K, F):
        st.sampled_from([Q, F2, F3]))
 @settings(max_examples=100)
 def test_clique_bound_leaves_random_results_unchanged(K, F):
-    with_bound, without = _with_and_without_clique_bound(K, F)
+    with_bound, without = _with_and_without("_rank_1_clique", K, F)
     assert with_bound == without
 
 
@@ -445,6 +449,69 @@ def test_clique_bound_ends_the_search_before_the_root_orbit(monkeypatch):
     monkeypatch.setattr(search, "root_orbit", no_orbit)
     res = exhaustive_min(moore_space(), F3)
     assert (res.best_value, res.exhaustive) == (1, True)
+
+
+def _torus_wedge():
+    """Two torus(2,3)s joined at vertex 0: betti1 4, and every star but
+    the wedge vertex's carries only its own torus's rank 2, so the star
+    bound stops at vertex 1 and the enumeration finds width 2."""
+    return wedge(generate_torus(2, 3), 0, generate_torus(2, 3), 0)
+
+
+STAR_CASES = (
+    [(f"small {i}", lambda K=K: K, Q) for i, K in enumerate(SMALL_CASES)]
+    + [(f"relabelled {name}", lambda make=make: relabelled(make(), 1), Q)
+       for name, make in [
+           ("torus(2,3)", lambda: generate_torus(2, 3)),
+           ("torus(3,3)", lambda: generate_torus(3, 3)),
+           ("circle(3)xcircle(3)", lambda: product_complex(
+               generate_circle(3), generate_circle(3)))]]
+    + [("torus(2,3) v torus(2,3)", _torus_wedge, Q)])
+
+
+@pytest.mark.parametrize("make, F", [c[1:] for c in STAR_CASES],
+                         ids=[c[0] for c in STAR_CASES])
+def test_star_bound_leaves_the_result_unchanged(make, F):
+    # the node that gives a vertex label 0 grows a forced set holding its
+    # closed star, so with every star at betti1 no leaf is evaluated
+    with_bound, without = _with_and_without("_stars_carry_h1", make(), F)
+    assert with_bound == without
+
+
+@given(small_complexes(max_vertices=8, connected=True, min_vertices=2),
+       st.sampled_from([Q, F2, F3]))
+@settings(max_examples=100)
+def test_star_bound_leaves_random_results_unchanged(K, F):
+    with_bound, without = _with_and_without("_stars_carry_h1", K, F)
+    assert with_bound == without
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+def test_star_bound_ends_torus_proofs_before_the_root_orbit(monkeypatch,
+                                                            shape):
+    # every closed star of these coarse tori holds all of H1
+    def no_orbit(K, deadline):
+        raise AssertionError("root_orbit called")
+
+    monkeypatch.setattr(search, "root_orbit", no_orbit)
+    K = relabelled(generate_torus(*shape), 1)
+    res = exhaustive_min(K, Q)
+    assert (res.best_value, res.exhaustive, res.labelings_visited) == \
+        (betti1(K, Q), True, 1)
+    assert res.certificate.labels == (0,) * K.vertex_count
+
+
+def test_a_failed_star_bound_ranks_no_extra_mask(monkeypatch):
+    # star 0 of torus(2,4) falls short, and it is the root's label-0
+    # forced set, so the enumeration asks for the same masks either way
+    K = relabelled(generate_torus(2, 4), 1)
+    res, masks = _ranked_masks(monkeypatch, K, Q)
+    masks = frozenset(masks)  # the next recording wraps this one
+    monkeypatch.setattr(search, "_stars_carry_h1",
+                        SEAMS_OFF["_stars_carry_h1"])
+    res_without, masks_without = _ranked_masks(monkeypatch, K, Q)
+    assert res.to_json() == res_without.to_json()
+    assert masks == masks_without
 
 
 class Lcg:
