@@ -7,54 +7,18 @@ Both score a labeling with the one objective of ``morse``: (max rank,
 slabs.  Both start from the constant labeling, whose one slab is K and
 whose value is therefore ``betti1``.  Vertex sets are bitmasks, and
 each search keeps one bounded memo (``_Memo``, emptied at
-``CACHE_LIMIT`` keys): the enumeration of the image ranks of the forced
-components it bounds by, annealing of the slab states of its level
-bitmasks.  Annealing keeps the state of each slab and a count of slab
-maxima per rank across moves, so a step is a few integer operations on
-the three slabs a move touches.  A memo miss ranks the slab only when
-the moved vertex's link in it is disconnected; when it is connected,
-the slab's state is the one it had before the move (the link condition
-for simple points of digital topology; Kong and Rosenfeld, CVGIP 1989).
-The link test is ``complexes.components`` run on the link's neighbour
-masks, the kernel that finds slab components too.
+``CACHE_LIMIT`` keys).
 
-Under the root labels >= 1, the enumeration skips every labeling with
-label 0 at a vertex that an automorphism of K maps vertex 0 to
-(``complexes.root_orbit``): it is the image of a labeling with label 0
-at vertex 0, which root label 0 has already enumerated.  This is
-symmetry breaking by orbit representatives (Crawford, Ginsberg, Luks
-and Roy, KR 1996); it makes the tree smaller and changes no result.
-Two more prunes leave every output as it was.  Under those root labels
-a node whose windows all lie above 0 is skipped: no leaf below it has
-min 0, so the leaf filter would have evaluated none of them (forward
-checking of the constraint min f = 0; Haralick and Elliott, AI 1980).
-And a forced component is ranked only when the cycle rank E - V + 1 of
-its 1-skeleton, which bounds its image rank, reaches the incumbent:
-below it the rank cannot either, so every bound comparison, and with
-it the tree, is the same node for node.
-
-When ``betti1`` is 1, the enumeration first looks for a lower bound
-that ends the proof before the tree: three pairwise adjacent vertices
-that span no triangle of K and whose 3-cycle has image rank 1.  Labels
-of adjacent vertices differ by at most 1, so every labeling puts the
-three in one interior slab, and image rank is monotone under vertex
-inclusion, so every labeling has width at least 1 and the constant one
-is a minimizer.  The search without the bound would prune every node
-whose forced set takes in the three and evaluate no leaf, so its
-output is the same.
-
-When ``betti1`` is 2 or more, the bound is the closed stars: the full
-subcomplexes N[v] on a vertex v and its neighbours.  Every labeling f
-puts N[u] in one interior slab for a vertex u of label min f, since
-u's neighbours carry min f or min f + 1; N[u] is connected, so its
-slab component holds it, and every labeling has width at least
-min_v rank(N[v]).  When every star has image rank ``betti1``, the
-constant labeling is a minimizer.  The search without the bound
-prunes the node that gives any vertex u label 0: its forced set holds
-N[u], of rank ``betti1``, at least the incumbent.  Every evaluated
-leaf has min 0, so none is evaluated and the output is the same.  On
-the coarse tori torus(2,3) and torus(3,3) every star wraps around the
-torus, and the proof ends there, before ``root_orbit``.
+``exhaustive_min`` proves a minimum.  It first tries a lower bound that
+shows the constant labeling minimal, then enumerates the labelings,
+pruned by the image ranks of the vertex sets that every completion keeps
+in one slab (memoized), by vertex 0's orbit under the automorphisms of
+K and by the constraint min f = 0.  Its docstring proves that none of
+these changes an output.  ``anneal_min`` finds an upper bound by
+single-vertex +-1 moves.  It keeps the state of each slab, memoized by
+vertex mask, so a step updates the three slabs a move touches, and it
+ranks such a slab only when the moved vertex's link in it is
+disconnected; its docstring proves that rule.
 
 Both searches are deterministic: the enumeration visits labelings in a
 fixed breadth-first/lexicographic order and annealing draws from the
@@ -168,11 +132,12 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     passed the bound, so only a smaller value replaces it.
 
     Under a root label >= 1, a node at which every window lies above 0
-    is skipped: windows only narrow, so none of its leaves has min 0.
-    The search without this skip walks those subtrees and evaluates none
-    of their leaves, so every leaf that reaches evaluation has min 0,
-    and the evaluated leaves, the certificate and ``labelings_visited``
-    are the same either way.
+    is skipped: windows only narrow, so none of its leaves has min 0
+    (forward checking of the constraint min f = 0; Haralick and Elliott,
+    AI 1980).  The search without this skip walks those subtrees and
+    evaluates none of their leaves, so every leaf that reaches
+    evaluation has min 0, and the evaluated leaves, the certificate and
+    ``labelings_visited`` are the same either way.
 
     The certificate is the first minimizer in this visiting order (not
     necessarily the lexicographically smallest one), and
@@ -184,7 +149,9 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     verifies.  If that is every vertex the search ends there, complete;
     otherwise, under every root label >= 1, the window of each other
     orbit vertex starts at 1.  This skips only labelings whose value the
-    root label 0 subtree has already matched, and changes no output:
+    root label 0 subtree has already matched (symmetry breaking by orbit
+    representatives; Crawford, Ginsberg, Luks and Roy, KR 1996), and
+    changes no output:
     - A skipped labeling f has f(u) = 0 at an orbit vertex u, so with
       an automorphism s, s(0) = u, f o s is a root label 0 leaf of the
       same value.
@@ -203,54 +170,41 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     budget), or whose incumbent is 0 from the start (betti1 = 0: the
     bound prunes every node), never computes the orbit.
 
-    Clique bound: when ``betti1`` is 1, and before the deadline, the
-    search first lists the 3-cliques a < b < c of the 1-skeleton
-    (``_rank_1_clique``).  If one spans no triangle of K and its vertex
-    set has image rank 1, the search returns at once: best value 1, the
-    constant labeling, complete, ``labelings_visited`` 1, without the
-    orbit.  Proof and sameness:
-    - Pairwise adjacent vertices have labels in {l, l + 1} for some l,
-      so every labeling puts the clique inside one interior slab, whose
-      component holding it has image rank at least 1 by monotonicity.
-      No labeling is narrower than the constant one, whose value is 1.
-    - Without the bound, the node that labels the clique's last vertex
-      grows a forced set holding all three, of cycle rank and image
-      rank at least 1, the incumbent, so every path to a leaf is pruned
-      and only the constant labeling is counted: the same output.
-    - Only 3-cliques are listed: they are the smallest vertex sets that
-      every labeling keeps in one slab and that hold a cycle, and they
-      are found from the edges and their common neighbours, with no
-      cost per vertex.  Their full subcomplex is a 3-cycle or a filled
-      triangle, of image rank at most 1, so the bound can end a proof
-      only at incumbent 1; at 0 there is nothing to refute.
-
-    Star bound: when ``betti1`` is 2 or more, and before the deadline,
-    the search ranks the closed star N[v] of v = 0, 1, ..., n - 1, the
-    full subcomplex on v and its neighbours, and stops at the first of
-    rank below ``betti1`` (``_stars_carry_h1``).  If there is none, it
-    returns at once: best value ``betti1``, the constant labeling,
-    complete, ``labelings_visited`` 1, without the orbit.  Proof and
-    sameness:
-    - Let u be a vertex of label min f in a labeling f.  Its neighbours
-      have labels min f or min f + 1, so N[u] lies in the interior slab
-      min f.  N[u] is connected, so one slab component holds it, of
-      image rank at least rank(N[u]) = ``betti1`` by monotonicity.  No
-      labeling is narrower than the constant one, whose value is
-      ``betti1``.
-    - Without the bound, the node that gives a vertex u label 0 narrows
-      every neighbour's window to within [0, 1], so the forced set it
-      grows in slab 0 holds N[u]; its cycle rank and image rank are at
-      least ``betti1``, which is at least the incumbent, and the node is
-      pruned.  Every evaluated leaf has min 0, so none is evaluated: the
-      same output.
-    - The ranks go through the search's memo, and star 0 is exactly the
-      forced set of root label 0.  So a bound that fails at vertex 0, on
-      a star whose cycle rank reaches ``betti1`` (as on every torus),
-      asks for no rank the enumeration would not.  At ``betti1`` 1 the
-      clique bound stays: every cycle of N[v] is a sum of 3-cycles
-      v, x, y over the edges xy between neighbours, so a star of rank 1
-      holds a hollow 3-clique of rank 1, and listing the cliques
-      measured faster there than ranking the stars.
+    Lower bound: before the deadline, and before the memo and the orbit,
+    ``_constant_is_minimal`` looks for a vertex set whose image rank
+    shows that no labeling is narrower than the constant one.  If it
+    finds one, the search returns at once: best value ``betti1``, the
+    constant labeling, complete, ``labelings_visited`` 1.  Every labeling
+    f keeps two kinds of connected vertex set inside one interior slab:
+    every 3-clique, since labels of adjacent vertices differ by at most
+    1, and the closed star N[u], u and its neighbours, of a vertex u of
+    label min f, since its neighbours carry min f or min f + 1.  The slab
+    component holding such a set has image rank at least the set's, by
+    monotonicity, and so has the width of f.
+    - At ``betti1`` 1 the bound lists the 3-cliques a < b < c of the
+      1-skeleton and looks for one that spans no triangle of K and has
+      image rank 1.  This decides the stars too: every cycle of N[v] is
+      a sum of the 3-cycles v, x, y over the edges xy between
+      neighbours, so a star of rank >= 1 holds a hollow 3-clique of rank
+      1.  The cliques are found from the edges and their common
+      neighbours, with no cost per vertex, and measured faster than
+      ranking the stars.
+    - At ``betti1`` >= 2 a 3-clique's full subcomplex, a 3-cycle or a
+      filled triangle, has image rank at most 1 and cannot reach
+      ``betti1``.  The bound ranks the closed stars N[0], N[1], ... and
+      stops at the first of rank below ``betti1``; when there is none,
+      every labeling has width at least ``betti1``.
+    - At ``betti1`` 0 there is nothing to refute, and the enumeration
+      runs: its incumbent 0 prunes every node.
+    Sameness: without the bound, the node that labels the clique's last
+    vertex grows a forced set holding all three, and the node that gives
+    a vertex u label 0 narrows every neighbour's window to within
+    [0, 1], so the forced set it grows in slab 0 holds N[u].  Either
+    set's cycle rank and image rank reach ``betti1``, the incumbent, so
+    that node is pruned.  Every path to a leaf labels the clique, and
+    every evaluated leaf gives some vertex label 0, so no leaf is
+    evaluated and only the constant labeling is counted: the same
+    output.
 
     Returns exhaustive = False (best so far is only an upper bound) when
     the time budget runs out first; a budget of 0 runs out before the
@@ -265,19 +219,13 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     calc = H1Calculator(K, F)
     n = K.vertex_count
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    if (calc.betti1 == 1 and (deadline is None or time.monotonic() < deadline)
-            and _rank_1_clique(K, calc)):
-        # every labeling has width >= 1 = betti1: the constant one is minimal
-        return SearchResult(best_value=1,
-                            certificate=MorseLabeling((0,) * n),
-                            exhaustive=True, labelings_visited=1)
-    ranks = _Memo(calc.image_rank_of_vertices)
-    if (calc.betti1 >= 2 and (deadline is None or time.monotonic() < deadline)
-            and _stars_carry_h1(K, ranks, calc.betti1)):
-        # every labeling has width >= betti1 >= 2: the constant one is minimal
+    if ((deadline is None or time.monotonic() < deadline)
+            and _constant_is_minimal(K, calc)):
+        # every labeling has width >= betti1: the constant one is minimal
         return SearchResult(best_value=calc.betti1,
                             certificate=MorseLabeling((0,) * n),
                             exhaustive=True, labelings_visited=1)
+    ranks = _Memo(calc.image_rank_of_vertices)
     adjacency = K.adjacency
     bit = [1 << v for v in range(n)]
     seen = [None] * n  # per vertex, the stamp of the walk that last met it
@@ -378,26 +326,23 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
                         labelings_visited=visited)
 
 
-def _rank_1_clique(K: SimplicialComplex, calc: H1Calculator) -> bool:
-    """Whether three pairwise adjacent vertices a < b < c of K span no
-    triangle of K and their full subcomplex, a 3-cycle, has image rank
-    1.  The cliques are listed from ``K.edges`` and ``K.adjacency``, so
-    the work follows the edges and their common neighbours, not n."""
-    adjacency = K.adjacency
-    filled = {t for s in K.maximal for t in combinations(s, 3)}
-    return any(calc.image_rank_of_vertices(1 << a | 1 << b | 1 << c)
-               for a, b in K.edges for c in adjacency[a] & adjacency[b]
-               if c > b and (a, b, c) not in filled)
-
-
-def _stars_carry_h1(K: SimplicialComplex, ranks: _Memo,
-                    betti1: int) -> bool:
-    """Whether the closed star of every vertex v, v and its neighbours,
-    has image rank ``betti1`` in ``ranks``; stops at the first that falls
-    short.  Star 0 is the root's forced set at label 0, so a search that
-    goes on to the enumeration finds its rank in the memo."""
-    return all(ranks[near | 1 << v] >= betti1
-               for v, near in enumerate(K.neighbours))
+def _constant_is_minimal(K: SimplicialComplex, calc: H1Calculator) -> bool:
+    """Whether a vertex set that every labeling keeps in one interior slab
+    has image rank ``calc.betti1`` >= 1 (the proof is ``exhaustive_min``'s):
+    at betti1 1 three pairwise adjacent vertices a < b < c that span no
+    triangle of K, listed from ``K.edges`` and ``K.adjacency`` so the work
+    follows the edges and their common neighbours, not n; at betti1 >= 2
+    every closed star, v and its neighbours, stopping at the first that
+    falls short."""
+    betti1, rank = calc.betti1, calc.image_rank_of_vertices
+    if betti1 == 1:
+        adjacency = K.adjacency
+        filled = {t for s in K.maximal for t in combinations(s, 3)}
+        return any(rank(1 << a | 1 << b | 1 << c)
+                   for a, b in K.edges for c in adjacency[a] & adjacency[b]
+                   if c > b and (a, b, c) not in filled)
+    return betti1 >= 2 and all(rank(near | 1 << v) >= betti1
+                               for v, near in enumerate(K.neighbours))
 
 
 def _derive_seed(seed: int, restart: int) -> int:
@@ -479,7 +424,8 @@ def anneal_min(K: SimplicialComplex, F: FieldSpec,
     through v, x -> v -> y, differs from a path x -> ... -> y in N by
     boundaries of triangles at v, which are zero in H1(K; F) for every
     field and every set of relations; so no component and no image rank
-    changes.
+    changes (the link condition for simple points of digital topology;
+    Kong and Rosenfeld, CVGIP 1989).
 
     The certificate is the smallest (value, labels)
     that a restart reached, its constant start included.

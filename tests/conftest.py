@@ -35,6 +35,18 @@ def relabelled(K, seed):
                          K.vertex_count)
 
 
+def random_walk(K, labels, seed) -> tuple:
+    """``labels`` after 4n seeded single-vertex +-1 moves, each kept only
+    if it stays valid."""
+    rng, labels = random.Random(seed), list(labels)
+    for _ in range(4 * K.vertex_count):
+        v = rng.randrange(K.vertex_count)
+        new = labels[v] + rng.choice((-1, 1))
+        if all(abs(new - labels[w]) <= 1 for w in K.adjacency[v]):
+            labels[v] = new
+    return tuple(labels)
+
+
 def rooted_at(K, v):
     """``K`` with the ids of vertices 0 and ``v`` exchanged."""
     perm = list(range(K.vertex_count))

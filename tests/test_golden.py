@@ -5,40 +5,20 @@ a change to a kernel (vertex-set format, elimination step, spanning tree)
 that alters any reported integer, any component order or any certificate
 fails here.  The inputs are seeded and built only from public generators.
 """
-import random
-
 import pytest
 
-from hcwr import (FieldSpec, build_complex, constant_labeling,
-                  exhaustive_min, generate_circle, generate_torus, hcwr_value,
-                  maximal_simplices, presentation_complex, product_complex,
-                  pullback_labeling, tent_labeling)
+from hcwr import (FieldSpec, constant_labeling, exhaustive_min,
+                  generate_circle, generate_torus, hcwr_value,
+                  presentation_complex, product_complex, pullback_labeling,
+                  tent_labeling)
 from hcwr.generators import circle_tent_labeling, parse_relator
 from hcwr.morse import MorseLabeling
+
+from conftest import random_walk, relabelled
 
 Q = FieldSpec.rationals()
 F3 = FieldSpec.prime(3)
 FIELDS = {"Q": Q, "F3": F3}
-
-
-def _random_walk(K, seed):
-    """A labeling reached by 4n seeded single-vertex +-1 moves from the
-    constant labeling, each kept only if it stays valid."""
-    rng = random.Random(seed)
-    labels = [0] * K.vertex_count
-    for _ in range(4 * K.vertex_count):
-        v = rng.randrange(K.vertex_count)
-        new = labels[v] + rng.choice((-1, 1))
-        if all(abs(new - labels[w]) <= 1 for w in K.adjacency[v]):
-            labels[v] = new
-    return MorseLabeling(tuple(labels))
-
-
-def _relabelled(K, seed):
-    perm = list(range(K.vertex_count))
-    random.Random(seed).shuffle(perm)
-    return build_complex([[perm[v] for v in s] for s in maximal_simplices(K)],
-                         K.vertex_count)
 
 
 def _report_inputs():
@@ -46,7 +26,9 @@ def _report_inputs():
         K = generate_torus(k, n)
         yield f"torus({k},{n}) tent", K, tent_labeling(k, n)
         yield f"torus({k},{n}) constant", K, constant_labeling(K)
-        yield f"torus({k},{n}) walk", K, _random_walk(K, 10 * k + n)
+        yield (f"torus({k},{n}) walk", K,
+               MorseLabeling(random_walk(K, (0,) * K.vertex_count,
+                                         10 * k + n)))
     K = product_complex(generate_circle(4), generate_torus(2, 4))
     yield ("circle(4)xtorus(2,4) pullback", K,
            pullback_labeling(circle_tent_labeling(4), 16))
@@ -60,7 +42,7 @@ SEARCH_INPUTS = {
     "torus(2,3) Q": (lambda: generate_torus(2, 3), Q),
     "torus(2,4) Q": (lambda: generate_torus(2, 4), Q),
     "torus(3,4) Q": (lambda: generate_torus(3, 4), Q),
-    "relabelled torus(2,4) Q": (lambda: _relabelled(generate_torus(2, 4), 5),
+    "relabelled torus(2,4) Q": (lambda: relabelled(generate_torus(2, 4), 5),
                                 Q),
     "<a|a^3> F3": (lambda: presentation_complex(1, [parse_relator("aaa", 1)]),
                    F3),

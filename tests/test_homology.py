@@ -104,6 +104,15 @@ def test_rank_depends_on_field():
     assert echelon_rank([[1, 2], [2, 1]], F3) == 1
 
 
+def test_echelon_drops_zero_entries_over_q():
+    # the callers build vectors without zero entries; one from outside
+    # goes through ``FieldSpec.reduce``, which drops them
+    ech = Echelon(Q)
+    assert ech.add({0: 0, 1: 2})
+    assert ech.rows == {1: {1: 1}}
+    assert not ech.add({0: 0})
+
+
 @given(matrices, st.sampled_from([Q, F2, F3, F7]))
 def test_rank_matches_sympy(M, F):
     assert echelon_rank(M, F) == oracle_rank(M, F)

@@ -8,7 +8,6 @@ with modular inverses.  The image rank of a vertex set S is
 rank [d2 | fundamental cycles of S] - rank d2.  It is exact over F_p
 only, so Q stays on the sympy oracle of ``conftest``.
 """
-import random
 from collections import Counter
 from itertools import combinations
 
@@ -18,7 +17,7 @@ from hcwr import (FieldSpec, H1Calculator, generate_torus,
                   presentation_complex, tent_labeling)
 from hcwr.generators import parse_relator
 
-from conftest import mask_of
+from conftest import mask_of, random_walk
 
 P31 = 2 ** 31 - 1
 
@@ -108,18 +107,6 @@ class ModP:
         return per, self.rank([c for _, cycles in trees for c in cycles])
 
 
-def _walk(K, labels, seed):
-    """``labels`` after 4n seeded single-vertex +-1 moves, each kept only
-    if it stays valid."""
-    rng, labels = random.Random(seed), list(labels)
-    for _ in range(4 * K.vertex_count):
-        v = rng.randrange(K.vertex_count)
-        new = labels[v] + rng.choice((-1, 1))
-        if all(abs(new - labels[w]) <= 1 for w in K.adjacency[v]):
-            labels[v] = new
-    return labels
-
-
 def _slabs_and_levels(labels) -> list:
     """Vertex sets of the interior slabs and of the levels of a labeling
     (the one level of a constant labeling)."""
@@ -133,7 +120,7 @@ def _inputs(name):
     loops = []
     if name == "torus(3,5)":
         K, tent = generate_torus(3, 5), tent_labeling(3, 5).labels
-        walks = [tent, _walk(K, tent, 1), _walk(K, tent, 2)]
+        walks = [tent, random_walk(K, tent, 1), random_walk(K, tent, 2)]
     elif name == "torus(4,4)":
         K, walks = generate_torus(4, 4), [tent_labeling(4, 4).labels]
     else:
@@ -141,7 +128,8 @@ def _inputs(name):
         # of a ({0, 1, 2}) reads 0 in odd characteristic only through the
         # relation rows; b's loop is {0, 3, 4}
         K = presentation_complex(2, [parse_relator("abaB", 2)])
-        walks = [_walk(K, [0] * K.vertex_count, seed) for seed in range(3)]
+        walks = [random_walk(K, (0,) * K.vertex_count, seed)
+                 for seed in range(3)]
         loops = [{0, 1, 2}, {0, 3, 4}]
     return K, loops + [S for labels in walks
                        for S in _slabs_and_levels(labels)]

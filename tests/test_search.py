@@ -200,7 +200,7 @@ def test_budget_expiry_is_not_an_error():
 
 
 def test_budget_expiry_falls_back_to_the_constant_labeling():
-    # a budget of 0 runs out before the star bound, which would prove
+    # a budget of 0 runs out before the lower bound, which would prove
     # this torus's minimum betti1 at once
     K = generate_torus(2, 3)
     res = exhaustive_min(K, Q, time_budget=0)
@@ -268,12 +268,11 @@ def test_single_vertex_complex():
 
 
 # the search's seams, each stubbed out: ``root_orbit`` reporting vertex 0
-# alone, which enumerates every root label, and each lower bound
-# reporting none, which runs the enumeration
+# alone, which enumerates every root label, and the lower bound finding
+# nothing, which runs the enumeration
 SEAMS_OFF = {
     "root_orbit": lambda K, deadline: 1,
-    "_rank_1_clique": lambda K, calc: False,
-    "_stars_carry_h1": lambda K, ranks, betti1: False,
+    "_constant_is_minimal": lambda K, calc: False,
 }
 
 
@@ -408,17 +407,10 @@ MOORE_ROOTS = {"ring": 3, "wedge": 0, "cone": 12}
     ids=[f"small {i}" for i in range(len(SMALL_CASES))]
     + [f"<a|a^3> {name}" for name in MOORE_ROOTS])
 def test_clique_bound_leaves_the_result_unchanged(K, F):
-    # with the incumbent at the bound, the enumeration prunes every node
-    # whose forced set holds the clique, so it evaluates no leaf either
-    with_bound, without = _with_and_without("_rank_1_clique", K, F)
-    assert with_bound == without
-
-
-@given(small_complexes(max_vertices=8, connected=True, min_vertices=2),
-       st.sampled_from([Q, F2, F3]))
-@settings(max_examples=100)
-def test_clique_bound_leaves_random_results_unchanged(K, F):
-    with_bound, without = _with_and_without("_rank_1_clique", K, F)
+    # the bound's half at betti1 1: with the incumbent at the bound, the
+    # enumeration prunes every node whose forced set holds the clique,
+    # so it evaluates no leaf either
+    with_bound, without = _with_and_without("_constant_is_minimal", K, F)
     assert with_bound == without
 
 
@@ -429,7 +421,7 @@ def test_a_clique_that_bounds_a_disk_does_not_end_the_search():
     K = build_complex([(0, 1, 3), (1, 2, 3), (0, 2, 3),
                        (0, 4), (4, 5), (5, 6), (0, 6)], 7)
     assert betti1(K, Q) == 1
-    assert not search._rank_1_clique(K, H1Calculator(K, Q))
+    assert not search._constant_is_minimal(K, H1Calculator(K, Q))
     res = exhaustive_min(K, Q)
     assert res.exhaustive and res.best_value == brute_force_min(K, Q) == 0
     assert hcwr_value(K, res.certificate, Q).max_rank == 0
@@ -467,17 +459,18 @@ STAR_CASES = {
 
 @pytest.mark.parametrize("K", STAR_CASES.values(), ids=list(STAR_CASES))
 def test_star_bound_leaves_the_result_unchanged(K):
-    # the node that gives a vertex label 0 grows a forced set holding its
-    # closed star, so with every star at betti1 no leaf is evaluated
-    with_bound, without = _with_and_without("_stars_carry_h1", K, Q)
+    # the bound's half at betti1 >= 2: the node that gives a vertex label
+    # 0 grows a forced set holding its closed star, so with every star
+    # at betti1 no leaf is evaluated
+    with_bound, without = _with_and_without("_constant_is_minimal", K, Q)
     assert with_bound == without
 
 
 @given(small_complexes(max_vertices=8, connected=True, min_vertices=2),
        st.sampled_from([Q, F2, F3]))
 @settings(max_examples=100)
-def test_star_bound_leaves_random_results_unchanged(K, F):
-    with_bound, without = _with_and_without("_stars_carry_h1", K, F)
+def test_lower_bound_leaves_random_results_unchanged(K, F):
+    with_bound, without = _with_and_without("_constant_is_minimal", K, F)
     assert with_bound == without
 
 
@@ -497,13 +490,14 @@ def test_star_bound_ends_torus_proofs_before_the_root_orbit(monkeypatch,
 
 
 def test_a_failed_star_bound_ranks_no_extra_mask(monkeypatch):
-    # star 0 of torus(2,4) falls short, and it is the root's label-0
-    # forced set, so the enumeration asks for the same masks either way
+    # star 0 of torus(2,4) falls short, so the bound ranks that one star
+    # itself and stops; star 0 is also the root's label-0 forced set, so
+    # the enumeration asks for the same set of masks either way
     K = relabelled(generate_torus(2, 4), 1)
     res, masks = _ranked_masks(monkeypatch, K, Q)
     masks = frozenset(masks)  # the next recording wraps this one
-    monkeypatch.setattr(search, "_stars_carry_h1",
-                        SEAMS_OFF["_stars_carry_h1"])
+    monkeypatch.setattr(search, "_constant_is_minimal",
+                        SEAMS_OFF["_constant_is_minimal"])
     res_without, masks_without = _ranked_masks(monkeypatch, K, Q)
     assert res.to_json() == res_without.to_json()
     assert masks == masks_without
