@@ -30,6 +30,9 @@ its own breadth-first forest on the complex's neighbour masks, closing
 each cycle as it discovers a vertex; it is a rank in F^betti1, a pure
 function of the precompute, of the whole set or of each of its
 components from the same pass; the searches keep their own memo of it.
+The peel records its solve order, which ``nonzero_cup_product`` replays
+to find two classes of H^1(K; F) with a nonzero cup product, the
+exhaustive search's lower bound of width 1.
 """
 from __future__ import annotations
 
@@ -193,6 +196,23 @@ class Echelon:
         return False
 
 
+def _digits(x: int, w: int) -> dict:
+    """The vector packed in ``x`` as column -> nonzero entry: its
+    balanced base-2^w digits, each in [-2^(w - 1), 2^(w - 1))."""
+    mask, half = (1 << w) - 1, 1 << w - 1
+    vec = {}
+    j = 0
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= mask + 1
+        if d:
+            vec[j] = d
+        x = (x - d) >> w
+        j += 1
+    return vec
+
+
 def boundary(s: tuple) -> list:
     """Signed faces ``(face, +-1)`` of the simplex ``s``.
 
@@ -294,9 +314,11 @@ class H1Calculator:
         sums of up to 2n - 1 vectors only when (2n - 1) times the largest
         size is below it too.
         """
-        self._width = w  # read by _unpack
+        self._width = w  # the width of every packed vector kept
+        # the solve order, which nonzero_cup_product replays: each cone
+        # triangle that solves an edge, and ~e for each free edge e
+        self._solves = solves = []
         half = 1 << w - 1
-        unpack = self._unpack
         s0, s1, s2 = (x for _, x in boundary((0, 1, 2)))
         vec = [0 if f else None for f in forest]
         size = [0] * len(vec)
@@ -315,7 +337,7 @@ class H1Calculator:
                         return None
                     relation = s0 * vec[i] + s1 * vec[j] + s2 * vec[k]
                     if relation:
-                        ech.add(unpack(relation))
+                        ech.add(_digits(relation, w))
                     continue
                 # s * vec[e] = -(x * vec[a] + y * vec[b]), and 1/s = s
                 if vec[i] is None:
@@ -324,6 +346,7 @@ class H1Calculator:
                     e, x, a, y, b = j, -s1 * s0, i, -s1 * s2, k
                 else:
                     e, x, a, y, b = k, -s2 * s0, i, -s2 * s1, j
+                solves.append(t)
                 u, v = vec[a], vec[b]
                 if not v:
                     value, top = x * u, size[a]
@@ -333,13 +356,15 @@ class H1Calculator:
                     return None
                 else:
                     value = x * u + y * v
-                    top = max(map(abs, unpack(value).values()), default=0)
+                    top = max(map(abs, _digits(value, w).values()),
+                              default=0)
             else:  # nothing to peel: the next unsolved edge is free
                 e = next(unsolved_edges, None)
                 if e is None:
                     break
                 value, top = 1 << w * r, 1
                 r += 1
+                solves.append(~e)
             vec[e], size[e] = value, top
             for t in cofaces[e]:
                 unsolved[t] -= 1
@@ -351,21 +376,116 @@ class H1Calculator:
         return vec, ech, r
 
     def _unpack(self, x: int) -> dict:
-        """The vector packed in ``x`` as column -> nonzero entry: its
-        balanced base-2^w digits, each in [-2^(w - 1), 2^(w - 1))."""
-        w = self._width
-        mask, half = (1 << w) - 1, 1 << w - 1
-        vec = {}
-        j = 0
-        while x:
-            d = x & mask
-            if d >= half:
-                d -= mask + 1
-            if d:
-                vec[j] = d
-            x = (x - d) >> w
-            j += 1
-        return vec
+        """``_digits`` of ``x`` at the peel's width."""
+        return _digits(x, self._width)
+
+    def nonzero_cup_product(self) -> bool:
+        """Whether the cup check finds classes alpha, beta of H^1(K; F)
+        with alpha u beta != 0 in H^2(K; F).  True proves that every
+        labeling of K has width at least 1 (``search.exhaustive_min``
+        gives the proof); False proves nothing.
+
+        Cocycles: the coordinates of the edge vectors that no relation
+        row uses.  Coordinate j of the edge vectors is a 1-cochain whose
+        coboundary on a cone triangle is entry j of the triangle's
+        relation, the sum of its boundary's vectors; that is zero over F
+        when no row uses j, and on any other triangle the coboundary is
+        a sum of those (the cone lemma), so the cochain is a cocycle.  On
+        the cone triangle (v0, a, b), (alpha u beta)(v0, a, b) =
+        alpha(v0 a) * beta(a b).
+
+        The check solves dx = alpha u beta by replaying the peel's solve
+        order: x is 0 on the forest and on the free edges, and each
+        peeled edge is solved from its cone triangle.  Any solution can
+        be moved by a coboundary to vanish on the forest, and is then
+        this x plus free parameters on the free edges, which enter each
+        edge as its edge vector does.  So on a cone triangle whose
+        relation is zero over F, dx of every solution is dx of this x,
+        and a nonzero residual (alpha u beta - dx) there proves that
+        alpha u beta is no coboundary.  Cone triangles suffice, since
+        alpha u beta is a cocycle.  A product that only a relation
+        nonzero over F could cancel is missed; no benchmark complex has
+        such a relation.  Over Q and F_p, p odd, alpha u alpha is a
+        coboundary, so with ``betti1`` below 2 the check returns False
+        at once.
+
+        All pairs (p, q) of the m cocycle columns are solved in one pass,
+        as the base-2^w digits m p + q of packed ints: alpha's vector
+        spread to every m-th digit times beta's vector holds
+        alpha_p(v0 a) * beta_q(a b) at digit m p + q.  w starts where
+        every such product is below 2^(w - 3) in size, and each value of x
+        is checked to be too, by adding 2^(w - 3) to each digit and
+        testing the top two bits of each; so a sum of a product and three
+        values, each residual and each value before its check, unpacks
+        exactly.  The replay runs again at twice the width when a value
+        fails.  The free edges, recorded in the solve order, tell which
+        edge of a cone triangle it solves.
+        """
+        least = 1 if self.field.p == 2 else 2
+        if self.betti1 < least:
+            return False
+        reduce, unpack = self.field.reduce, self._unpack
+        used = {j for row in self._relations.values() for j in row}
+        vec = [self._vec[a].get(b, 0) for a, b in self.K.edges]
+        # (edge, column, entry) of each nonzero value of a cocycle
+        entries = [(e, j, x) for e, v in enumerate(vec) if v
+                   for j, x in unpack(v).items() if j not in used]
+        columns = sorted({j for _, j, _ in entries})
+        if len(columns) < least:
+            return False
+        column = {j: d for d, j in enumerate(columns)}
+        entries = [(e, column[j], x) for e, j, x in entries]
+        s0, s1, s2 = (x for _, x in boundary((0, 1, 2)))
+        faces, parent = self.K.cone_triangles, self.K.forest
+        known = [a == parent[b] or b == parent[a] for a, b in self.K.edges]
+        steps = []  # (its faces, the edge it solves, that edge's sign)
+        for t in self._solves:
+            if t < 0:  # the free edge ~t
+                known[~t] = True
+                continue
+            i, j, k = face = faces[t]
+            e, s = ((i, s0) if not known[i] else (j, s1) if not known[j]
+                    else (k, s2))
+            known[e] = True
+            steps.append((face, e, s))
+        # the other cone triangles are relations; those zero over F
+        solved = {t for t in self._solves if t >= 0}
+        checks = [(i, j, k) for t, (i, j, k) in enumerate(faces)
+                  if t not in solved and not reduce(unpack(
+                      s0 * vec[i] + s1 * vec[j] + s2 * vec[k]))]
+        top = max(abs(x) for _, _, x in entries)
+        w = max(self._width, 2 * top.bit_length() + 3)
+        while (found := self._cup_residual(entries, len(columns), steps,
+                                           checks, w)) is None:
+            w *= 2
+        return found
+
+    def _cup_residual(self, entries, m, steps, checks, w) -> Optional[bool]:
+        """``nonzero_cup_product``'s replay of ``steps`` at digit width
+        ``w``, with ``entries`` in m columns: whether a cone triangle of
+        ``checks`` has a residual nonzero over F, or None when a value of
+        x outgrows w."""
+        spread = [0] * len(self.K.edges)
+        packed = spread[:]
+        for e, d, x in entries:
+            spread[e] += x << w * m * d
+            packed[e] += x << w * d
+        digits = range(m * m)
+        bias = sum(1 << w * d + w - 3 for d in digits)
+        high = sum(3 << w * d + w - 2 for d in digits)
+        s0, s1, s2 = (x for _, x in boundary((0, 1, 2)))
+        x = [0] * len(spread)
+        for (i, j, k), e, s in steps:
+            # x[e] is still 0: s * x[e] = cup - dx(t), and 1/s = s
+            value = s * (spread[k] * packed[i]
+                         - s0 * x[i] - s1 * x[j] - s2 * x[k])
+            if (value + bias) & high:
+                return None
+            x[e] = value
+        reduce = self.field.reduce
+        return any(reduce(_digits(spread[k] * packed[i] - s0 * x[i]
+                                  - s1 * x[j] - s2 * x[k], w))
+                   for i, j, k in checks)
 
     def image_rank_of_vertices(self, mask: int) -> int:
         """Rank of im(H1(full subcomplex on the vertices of ``mask``; F)
@@ -407,7 +527,7 @@ class H1Calculator:
         field, relations = self.field, self._relations
         vecs = self._vec
         neighbours = self.K.neighbours
-        unpack = self._unpack
+        w = self._width
         ranks = []
         potential = {}
         unseen = mask
@@ -448,7 +568,7 @@ class H1Calculator:
                         if not cycle or cycle in met:
                             continue
                         met.add(cycle)
-                        if ech.add(unpack(cycle)):
+                        if ech.add(_digits(cycle, w)):
                             ranks[-1] += 1
                             if ranks[-1] == dim:
                                 if not per_component:

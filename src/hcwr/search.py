@@ -9,9 +9,10 @@ whose value is therefore ``betti1``.  Vertex sets are bitmasks, and
 each search keeps one bounded memo (``_Memo``, emptied at
 ``CACHE_LIMIT`` keys).
 
-``exhaustive_min`` proves a minimum.  It first tries a lower bound that
-shows the constant labeling minimal, then enumerates the labelings,
-pruned by the image ranks of the vertex sets that every completion keeps
+``exhaustive_min`` proves a minimum.  It first computes a lower bound,
+which ends the proof at once when it reaches ``betti1``, then enumerates
+the labelings up to the first that reaches the bound, pruned by the
+image ranks of the vertex sets that every completion keeps
 in one slab (memoized), by vertex 0's orbit under the automorphisms of
 K and by the constraint min f = 0.  Its docstring proves that none of
 these changes an output.  ``anneal_min`` finds an upper bound by
@@ -142,7 +143,7 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     The certificate is the first minimizer in this visiting order (not
     necessarily the lexicographically smallest one), and
     ``labelings_visited`` counts the constant labeling and the complete
-    labelings evaluated in the pruned tree.
+    labelings evaluated in the pruned tree before the search ends.
 
     Symmetry: the first time the root takes label 1, ``root_orbit``
     gives vertex 0's orbit under the automorphisms of K that it
@@ -166,45 +167,62 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     - Windows only narrow, so forced sets stay inside the slab
       components of every enumerated completion, and the bound stays
       valid.
-    A search that ends inside root label 0 (width 0 found, or the
-    budget), or whose incumbent is 0 from the start (betti1 = 0: the
-    bound prunes every node), never computes the orbit.
+    A search that ends inside root label 0 (a leaf at the lower bound,
+    or the budget), or whose incumbent is 0 from the start (betti1 = 0:
+    the bound prunes every node), never computes the orbit.
 
     Lower bound: before the deadline, and before the memo and the orbit,
-    ``_constant_is_minimal`` looks for a vertex set whose image rank
-    shows that no labeling is narrower than the constant one.  If it
-    finds one, the search returns at once: best value ``betti1``, the
-    constant labeling, complete, ``labelings_visited`` 1.  Every labeling
-    f keeps two kinds of connected vertex set inside one interior slab:
-    every 3-clique, since labels of adjacent vertices differ by at most
-    1, and the closed star N[u], u and its neighbours, of a vertex u of
-    label min f, since its neighbours carry min f or min f + 1.  The slab
+    ``_lower_bound`` computes a floor, a width that no labeling goes
+    below.  When the floor is ``betti1`` the search returns at once: best
+    value ``betti1``, the constant labeling, complete,
+    ``labelings_visited`` 1.  Otherwise the enumeration ends at the first
+    leaf whose value reaches the floor.  Every labeling f keeps two kinds
+    of connected vertex set inside one interior slab: every 3-clique,
+    since labels of adjacent vertices differ by at most 1, and the
+    closed star N[u], u and its neighbours, of a vertex u of label
+    min f, since its neighbours carry min f or min f + 1.  The slab
     component holding such a set has image rank at least the set's, by
     monotonicity, and so has the width of f.
-    - At ``betti1`` 1 the bound lists the 3-cliques a < b < c of the
-      1-skeleton and looks for one that spans no triangle of K and has
-      image rank 1.  This decides the stars too: every cycle of N[v] is
-      a sum of the 3-cycles v, x, y over the edges xy between
-      neighbours, so a star of rank >= 1 holds a hollow 3-clique of rank
-      1.  The cliques are found from the edges and their common
-      neighbours, with no cost per vertex, and measured faster than
-      ranking the stars.
+    - At ``betti1`` 1 the floor is 1 when a 3-clique a < b < c of the
+      1-skeleton spans no triangle of K and has image rank 1.  This
+      decides the stars too: every cycle of N[v] is a sum of the
+      3-cycles v, x, y over the edges xy between neighbours, so a star
+      of rank >= 1 holds a hollow 3-clique of rank 1.  The cliques are
+      found from the edges and their common neighbours, with no cost per
+      vertex, and measured faster than ranking the stars.
     - At ``betti1`` >= 2 a 3-clique's full subcomplex, a 3-cycle or a
       filled triangle, has image rank at most 1 and cannot reach
-      ``betti1``.  The bound ranks the closed stars N[0], N[1], ... and
-      stops at the first of rank below ``betti1``; when there is none,
-      every labeling has width at least ``betti1``.
-    - At ``betti1`` 0 there is nothing to refute, and the enumeration
-      runs: its incumbent 0 prunes every node.
-    Sameness: without the bound, the node that labels the clique's last
-    vertex grows a forced set holding all three, and the node that gives
-    a vertex u label 0 narrows every neighbour's window to within
-    [0, 1], so the forced set it grows in slab 0 holds N[u].  Either
-    set's cycle rank and image rank reach ``betti1``, the incumbent, so
-    that node is pruned.  Every path to a leaf labels the clique, and
-    every evaluated leaf gives some vertex label 0, so no leaf is
-    evaluated and only the constant labeling is counted: the same
-    output.
+      ``betti1``.  The floor is ``betti1`` when every closed star N[0],
+      N[1], ... has rank ``betti1``; the stars are ranked up to the first
+      that falls short.
+    - Otherwise the floor is 1 when ``H1Calculator.nonzero_cup_product``
+      finds classes alpha, beta of H^1(K; F) with alpha u beta != 0, and
+      else 0 (the two-set case of the Lusternik-Schnirelmann cup-length
+      bound; Cornea, Lupton, Oprea and Tanre, "Lusternik-Schnirelmann
+      Category", AMS 2003).  Proof: let f have width 0, and A and B be
+      the unions of its even and of its odd interior slabs.  Slabs of
+      one parity share no vertex, so each component of A or B is a slab
+      component, of image rank 0, on which every class of H^1(K; F)
+      restricts to 0 (over a field, H^1 is the dual of H_1).  So alpha
+      and beta can be moved by coboundaries to alpha' vanishing on A and
+      beta' vanishing on B.  Each triangle (v0, v1, v2) lies in one
+      interior slab, in A or in B, so alpha'(v0 v1) * beta'(v1 v2) = 0:
+      alpha u beta is cohomologous to alpha' u beta' = 0.
+    Sameness, at floor ``betti1`` >= 1: without the bound, the node that
+    labels the clique's last vertex grows a forced set holding all three,
+    and the node that gives a vertex u label 0 narrows every neighbour's
+    window to within [0, 1], so the forced set it grows in slab 0 holds
+    N[u].  Either set's cycle rank and image rank reach ``betti1``, the
+    incumbent, so that node is pruned.  Every path to a leaf labels the
+    clique, and every evaluated leaf gives some vertex label 0, so no
+    leaf is evaluated and only the constant labeling is counted: the same
+    output.  At ``betti1`` 0 the incumbent 0 prunes every node, so the
+    enumeration too counts only the constant labeling.  Below ``betti1``,
+    no leaf goes below the floor, and the certificate is the first leaf
+    of least value, which no later leaf replaces; so the enumeration
+    that ends at the first leaf reaching the floor has the
+    ``best_value``, certificate and ``exhaustive`` of the one that runs
+    on, and ``labelings_visited`` counts the leaves evaluated up to it.
 
     Returns exhaustive = False (best so far is only an upper bound) when
     the time budget runs out first; a budget of 0 runs out before the
@@ -219,12 +237,13 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     calc = H1Calculator(K, F)
     n = K.vertex_count
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    if ((deadline is None or time.monotonic() < deadline)
-            and _constant_is_minimal(K, calc)):
-        # every labeling has width >= betti1: the constant one is minimal
-        return SearchResult(best_value=calc.betti1,
-                            certificate=MorseLabeling((0,) * n),
-                            exhaustive=True, labelings_visited=1)
+    floor = 0  # a width no labeling goes below
+    if deadline is None or time.monotonic() < deadline:
+        floor = _lower_bound(K, calc)
+        if floor == calc.betti1:  # the constant labeling is minimal
+            return SearchResult(best_value=floor,
+                                certificate=MorseLabeling((0,) * n),
+                                exhaustive=True, labelings_visited=1)
     ranks = _Memo(calc.image_rank_of_vertices)
     adjacency = K.adjacency
     bit = [1 << v for v in range(n)]
@@ -318,7 +337,7 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
             value = slab_profile(calc, lo)[0]
             if value < best[0]:
                 best = (value, tuple(lo))
-                if value == 0:
+                if value == floor:  # no labeling is narrower
                     break
     return SearchResult(best_value=best[0],
                         certificate=MorseLabeling(best[1]),
@@ -326,23 +345,32 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
                         labelings_visited=visited)
 
 
-def _constant_is_minimal(K: SimplicialComplex, calc: H1Calculator) -> bool:
-    """Whether a vertex set that every labeling keeps in one interior slab
-    has image rank ``calc.betti1`` >= 1 (the proof is ``exhaustive_min``'s):
-    at betti1 1 three pairwise adjacent vertices a < b < c that span no
-    triangle of K, listed from ``K.edges`` and ``K.adjacency`` so the work
-    follows the edges and their common neighbours, not n; at betti1 >= 2
-    every closed star, v and its neighbours, stopping at the first that
-    falls short."""
+def _lower_bound(K: SimplicialComplex, calc: H1Calculator) -> int:
+    """A width that no labeling of K goes below (the proofs are
+    ``exhaustive_min``'s): ``calc.betti1`` when a vertex set that every
+    labeling keeps in one interior slab has that image rank, else 1 when
+    ``calc.nonzero_cup_product()``, else 0.  At betti1 1 the sets are
+    the three pairwise adjacent vertices a < b < c that span no triangle
+    of K, listed from ``K.edges`` and ``K.adjacency`` so the work follows
+    the edges and their common neighbours, not n; at betti1 >= 2 every
+    closed star, v and its neighbours, stopping at the first that falls
+    short."""
     betti1, rank = calc.betti1, calc.image_rank_of_vertices
     if betti1 == 1:
-        adjacency = K.adjacency
-        filled = {t for s in K.maximal for t in combinations(s, 3)}
-        return any(rank(1 << a | 1 << b | 1 << c)
-                   for a, b in K.edges for c in adjacency[a] & adjacency[b]
-                   if c > b and (a, b, c) not in filled)
-    return betti1 >= 2 and all(rank(near | 1 << v) >= betti1
-                               for v, near in enumerate(K.neighbours))
+        adjacency, filled = K.adjacency, None
+        for a, b in K.edges:
+            for c in adjacency[a] & adjacency[b]:
+                if c > b:
+                    if filled is None:  # built at the first 3-clique
+                        filled = {t for s in K.maximal
+                                  for t in combinations(s, 3)}
+                    if (a, b, c) not in filled and rank(1 << a | 1 << b
+                                                        | 1 << c):
+                        return 1
+    elif betti1 >= 2 and all(rank(near | 1 << v) >= betti1
+                             for v, near in enumerate(K.neighbours)):
+        return betti1
+    return 1 if calc.nonzero_cup_product() else 0
 
 
 def _derive_seed(seed: int, restart: int) -> int:

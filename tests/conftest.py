@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
-from sympy import GF, Matrix, QQ, ZZ
+from sympy import GF, Matrix, QQ, Rational, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from hcwr import (FieldSpec, build_complex, generate_circle,
@@ -59,6 +59,21 @@ def moore_space():
     """The presentation complex of <a | a^3>: wedge vertices 0..2, ring
     3..11 and cone 12."""
     return presentation_complex(1, [parse_relator("aaa", 1)])
+
+
+def projective_plane():
+    """The 6-vertex real projective plane: H1 is Z/2, so betti1 is 1 over
+    F_2 and 0 over Q and odd fields."""
+    return build_complex([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5),
+                          (0, 1, 5), (1, 2, 4), (2, 3, 5), (1, 3, 4),
+                          (2, 4, 5), (1, 3, 5)], 6)
+
+
+def moebius_torus():
+    """The 7-vertex torus of Moebius: triangles (i, i+1, i+3) and
+    (i, i+2, i+3) mod 7; its 1-skeleton is the complete graph."""
+    return build_complex([(i, (i + d) % 7, (i + 3) % 7)
+                          for i in range(7) for d in (1, 2)], 7)
 
 
 def mask_of(vertices) -> int:
@@ -150,6 +165,43 @@ def oracle_image_rank(K, vertex_set, F: FieldSpec) -> int:
         cols.append(col)
     r_all = oracle_rank([list(r) for r in zip(*cols)], F)
     return r_all - oracle_rank_d2(K, F)
+
+
+def oracle_cup_is_nonzero(K, F: FieldSpec, rank) -> bool:
+    """Whether two classes of H^1(K; F) have a nonzero cup product, from
+    dense matrices, with ``rank`` ranking a list of rows over F.  The
+    cocycles are sympy's nullspace of delta^1, kept while independent
+    modulo the coboundaries of the vertices; alpha u beta is
+    alpha(a b) * beta(b c) on each triangle (a, b, c), a < b < c, and is
+    nonzero in H^2 when it raises the rank of the image of delta^1."""
+    edges = K.edges
+    eidx = {e: j for j, e in enumerate(edges)}
+    triangles = [s for s in K.simplices if len(s) == 3]
+    if not triangles:
+        return False
+    delta1 = [[0] * len(edges) for _ in triangles]
+    for row, (a, b, c) in zip(delta1, triangles):
+        row[eidx[(b, c)]] += 1
+        row[eidx[(a, c)]] -= 1
+        row[eidx[(a, b)]] += 1
+    domain = QQ if F.p is None else GF(F.p)
+    null = DomainMatrix.from_list(delta1, ZZ).convert_to(domain) \
+        .nullspace().to_Matrix()
+    basis = [[(v == b) - (v == a) for a, b in edges]
+             for v in range(K.vertex_count)]
+    cocycles = []
+    for r in range(null.rows):
+        row = list(null.row(r))
+        denom = math.lcm(*(Rational(x).q for x in row))
+        z = [int(x * denom) for x in row]
+        if rank(basis + [z]) > rank(basis):
+            basis.append(z)
+            cocycles.append(z)
+    image = [list(col) for col in zip(*delta1)]
+    least = rank(image)
+    return any(rank(image + [[alpha[eidx[(a, b)]] * beta[eidx[(b, c)]]
+                              for a, b, c in triangles]]) > least
+               for p, alpha in enumerate(cocycles) for beta in cocycles[p:])
 
 
 @st.composite

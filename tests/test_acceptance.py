@@ -16,6 +16,8 @@ from hcwr.generators import parse_relator
 from hcwr.morse import MorseLabeling
 from hcwr.verify import run_cases
 
+from conftest import relabelled
+
 Q = FieldSpec.rationals()
 F3 = FieldSpec.prime(3)
 
@@ -178,3 +180,15 @@ def test_10_torus_k3_desk_scale_lower_bound():
         # resolution artifacts: at n = 3 the minima exceed k - 1
         assert exhaustive_min(generate_torus(3, 3), Q).best_value == 3
         assert exhaustive_min(generate_torus(2, 3), Q).best_value == 2
+
+
+def test_11_torus_k2_proven_at_finer_resolutions():
+    with Budget(10):
+        # w(Z^2) = 1 on the 49-vertex torus and on a relabelled 256-vertex
+        # one: H^1 has a nonzero cup product, so no labeling reaches 0,
+        # and the enumeration ends at its first leaf of width 1
+        for K in (generate_torus(2, 7), relabelled(generate_torus(2, 16), 1)):
+            res = exhaustive_min(K, Q, time_budget=10)
+            assert res.exhaustive and res.best_value == 1
+            assert validate_labeling(K, res.certificate) == []
+            assert hcwr_value(K, res.certificate, Q).max_rank == 1

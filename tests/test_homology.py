@@ -15,11 +15,13 @@ from hcwr import (FieldSpec, H1Calculator, betti1, boundary, build_complex,
                   generate_circle, generate_torus, presentation_complex,
                   product_complex)
 from hcwr.complexes import connected_components
-from hcwr.generators import parse_relator
+from hcwr.generators import parse_relator, wedge
 from hcwr.homology import Echelon, _is_prime
 
-from conftest import (mask_of, oracle_betti1, oracle_image_rank,
-                      oracle_rank, relabelled, small_complexes)
+from conftest import (mask_of, moebius_torus, oracle_betti1,
+                      oracle_cup_is_nonzero, oracle_image_rank, oracle_rank,
+                      projective_plane, relabelled, small_complexes)
+from test_modp_kernel import ModP
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -520,3 +522,104 @@ def test_betti1_of_disjoint_union(K1, K2, F):
         betti1(K1, F) + betti1(K2, F)
     assert sum(v == p for v, p in union.forest.items()) == len(
         connected_components(union))
+
+
+def dense_rank(K, F):
+    """A rank of lists of integer rows over F that shares no code with
+    the calculator: the sympy oracle over Q, the elimination of the mod p
+    kernel of ``test_modp_kernel`` over F_p."""
+    if F.p is None:
+        return lambda rows: oracle_rank(rows, F)
+    kernel = ModP(K, F.p)
+
+    def rank(rows):
+        pivots = {}
+        return sum(kernel._add(pivots, {j: x % F.p for j, x in enumerate(row)
+                                        if x % F.p}) for row in rows)
+    return rank
+
+
+KLEIN = presentation_complex(2, [parse_relator("abaB", 2)])
+COMMUTATOR = presentation_complex(2, [parse_relator("abAB", 2)])
+# (name, complex, field, whether two classes of H^1 have a nonzero cup
+# product): the tori (the presentation complex of <a,b | [a,b]> is one)
+# over every field; the Klein bottle, whose H^1 over F_2 has a nonzero
+# square, and the projective plane, whose one class over F_2 squares to
+# the generator of H^2; and the graphs and the free group's complex,
+# with no H^2 at all
+CUP_CASES = [
+    *[(f"torus(2,3) {F.label}", generate_torus(2, 3), F, True)
+      for F in (Q, F2, F3)],
+    ("torus(2,4) Q", generate_torus(2, 4), Q, True),
+    ("Moebius torus Q", moebius_torus(), Q, True),
+    ("circle(3)xcircle(5) Q",
+     product_complex(generate_circle(3), generate_circle(5)), Q, True),
+    *[(f"<a,b|[a,b]> {F.label}", COMMUTATOR, F, True) for F in (Q, F2, F3)],
+    ("Klein bottle Q", KLEIN, Q, False),
+    ("Klein bottle F2", KLEIN, F2, True),
+    ("Klein bottle F3", KLEIN, F3, False),
+    ("projective plane F2", projective_plane(), F2, True),
+    ("projective plane Q", projective_plane(), Q, False),
+    ("<a|a^3> F3", presentation_complex(1, [parse_relator("aaa", 1)]), F3,
+     False),
+    *[(f"circle(5) {F.label}", generate_circle(5), F, False) for F in (Q, F2)],
+    *[(f"circle(4) v circle(5) {F.label}",
+       wedge(generate_circle(4), 0, generate_circle(5), 0), F, False)
+      for F in (Q, F2)],
+    *[(f"<a,b,c|> {F.label}", presentation_complex(3, []), F, False)
+      for F in (Q, F2)],
+]
+
+
+@pytest.mark.parametrize("K, F, nonzero", [c[1:] for c in CUP_CASES],
+                         ids=[c[0] for c in CUP_CASES])
+def test_cup_check_matches_a_dense_oracle(K, F, nonzero):
+    assert H1Calculator(K, F).nonzero_cup_product() is nonzero
+    assert oracle_cup_is_nonzero(K, F, dense_rank(K, F)) is nonzero
+
+
+@given(small_complexes(), st.sampled_from([Q, F2, F3]))
+def test_cup_check_is_sound_and_complete_without_relation_rows(K, F):
+    # a product it finds is one; with no relation row every coordinate is
+    # a cocycle and every relation a check, so it finds every product
+    calc = H1Calculator(K, F)
+    found = calc.nonzero_cup_product()
+    oracle = oracle_cup_is_nonzero(K, F, dense_rank(K, F))
+    assert oracle if found else not (oracle and not calc._relations)
+
+
+@pytest.mark.parametrize("K", [generate_torus(2, 4), generate_torus(3, 4),
+                               relabelled(generate_torus(2, 7), 3)],
+                         ids=["torus(2,4)", "torus(3,4)",
+                              "relabelled torus(2,7)"])
+def test_a_cup_replay_at_any_width_is_refused_or_exact(K, monkeypatch):
+    # a width is refused once a value of x could reach 2^(w - 3); any
+    # width the replay accepts gives the answer of a wide one, and the
+    # narrowest widths are refused
+    replay = H1Calculator._cup_residual
+    inputs = []
+
+    def spy(self, entries, m, steps, checks, w):
+        inputs.append((entries, m, steps, checks))
+        return replay(self, entries, m, steps, checks, w)
+
+    monkeypatch.setattr(H1Calculator, "_cup_residual", spy)
+    calc = H1Calculator(K, Q)
+    assert calc.nonzero_cup_product()
+    results = [replay(calc, *inputs[0], w) for w in range(3, 17)]
+    assert replay(calc, *inputs[0], 64) is True
+    assert results[0] is None and set(results) == {None, True}
+
+
+def test_a_refused_cup_replay_runs_again_at_twice_the_width(monkeypatch):
+    replay = H1Calculator._cup_residual
+    widths = []
+
+    def refuse_the_first(self, *args):
+        widths.append(args[-1])
+        return None if len(widths) == 1 else replay(self, *args)
+
+    monkeypatch.setattr(H1Calculator, "_cup_residual", refuse_the_first)
+    calc = H1Calculator(generate_torus(2, 4), Q)
+    assert calc.nonzero_cup_product()
+    assert widths == [calc._width, 2 * calc._width]

@@ -15,7 +15,8 @@ from hcwr.generators import parse_relator, wedge
 from hcwr.morse import MorseLabeling, slab_profile, slab_state
 from hcwr.search import _derive_seed
 
-from conftest import (mask_of, members, moore_space, relabelled, rooted_at,
+from conftest import (mask_of, members, moebius_torus, moore_space,
+                      projective_plane, relabelled, rooted_at,
                       small_complexes)
 
 Q = FieldSpec.rationals()
@@ -246,9 +247,9 @@ def test_budget_returns_on_deep_complexes():
     res = exhaustive_min(C, Q, time_budget=10)
     assert res.exhaustive and res.best_value == 0
     assert validate_labeling(C, res.certificate) == []
-    # 1089 positions, and proving the minimum of torus(2,33) takes far
-    # longer than the budget
-    K = generate_torus(2, 33)
+    # 1331 positions, and proving the minimum 2 of torus(3,11), above the
+    # lower bound 1, takes far longer than the budget
+    K = generate_torus(3, 11)
     res = exhaustive_min(K, Q, time_budget=2)
     assert not res.exhaustive
     assert validate_labeling(K, res.certificate) == []
@@ -269,10 +270,10 @@ def test_single_vertex_complex():
 
 # the search's seams, each stubbed out: ``root_orbit`` reporting vertex 0
 # alone, which enumerates every root label, and the lower bound finding
-# nothing, which runs the enumeration
+# nothing, which runs the whole enumeration
 SEAMS_OFF = {
     "root_orbit": lambda K, deadline: 1,
-    "_constant_is_minimal": lambda K, calc: False,
+    "_lower_bound": lambda K, calc: 0,
 }
 
 
@@ -283,6 +284,16 @@ def _with_and_without(seam, K, F):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, seam, SEAMS_OFF[seam])
         return res, exhaustive_min(K, F).to_json()
+
+
+def assert_same_proof(with_bound, without):
+    """Assert that the two results of ``_with_and_without`` at the lower
+    bound agree but for ``labelings_visited``, which the bound never
+    raises: it only ends the enumeration early, at the leaf that the
+    whole search keeps as its certificate."""
+    assert with_bound["labelings_visited"] <= without["labelings_visited"]
+    assert {**with_bound, "labelings_visited": None} == \
+        {**without, "labelings_visited": None}
 
 
 ORBIT_CASES = [
@@ -410,8 +421,7 @@ def test_clique_bound_leaves_the_result_unchanged(K, F):
     # the bound's half at betti1 1: with the incumbent at the bound, the
     # enumeration prunes every node whose forced set holds the clique,
     # so it evaluates no leaf either
-    with_bound, without = _with_and_without("_constant_is_minimal", K, F)
-    assert with_bound == without
+    assert_same_proof(*_with_and_without("_lower_bound", K, F))
 
 
 def test_a_clique_that_bounds_a_disk_does_not_end_the_search():
@@ -421,7 +431,7 @@ def test_a_clique_that_bounds_a_disk_does_not_end_the_search():
     K = build_complex([(0, 1, 3), (1, 2, 3), (0, 2, 3),
                        (0, 4), (4, 5), (5, 6), (0, 6)], 7)
     assert betti1(K, Q) == 1
-    assert not search._constant_is_minimal(K, H1Calculator(K, Q))
+    assert search._lower_bound(K, H1Calculator(K, Q)) == 0
     res = exhaustive_min(K, Q)
     assert res.exhaustive and res.best_value == brute_force_min(K, Q) == 0
     assert hcwr_value(K, res.certificate, Q).max_rank == 0
@@ -462,16 +472,14 @@ def test_star_bound_leaves_the_result_unchanged(K):
     # the bound's half at betti1 >= 2: the node that gives a vertex label
     # 0 grows a forced set holding its closed star, so with every star
     # at betti1 no leaf is evaluated
-    with_bound, without = _with_and_without("_constant_is_minimal", K, Q)
-    assert with_bound == without
+    assert_same_proof(*_with_and_without("_lower_bound", K, Q))
 
 
 @given(small_complexes(max_vertices=8, connected=True, min_vertices=2),
        st.sampled_from([Q, F2, F3]))
 @settings(max_examples=100)
 def test_lower_bound_leaves_random_results_unchanged(K, F):
-    with_bound, without = _with_and_without("_constant_is_minimal", K, F)
-    assert with_bound == without
+    assert_same_proof(*_with_and_without("_lower_bound", K, F))
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
@@ -492,15 +500,49 @@ def test_star_bound_ends_torus_proofs_before_the_root_orbit(monkeypatch,
 def test_a_failed_star_bound_ranks_no_extra_mask(monkeypatch):
     # star 0 of torus(2,4) falls short, so the bound ranks that one star
     # itself and stops; star 0 is also the root's label-0 forced set, so
-    # the enumeration asks for the same set of masks either way
+    # with the cup check off, which would end the enumeration at its
+    # second leaf, it asks for the same set of masks either way
+    monkeypatch.setattr(H1Calculator, "nonzero_cup_product",
+                        lambda calc: False)
     K = relabelled(generate_torus(2, 4), 1)
     res, masks = _ranked_masks(monkeypatch, K, Q)
     masks = frozenset(masks)  # the next recording wraps this one
-    monkeypatch.setattr(search, "_constant_is_minimal",
-                        SEAMS_OFF["_constant_is_minimal"])
+    monkeypatch.setattr(search, "_lower_bound", SEAMS_OFF["_lower_bound"])
     res_without, masks_without = _ranked_masks(monkeypatch, K, Q)
     assert res.to_json() == res_without.to_json()
     assert masks == masks_without
+
+
+@pytest.mark.parametrize("K, F, minimum", [
+    (projective_plane(), F2, 1), (moebius_torus(), Q, 2),
+    (generate_torus(2, 3), Q, 2)],
+    ids=["projective plane F2", "Moebius torus Q", "torus(2,3) Q"])
+def test_a_nonzero_cup_product_keeps_every_labeling_at_width_1(K, F,
+                                                               minimum):
+    assert H1Calculator(K, F).nonzero_cup_product()
+    assert brute_force_min(K, F) == minimum
+
+
+@given(small_complexes(max_vertices=9, connected=True, min_vertices=2),
+       st.sampled_from([Q, F2, F3]))
+@settings(max_examples=100)
+def test_no_labeling_goes_below_the_lower_bound(K, F):
+    calc = H1Calculator(K, F)
+    floor = search._lower_bound(K, calc)
+    if calc.nonzero_cup_product():
+        assert floor >= 1
+    if floor:
+        assert brute_force_min(K, F) >= floor
+
+
+def test_a_cup_product_ends_the_proof_at_the_first_leaf_of_width_1():
+    # torus(2,4)'s stars fall short of betti1 2, so the lower bound is
+    # the cup product's 1, and the second leaf already reaches it
+    K = generate_torus(2, 4)
+    assert search._lower_bound(K, H1Calculator(K, Q)) == 1
+    res = exhaustive_min(K, Q)
+    assert (res.best_value, res.exhaustive, res.labelings_visited) == \
+        (1, True, 2)
 
 
 class Lcg:
@@ -886,8 +928,10 @@ class TestCertifiedBounds:
         assert details["method"] == "partial"
 
     def test_budget_is_honoured(self):
+        # torus(3,5)'s minimum 2 lies above the lower bound 1, so the
+        # enumeration must refute width 1, which takes far longer
         t0 = time.monotonic()
-        lo, hi, details = certified_bounds(generate_torus(2, 12), Q,
+        lo, hi, details = certified_bounds(generate_torus(3, 5), Q,
                                            time_budget=1)
         assert time.monotonic() - t0 < 10
         assert lo == 0 and details["method"] == "partial"
