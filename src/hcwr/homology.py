@@ -315,8 +315,8 @@ class H1Calculator:
         size is below it too.
         """
         self._width = w  # the width of every packed vector kept
-        # the solve order, which nonzero_cup_product replays: each cone
-        # triangle that solves an edge, and ~e for each free edge e
+        # the solve order, which nonzero_cup_product replays: 3 t + slot
+        # for each cone triangle t that solves its edge faces[t][slot]
         self._solves = solves = []
         half = 1 << w - 1
         s0, s1, s2 = (x for _, x in boundary((0, 1, 2)))
@@ -342,11 +342,13 @@ class H1Calculator:
                 # s * vec[e] = -(x * vec[a] + y * vec[b]), and 1/s = s
                 if vec[i] is None:
                     e, x, a, y, b = i, -s0 * s1, j, -s0 * s2, k
+                    solves.append(3 * t)
                 elif vec[j] is None:
                     e, x, a, y, b = j, -s1 * s0, i, -s1 * s2, k
+                    solves.append(3 * t + 1)
                 else:
                     e, x, a, y, b = k, -s2 * s0, i, -s2 * s1, j
-                solves.append(t)
+                    solves.append(3 * t + 2)
                 u, v = vec[a], vec[b]
                 if not v:
                     value, top = x * u, size[a]
@@ -364,7 +366,6 @@ class H1Calculator:
                     break
                 value, top = 1 << w * r, 1
                 r += 1
-                solves.append(~e)
             vec[e], size[e] = value, top
             for t in cofaces[e]:
                 unsolved[t] -= 1
@@ -374,10 +375,6 @@ class H1Calculator:
         if (2 * n - 1) * max(size, default=0) >= half:
             return None
         return vec, ech, r
-
-    def _unpack(self, x: int) -> dict:
-        """``_digits`` of ``x`` at the peel's width."""
-        return _digits(x, self._width)
 
     def nonzero_cup_product(self) -> bool:
         """Whether the cup check finds classes alpha, beta of H^1(K; F)
@@ -405,87 +402,53 @@ class H1Calculator:
         alpha u beta is no coboundary.  Cone triangles suffice, since
         alpha u beta is a cocycle.  A product that only a relation
         nonzero over F could cancel is missed; no benchmark complex has
-        such a relation.  Over Q and F_p, p odd, alpha u alpha is a
-        coboundary, so with ``betti1`` below 2 the check returns False
-        at once.
+        such a relation.
 
-        All pairs (p, q) of the m cocycle columns are solved in one pass,
-        as the base-2^w digits m p + q of packed ints: alpha's vector
-        spread to every m-th digit times beta's vector holds
-        alpha_p(v0 a) * beta_q(a b) at digit m p + q.  w starts where
-        every such product is below 2^(w - 3) in size, and each value of x
-        is checked to be too, by adding 2^(w - 3) to each digit and
-        testing the top two bits of each; so a sum of a product and three
-        values, each residual and each value before its check, unpacks
-        exactly.  The replay runs again at twice the width when a value
-        fails.  The free edges, recorded in the solve order, tell which
-        edge of a cone triangle it solves.
+        The residual is linear in alpha u beta and zero on coboundaries,
+        and beta u alpha is cohomologous to -(alpha u beta), so each pair
+        of cocycle columns p < q is replayed once, over plain ints, and
+        the squares p = q only over F_2: over Q and F_p, p odd,
+        2 (alpha u alpha) is a coboundary, and so is alpha u alpha.  With
+        ``betti1`` below 2 the check then returns False at once.
         """
         least = 1 if self.field.p == 2 else 2
         if self.betti1 < least:
             return False
-        reduce, unpack = self.field.reduce, self._unpack
+        reduce, w = self.field.reduce, self._width
         used = {j for row in self._relations.values() for j in row}
         vec = [self._vec[a].get(b, 0) for a, b in self.K.edges]
-        # (edge, column, entry) of each nonzero value of a cocycle
-        entries = [(e, j, x) for e, v in enumerate(vec) if v
-                   for j, x in unpack(v).items() if j not in used]
-        columns = sorted({j for _, j, _ in entries})
-        if len(columns) < least:
+        cocycles = {}  # column -> its value on each edge
+        for e, v in enumerate(vec):
+            for j, x in _digits(v, w).items():
+                if j not in used:
+                    if j not in cocycles:
+                        cocycles[j] = [0] * len(vec)
+                    cocycles[j][e] = x
+        if len(cocycles) < least:
             return False
-        column = {j: d for d, j in enumerate(columns)}
-        entries = [(e, column[j], x) for e, j, x in entries]
-        s0, s1, s2 = (x for _, x in boundary((0, 1, 2)))
-        faces, parent = self.K.cone_triangles, self.K.forest
-        known = [a == parent[b] or b == parent[a] for a, b in self.K.edges]
-        steps = []  # (its faces, the edge it solves, that edge's sign)
-        for t in self._solves:
-            if t < 0:  # the free edge ~t
-                known[~t] = True
-                continue
-            i, j, k = face = faces[t]
-            e, s = ((i, s0) if not known[i] else (j, s1) if not known[j]
-                    else (k, s2))
-            known[e] = True
-            steps.append((face, e, s))
+        faces = self.K.cone_triangles
+        signs = s0, s1, s2 = tuple(x for _, x in boundary((0, 1, 2)))
+        # (its faces, the edge it solves, that edge's sign)
+        steps = [(*faces[code // 3], faces[code // 3][code % 3],
+                  signs[code % 3]) for code in self._solves]
         # the other cone triangles are relations; those zero over F
-        solved = {t for t in self._solves if t >= 0}
+        solved = {code // 3 for code in self._solves}
         checks = [(i, j, k) for t, (i, j, k) in enumerate(faces)
-                  if t not in solved and not reduce(unpack(
-                      s0 * vec[i] + s1 * vec[j] + s2 * vec[k]))]
-        top = max(abs(x) for _, _, x in entries)
-        w = max(self._width, 2 * top.bit_length() + 3)
-        while (found := self._cup_residual(entries, len(columns), steps,
-                                           checks, w)) is None:
-            w *= 2
-        return found
-
-    def _cup_residual(self, entries, m, steps, checks, w) -> Optional[bool]:
-        """``nonzero_cup_product``'s replay of ``steps`` at digit width
-        ``w``, with ``entries`` in m columns: whether a cone triangle of
-        ``checks`` has a residual nonzero over F, or None when a value of
-        x outgrows w."""
-        spread = [0] * len(self.K.edges)
-        packed = spread[:]
-        for e, d, x in entries:
-            spread[e] += x << w * m * d
-            packed[e] += x << w * d
-        digits = range(m * m)
-        bias = sum(1 << w * d + w - 3 for d in digits)
-        high = sum(3 << w * d + w - 2 for d in digits)
-        s0, s1, s2 = (x for _, x in boundary((0, 1, 2)))
-        x = [0] * len(spread)
-        for (i, j, k), e, s in steps:
-            # x[e] is still 0: s * x[e] = cup - dx(t), and 1/s = s
-            value = s * (spread[k] * packed[i]
-                         - s0 * x[i] - s1 * x[j] - s2 * x[k])
-            if (value + bias) & high:
-                return None
-            x[e] = value
-        reduce = self.field.reduce
-        return any(reduce(_digits(spread[k] * packed[i] - s0 * x[i]
-                                  - s1 * x[j] - s2 * x[k], w))
-                   for i, j, k in checks)
+                  if t not in solved and not reduce(_digits(
+                      s0 * vec[i] + s1 * vec[j] + s2 * vec[k], w))]
+        columns = [cocycles[j] for j in sorted(cocycles)]
+        for p, alpha in enumerate(columns):
+            for beta in columns[p + least - 1:]:  # q >= p over F_2, else q > p
+                x = [0] * len(vec)
+                for i, j, k, e, s in steps:
+                    # x[e] is still 0: s * x[e] = cup - dx, and 1/s = s
+                    x[e] = s * (alpha[k] * beta[i]
+                                - s0 * x[i] - s1 * x[j] - s2 * x[k])
+                if any(reduce({0: alpha[k] * beta[i]
+                               - s0 * x[i] - s1 * x[j] - s2 * x[k]})
+                       for i, j, k in checks):
+                    return True
+        return False
 
     def image_rank_of_vertices(self, mask: int) -> int:
         """Rank of im(H1(full subcomplex on the vertices of ``mask``; F)
