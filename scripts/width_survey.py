@@ -3,8 +3,9 @@
 
 For each family member, report betti1, the tent/constant labeling values
 where applicable, and the searched minimum (exhaustive when it finishes
-inside the per-complex budget, else the best labeling the enumeration
-reached, an upper bound).
+inside the per-complex budget, else ``bounds [lower,upper]``: the floor
+the search proved before the enumeration and the best labeling the
+enumeration reached).
 
 Usage: python3 scripts/width_survey.py [--budget SECONDS] [--field Q|Fp:p]
 """

@@ -19,7 +19,7 @@ from .generators import (circle_tent_labeling, generate_circle, generate_torus,
 from .homology import FieldSpec, betti1
 from .morse import MorseLabeling, constant_labeling, hcwr_value
 from .scx import read_scx, to_dict, write_scx
-from .search import AnnealParams, anneal_min, exhaustive_min
+from .search import exhaustive_min
 from .verify import run_cases
 
 # every input error the library raises is a ValueError (malformed JSON,
@@ -139,18 +139,9 @@ def _given(args, *names) -> dict:
 
 
 def _cmd_search(args) -> int:
-    anneal = _given(args, "steps", "restarts", "seed")
-    if args.mode == "exhaustive" and anneal:
-        raise ValueError(f"--{next(iter(anneal))} applies only to "
-                         f"--mode anneal")
-    if args.mode != "exhaustive" and args.budget_seconds is not None:
-        raise ValueError("--budget-seconds applies only to --mode exhaustive")
     L, _ = read_scx(args.input)
     field = FieldSpec.parse(args.field)
-    if args.mode == "exhaustive":
-        res = exhaustive_min(L.complex, field, time_budget=args.budget_seconds)
-    else:
-        res = anneal_min(L.complex, field, AnnealParams(**anneal))
+    res = exhaustive_min(L.complex, field, time_budget=args.budget_seconds)
     _emit(res.to_json(), args.out)
     return 0
 
@@ -226,12 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     sea = sub.add_parser("search", help="minimize width over labelings")
     sea.add_argument("input")
     sea.add_argument("--field", default="Q")
-    sea.add_argument("--mode", choices=["exhaustive", "anneal"],
-                     default="exhaustive")
-    sea.add_argument("--seed", type=int, help="anneal only")
-    sea.add_argument("--steps", type=int, help="anneal only")
-    sea.add_argument("--restarts", type=int, help="anneal only")
-    sea.add_argument("--budget-seconds", type=float, help="exhaustive only")
+    sea.add_argument("--budget-seconds", type=float,
+                     help="report an upper bound when the search runs out")
     sea.add_argument("--out")
 
     ver = sub.add_parser("verify", help="replay the width theorems")

@@ -19,7 +19,9 @@ these changes an output.  ``anneal_min`` finds an upper bound by
 single-vertex +-1 moves.  It keeps the state of each slab, memoized by
 vertex mask, so a step updates the three slabs a move touches, and it
 ranks such a slab only when the moved vertex's link in it is
-disconnected; its docstring proves that rule.
+disconnected; its docstring proves that rule.  The anneal is a library
+function only: ``hcwr search`` runs the enumeration, whose budget-cut
+best labeling is the command line's upper bound.
 
 Both searches are deterministic: the enumeration visits labelings in a
 fixed breadth-first/lexicographic order and annealing draws from the
@@ -81,6 +83,9 @@ class SearchResult:
     exhaustive: bool
     labelings_visited: int
     seed: Optional[int] = None
+    # exhaustive_min's lower bound, a width no labeling goes below; not
+    # in to_json
+    floor: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -227,7 +232,8 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     Returns exhaustive = False (best so far is only an upper bound) when
     the time budget runs out first; a budget of 0 runs out before the
     first label, whatever the clock's resolution, and returns the
-    constant labeling.
+    constant labeling.  ``floor`` is the lower bound below, 0 when the
+    budget ran out before it was computed.
     Raises ValueError for a budget that is not a number >= 0 (NaN would
     never run out).
     Runs in one thread; ``workers`` has no effect.
@@ -243,7 +249,8 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
         if floor == calc.betti1:  # the constant labeling is minimal
             return SearchResult(best_value=floor,
                                 certificate=MorseLabeling((0,) * n),
-                                exhaustive=True, labelings_visited=1)
+                                exhaustive=True, labelings_visited=1,
+                                floor=floor)
     ranks = _Memo(calc.image_rank_of_vertices)
     adjacency = K.adjacency
     bit = [1 << v for v in range(n)]
@@ -342,7 +349,7 @@ def exhaustive_min(K: SimplicialComplex, F: FieldSpec,
     return SearchResult(best_value=best[0],
                         certificate=MorseLabeling(best[1]),
                         exhaustive=completed,
-                        labelings_visited=visited)
+                        labelings_visited=visited, floor=floor)
 
 
 def _lower_bound(K: SimplicialComplex, calc: H1Calculator) -> int:
@@ -578,12 +585,13 @@ def certified_bounds(K: SimplicialComplex, F: FieldSpec,
     """(lower, upper, details) for the labeling-minimal width value.
 
     Exhaustive completion pins both bounds; when the time budget cuts the
-    enumeration, the lower bound is the trivial 0 and the upper bound the
-    best labeling the enumeration reached (method ``"partial"``).
+    enumeration, the lower bound is the search's floor (0 when the budget
+    ran out before the floor was computed) and the upper bound the best
+    labeling the enumeration reached (method ``"partial"``).
     """
     exh = exhaustive_min(K, F, time_budget=time_budget)
     details = {"method": "exhaustive" if exh.exhaustive else "partial",
                "visited": exh.labelings_visited,
                "certificate": list(exh.certificate.labels)}
-    lower = exh.best_value if exh.exhaustive else 0
+    lower = exh.best_value if exh.exhaustive else exh.floor
     return lower, exh.best_value, details

@@ -19,6 +19,7 @@ from hcwr import (FieldSpec, generate_circle, generate_torus, hcwr_value,
 from hcwr.cli import build_parser, main
 from hcwr.complexes import MAX_FACES
 from hcwr.generators import circle_tent_labeling, parse_relator
+from hcwr.morse import MorseLabeling
 from hcwr.scx import read_scx, to_dict, write_scx
 
 
@@ -276,35 +277,44 @@ def test_analyze_mistyped_field_names_the_field(tmp_path, capsys, field):
 def test_search_triangle(tmp_path, capsys):
     out = tmp_path / "tri.scx"
     run(capsys, "generate", "circle", "--m", "3", "--out", str(out))
-    code, stdout, _ = run(capsys, "search", str(out), "--mode", "exhaustive")
+    code, stdout, _ = run(capsys, "search", str(out))
     assert code == 0
     res = json.loads(stdout)
     assert res["best_value"] == 1 and res["exhaustive"] is True
 
 
-def test_analyze_reproduces_search_value(tmp_path, capsys):
-    src = tmp_path / "c6.scx"
-    run(capsys, "generate", "circle", "--m", "6", "--out", str(src))
-    _, stdout, _ = run(capsys, "search", str(src), "--mode", "exhaustive")
-    res = json.loads(stdout)
+def _certificate_width(tmp_path, capsys, src, res):
+    """`hcwr analyze`'s max_rank of the certificate of search result res
+    on the complex of SCX file src."""
     L, _ = read_scx(src)
     labeled = tmp_path / "cert.scx"
-    from hcwr.morse import MorseLabeling
     write_scx(labeled, L.complex, MorseLabeling(tuple(res["certificate"])))
     code, stdout, _ = run(capsys, "analyze", str(labeled))
     assert code == 0
-    assert json.loads(stdout)["max_rank"] == res["best_value"]
+    return json.loads(stdout)["max_rank"]
 
 
-def test_search_anneal_seeded(tmp_path, capsys):
-    out = tmp_path / "c6.scx"
-    run(capsys, "generate", "circle", "--m", "6", "--out", str(out))
-    code, stdout, _ = run(capsys, "search", str(out), "--mode", "anneal",
-                          "--seed", "7", "--steps", "3000",
-                          "--restarts", "2")
+def test_analyze_reproduces_search_value(tmp_path, capsys):
+    src = tmp_path / "c6.scx"
+    run(capsys, "generate", "circle", "--m", "6", "--out", str(src))
+    _, stdout, _ = run(capsys, "search", str(src))
+    res = json.loads(stdout)
+    assert _certificate_width(tmp_path, capsys, src, res) == res["best_value"]
+
+
+def test_budget_cut_search_is_an_upper_bound_that_analyze_reproduces(
+        tmp_path, capsys):
+    # torus(3,5)'s minimum 2 lies above its floor 1, so half a second cuts
+    # the enumeration; the best labeling it reached is the upper bound
+    src = tmp_path / "t35.scx"
+    run(capsys, "generate", "torus", "--dim", "3", "--res", "5",
+        "--out", str(src))
+    code, stdout, _ = run(capsys, "search", str(src),
+                          "--budget-seconds", "0.5")
     assert code == 0
     res = json.loads(stdout)
-    assert res["best_value"] == 0 and res["seed"] == 7
+    assert res["exhaustive"] is False
+    assert _certificate_width(tmp_path, capsys, src, res) == res["best_value"]
 
 
 def test_search_disconnected_exit_2(tmp_path, capsys):
@@ -483,16 +493,6 @@ def test_product_over_face_limit_exit_2(tmp_path, capsys):
     assert stderr.count("\n") == 1
 
 
-def test_anneal_rejects_zero_restarts(tmp_path, capsys):
-    out = tmp_path / "c6.scx"
-    run(capsys, "generate", "circle", "--m", "6", "--out", str(out))
-    code, stdout, stderr = run(capsys, "search", str(out), "--mode", "anneal",
-                               "--restarts", "0")
-    assert code == 2
-    assert stdout == ""
-    assert stderr == "error: restarts must be >= 1\n"
-
-
 @pytest.mark.parametrize("dim, res", [(30, 3), (3, 200), (100000, 3)])
 def test_oversized_torus_exit_2_at_once(capsys, dim, res):
     # 3^30 and 200^3 vertices are each more faces than the cap allows;
@@ -594,17 +594,6 @@ def test_wide_simplex_bad_label_exit_2_at_once(tmp_path, capsys):
     assert stdout == ""
     assert stderr.startswith("error:") and "(0, 20)" in stderr
     assert stderr.count("\n") == 1
-
-
-def test_anneal_rejects_budget_seconds(tmp_path, capsys):
-    out = tmp_path / "c6.scx"
-    run(capsys, "generate", "circle", "--m", "6", "--out", str(out))
-    code, stdout, stderr = run(capsys, "search", str(out), "--mode", "anneal",
-                               "--budget-seconds", "5")
-    assert code == 2
-    assert stdout == ""
-    assert stderr == ("error: --budget-seconds applies only to "
-                      "--mode exhaustive\n")
 
 
 # --- malformed SCX documents: exit 0 with a report or 2 with one line ------
@@ -716,8 +705,8 @@ def test_mutated_scx_exits_0_or_2(tmp_path, capsys, data):
      "v1=-1 outside"),
     (["generate", "spread-wedge", "{c6}", "--v2", "6", "--arc-len", "9"],
      "v2=6 outside"),
-    (["search", "{t26}", "--mode", "exhaustive", "--steps", "10",
-      "--restarts", "9", "--seed", "5"], "--steps"),
+    (["search", "{t26}", "--steps", "10", "--restarts", "9", "--seed", "5"],
+     "--steps"),
     (["search", "{t26}", "--budget-seconds", "nan"], "got nan"),
     (["search", "{t26}", "--budget-seconds", "-1"], "got -1"),
     (["verify", "--case", "torus-k2", "--budget-seconds", "nan"], "got nan"),
@@ -819,8 +808,14 @@ def test_a_closed_pipe_exits_1_in_a_fresh_process():
      "hcwr generate circle", "--axis 5"),
     (["analyze", "x.scx", "--bogus", "3"], "hcwr analyze", "--bogus 3"),
     (["search", "x.scx", "--mode", "anneal", "--seeds", "5"], "hcwr search",
-     "--seeds 5"),
-], ids=["generate-circle", "analyze", "search"])
+     "--mode anneal --seeds 5"),
+    # the options of the retired anneal mode
+    (["search", "x.scx", "--mode", "anneal"], "hcwr search", "--mode anneal"),
+    (["search", "x.scx", "--seed", "1"], "hcwr search", "--seed 1"),
+    (["search", "x.scx", "--steps", "5"], "hcwr search", "--steps 5"),
+    (["search", "x.scx", "--restarts", "2"], "hcwr search", "--restarts 2"),
+], ids=["generate-circle", "analyze", "search", "search-mode", "search-seed",
+        "search-steps", "search-restarts"])
 def test_unrecognized_arguments_name_the_subcommand(capsys, argv, command,
                                                     extras):
     code, stdout, stderr = run(capsys, *argv)

@@ -929,9 +929,10 @@ class TestCertifiedBounds:
 
     def test_budget_is_honoured(self):
         # torus(3,5)'s minimum 2 lies above the lower bound 1, so the
-        # enumeration must refute width 1, which takes far longer
+        # enumeration must refute width 1, which takes far longer; the
+        # cut search still reports the floor it proved
         t0 = time.monotonic()
         lo, hi, details = certified_bounds(generate_torus(3, 5), Q,
                                            time_budget=1)
         assert time.monotonic() - t0 < 10
-        assert lo == 0 and details["method"] == "partial"
+        assert lo == 1 and details["method"] == "partial"
